@@ -5,7 +5,8 @@ from .errors import (BadMagic, BadTarget, CoopaugError, DegenerateCenters,
                      MismatchedGrids, PlacementFailure, TruncatedFile)
 from .gate import (GateChoice, GateResponses, TABLE_DISTRIBUTIONS, apply_gate,
                    comprehensive_distribution, comprehensive_from_tables,
-                   estimate_source_distribution, gate_responses, sample_gate)
+                   estimate_source_distribution, gate_responses, sample_gate,
+                   sample_gate_step)
 from .io import (CLOUD_MAGIC, MANIFEST_VERSION, load_cloud, load_manifest,
                  save_cloud, save_manifest, save_range_image_pgm)
 from .kernels import NUMBA_ENABLED, ray_cast, scatter_nearest

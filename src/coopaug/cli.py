@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import BadMagic, CoopaugError, IoFailure, TruncatedFile
-from .gate import (TABLE_DISTRIBUTIONS, comprehensive_from_tables, gate_responses)
+from .gate import (TABLE_DISTRIBUTIONS, comprehensive_from_tables, gate_responses,
+                   sample_gate_step)
 from .io import load_cloud, load_manifest, save_manifest, save_range_image_pgm
 from .model import AGENT_TYPES, CmagConfig, CountDistribution, RngStream
 from .pipeline import cmag, early_fuse, fuse_grids, occupancy, cfc_l1
@@ -56,6 +57,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
+    if args.jobs < 1:
+        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     group, meta = load_manifest(args.manifest)
     phi_s = _load_source_dist(args.source_dist, args.dist_file)
     phi_c = comprehensive_from_tables()
@@ -78,23 +81,8 @@ def _cmd_gate_stats(args) -> int:
         print(f"{n:5d}  {phi_s.prob(n):.6f}  {phi_c.prob(n):.6f}  "
               f"{resp.r_plus:<11.5g}  {resp.r_minus:<11.5g}  "
               f"{lp:.4f}   {lk:.4f}   {lm:.4f}")
-    rng = RngStream(args.seed, "gate-stats")
-    support = np.array(sorted(phi_s.pmf))
-    probs = np.array([phi_s.pmf[k] for k in support])
-    draws = support[np.searchsorted(np.cumsum(probs),
-                                    rng.uniform(size=args.iterations), side="right")]
-    out = draws.copy()
-    for n in np.unique(draws):
-        resp = gate_responses(phi_s, phi_c, int(n), args.epsilon)
-        lp, lk, _ = resp.likelihoods
-        sel = draws == n
-        u = rng.uniform(size=int(sel.sum()))
-        step = np.where(u < lp, 1, np.where(u < lp + lk, 0, -1))
-        out[sel] = n + step
-    emp_pre = CountDistribution({int(k): float(c) / len(draws)
-                                 for k, c in zip(*np.unique(draws, return_counts=True))})
-    emp_post = CountDistribution({int(k): float(c) / len(out)
-                                  for k, c in zip(*np.unique(out, return_counts=True))})
+    emp_pre, emp_post = sample_gate_step(phi_s, phi_c, args.epsilon, args.iterations,
+                                         RngStream(args.seed, "gate-stats"))
     print(f"TV(pre, phi_c)  = {emp_pre.tv_distance(phi_c):.6f}")
     print(f"TV(post, phi_c) = {emp_post.tv_distance(phi_c):.6f}")
     return 0
@@ -145,7 +133,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--dist-file")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
-                   help="worker bound; output is identical for any value")
+                   help="reserved: must be >= 1; augment runs in one process")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_augment)
 

@@ -1,8 +1,9 @@
 """Probabilistic gate: count-distribution matching via Plus/Keep/Minus decisions."""
 
 import enum
-from collections import Counter
 from dataclasses import dataclass, replace
+
+import numpy as np
 
 from .errors import EmptyInput, InvalidPair
 from .model import Agent, CooperativeGroup, CountDistribution, RngStream, validate_group
@@ -39,11 +40,12 @@ class GateResponses:
 
 def estimate_source_distribution(counts) -> CountDistribution:
     """Empirical pmf of observed group sizes."""
-    counts = list(counts)
-    if not counts:
+    if not isinstance(counts, np.ndarray):
+        counts = np.array(list(counts))
+    if counts.size == 0:
         raise EmptyInput("no counts to estimate from")
-    n = len(counts)
-    return CountDistribution({k: v / n for k, v in sorted(Counter(counts).items())})
+    values, freq = np.unique(counts, return_counts=True)
+    return CountDistribution({int(k): int(c) / counts.size for k, c in zip(values, freq)})
 
 
 def comprehensive_distribution(dists, weights=None) -> CountDistribution:
@@ -108,14 +110,33 @@ def sample_gate(responses: GateResponses, rng: RngStream) -> GateChoice:
     return GateChoice.MINUS
 
 
+def sample_gate_step(phi_s: CountDistribution, phi_c: CountDistribution, epsilon: float,
+                     iterations: int, rng: RngStream) -> tuple[CountDistribution,
+                                                                CountDistribution]:
+    """Monte-Carlo of one gate step over group sizes drawn from phi_s.
+
+    Draws `iterations` sizes from phi_s, then moves each by one decision drawn
+    with sample_gate's rule. Returns the empirical pmfs before and after.
+    """
+    support = np.array(phi_s.support)
+    cdf = np.cumsum([phi_s.pmf[k] for k in phi_s.support])
+    pre = support[np.searchsorted(cdf, rng.uniform(size=iterations), side="right")]
+    post = pre.copy()
+    for n in np.unique(pre):
+        lp, lk, _ = gate_responses(phi_s, phi_c, int(n), epsilon).likelihoods
+        sel = pre == n
+        u = rng.uniform(size=int(sel.sum()))
+        post[sel] = n + np.where(u < lp, 1, np.where(u < lp + lk, 0, -1))
+    return estimate_source_distribution(pre), estimate_source_distribution(post)
+
+
 def apply_gate(group: CooperativeGroup, mixup: Agent, pair: tuple[int, int],
-               decision: GateChoice, keep_mode: str = "replace") -> CooperativeGroup:
+               decision: GateChoice) -> CooperativeGroup:
     """Apply a gate decision, inserting the mixup agent per the chosen gate.
 
     Plus appends the mixup agent; Minus removes both pair members and appends
     it (inheriting the ego role and pose if the pair contained the ego); Keep
-    replaces the non-ego pair member ("discard" keep_mode leaves the group
-    unchanged). The result always has exactly one ego.
+    replaces the non-ego pair member. The result always has exactly one ego.
     """
     i, j = pair
     if i == j or not (0 <= i < group.n and 0 <= j < group.n):
@@ -133,15 +154,12 @@ def apply_gate(group: CooperativeGroup, mixup: Agent, pair: tuple[int, int],
         rest = tuple(a for k, a in enumerate(group.agents) if k not in (i, j))
         out = CooperativeGroup(rest + (mixup,))
     else:  # KEEP
-        if keep_mode == "discard":
-            out = group
-        else:
-            target = j if not group.agents[j].is_ego else i
-            if group.agents[target].is_ego:
-                raise InvalidPair("both pair members are ego")
-            agents = list(group.agents)
-            agents[target] = mixup
-            out = CooperativeGroup(tuple(agents))
+        target = j if not group.agents[j].is_ego else i
+        if group.agents[target].is_ego:
+            raise InvalidPair("both pair members are ego")
+        agents = list(group.agents)
+        agents[target] = mixup
+        out = CooperativeGroup(tuple(agents))
 
     violation = validate_group(out)
     if violation is not None:

@@ -1,71 +1,22 @@
-"""Hot numeric kernels with numba-accelerated and pure-numpy implementations.
-
-Set COOPAUG_DISABLE_NUMBA=1 to force the numpy path (used by the benchmark
-and by environments without a working numba install). Both paths produce
-bitwise-identical results.
-"""
-
-import os
+"""Hot numeric kernels: the LiDAR ray cast and the range-image scatter, in numpy."""
 
 import numpy as np
 
-_DISABLE = os.environ.get("COOPAUG_DISABLE_NUMBA", "").strip() in ("1", "true", "yes")
-
-if not _DISABLE:
-    try:
-        from numba import njit
-        NUMBA_ENABLED = True
-    except ImportError:  # pragma: no cover
-        NUMBA_ENABLED = False
-else:
-    NUMBA_ENABLED = False
+# Kept as a constant for callers that record the backend; there is only numpy.
+NUMBA_ENABLED = False
 
 
-def _ray_cast_impl(origin, dirs, ground_z, boxes, max_range):
-    n = dirs.shape[0]
-    out = np.full(n, -1.0)
-    ox, oy, oz = origin[0], origin[1], origin[2]
-    for i in range(n):
-        dx, dy, dz = dirs[i, 0], dirs[i, 1], dirs[i, 2]
-        best = np.inf
-        # ground plane z = ground_z, only rays pointing toward it
-        if dz < 0.0 and oz > ground_z:
-            t = (ground_z - oz) / dz
-            if 0.0 < t < best:
-                best = t
-        for b in range(boxes.shape[0]):
-            tmin = 0.0
-            tmax = np.inf
-            hit = True
-            for k in range(3):
-                o = origin[k]
-                d = dirs[i, k]
-                lo = boxes[b, k] - boxes[b, 3 + k]
-                hi = boxes[b, k] + boxes[b, 3 + k]
-                if d == 0.0:
-                    if o < lo or o > hi:
-                        hit = False
-                        break
-                else:
-                    t1 = (lo - o) / d
-                    t2 = (hi - o) / d
-                    if t1 > t2:
-                        t1, t2 = t2, t1
-                    if t1 > tmin:
-                        tmin = t1
-                    if t2 < tmax:
-                        tmax = t2
-                    if tmin > tmax:
-                        hit = False
-                        break
-            if hit and tmin > 0.0 and tmin < best:
-                best = tmin
-        if best <= max_range:
-            out[i] = best
-    return out
+def ray_cast(origin, dirs, ground_z, boxes, max_range):
+    """Nearest hit distance per ray against ground plane and boxes.
 
-
-def _ray_cast_numpy(origin, dirs, ground_z, boxes, max_range):
+    origin: (3,) ray origin shared by all rays. dirs: (N, 3) unit directions.
+    boxes: (B, 6) rows of (cx, cy, cz, hx, hy, hz). Returns (N,) distances,
+    -1 where nothing is hit within max_range.
+    """
+    origin = np.asarray(origin, dtype=np.float64)
+    dirs = np.asarray(dirs, dtype=np.float64)
+    ground_z = float(ground_z)
+    boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 6)
     n = dirs.shape[0]
     best = np.full(n, np.inf)
     if origin[2] > ground_z:
@@ -90,75 +41,25 @@ def _ray_cast_numpy(origin, dirs, ground_z, boxes, max_range):
         tmax = far.min(axis=1)
         hit = (tmin <= tmax) & (tmin > 0.0)
         best = np.where(hit & (tmin < best), tmin, best)
-    out = np.where(best <= max_range, best, -1.0)
-    return out
+    return np.where(best <= float(max_range), best, -1.0)
 
 
-def _scatter_nearest_impl(rows, cols, ranges, intens, H, W):
-    rimg = np.zeros((H, W))
-    iimg = np.zeros((H, W))
-    for i in range(rows.shape[0]):
-        r = rows[i]
-        c = cols[i]
-        if rimg[r, c] == 0.0 or ranges[i] < rimg[r, c]:
-            rimg[r, c] = ranges[i]
-            iimg[r, c] = intens[i]
-    return rimg, iimg
+def scatter_nearest(rows, cols, ranges, intens, H, W):
+    """Scatter ranges into an HxW grid keeping the smallest per pixel.
 
-
-def _scatter_nearest_numpy(rows, cols, ranges, intens, H, W):
-    rimg = np.zeros((H, W))
-    iimg = np.zeros((H, W))
+    Zero is the no-return sentinel; valid input ranges must be positive.
+    Equal ranges in one pixel keep the earliest point.
+    Returns (range_image, intensity_image).
+    """
+    rows = np.asarray(rows, dtype=np.int64)
+    cols = np.asarray(cols, dtype=np.int64)
+    ranges = np.asarray(ranges, dtype=np.float64)
+    intens = np.asarray(intens, dtype=np.float64)
+    rimg = np.zeros((int(H), int(W)))
+    iimg = np.zeros((int(H), int(W)))
     # assign in decreasing range order so the nearest return lands last;
-    # equal ranges favor the earliest point, matching the loop implementation
-    n = ranges.shape[0]
-    order = np.lexsort((-np.arange(n), -ranges))
+    # among equal ranges the earliest point is assigned last
+    order = np.lexsort((-np.arange(ranges.shape[0]), -ranges))
     rimg[rows[order], cols[order]] = ranges[order]
     iimg[rows[order], cols[order]] = intens[order]
     return rimg, iimg
-
-
-if NUMBA_ENABLED:
-    _ray_cast_jit = njit(cache=True)(_ray_cast_impl)
-    _scatter_jit = njit(cache=True)(_scatter_nearest_impl)
-
-    def ray_cast(origin, dirs, ground_z, boxes, max_range):
-        return _ray_cast_jit(np.ascontiguousarray(origin, dtype=np.float64),
-                             np.ascontiguousarray(dirs, dtype=np.float64),
-                             float(ground_z),
-                             np.ascontiguousarray(boxes, dtype=np.float64).reshape(-1, 6),
-                             float(max_range))
-
-    def scatter_nearest(rows, cols, ranges, intens, H, W):
-        return _scatter_jit(np.ascontiguousarray(rows, dtype=np.int64),
-                            np.ascontiguousarray(cols, dtype=np.int64),
-                            np.ascontiguousarray(ranges, dtype=np.float64),
-                            np.ascontiguousarray(intens, dtype=np.float64),
-                            int(H), int(W))
-else:
-    def ray_cast(origin, dirs, ground_z, boxes, max_range):
-        return _ray_cast_numpy(np.asarray(origin, dtype=np.float64),
-                               np.asarray(dirs, dtype=np.float64),
-                               float(ground_z),
-                               np.asarray(boxes, dtype=np.float64).reshape(-1, 6),
-                               float(max_range))
-
-    def scatter_nearest(rows, cols, ranges, intens, H, W):
-        return _scatter_nearest_numpy(np.asarray(rows, dtype=np.int64),
-                                      np.asarray(cols, dtype=np.int64),
-                                      np.asarray(ranges, dtype=np.float64),
-                                      np.asarray(intens, dtype=np.float64),
-                                      int(H), int(W))
-
-
-ray_cast.__doc__ = """Nearest hit distance per ray against ground plane and boxes.
-
-origin: (3,) ray origin shared by all rays. dirs: (N, 3) unit directions.
-boxes: (B, 6) rows of (cx, cy, cz, hx, hy, hz). Returns (N,) distances,
--1 where nothing is hit within max_range.
-"""
-scatter_nearest.__doc__ = """Scatter ranges into an HxW grid keeping the smallest per pixel.
-
-Zero is the no-return sentinel; valid input ranges must be positive.
-Returns (range_image, intensity_image).
-"""

@@ -24,18 +24,16 @@ class SplitLine:
         return self.direction[0] * rel[:, 1] - self.direction[1] * rel[:, 0]
 
 
-def bev_center(agent: Agent, use_centroid: bool = False) -> np.ndarray:
-    """BEV position of an agent: sensor origin by default, cloud centroid on request."""
-    if use_centroid and len(agent.cloud) > 0:
-        return agent.cloud.xyz[:, :2].mean(axis=0)
+def bev_center(agent: Agent) -> np.ndarray:
+    """BEV position of an agent's sensor origin."""
     return agent.pose.translation[:2].copy()
 
 
-def nearest_pair(group: CooperativeGroup, use_centroid: bool = False) -> tuple[int, int]:
+def nearest_pair(group: CooperativeGroup) -> tuple[int, int]:
     """Index pair with minimum BEV distance; lexicographic tie-break."""
     if group.n < 2:
         raise GroupTooSmall(f"need at least 2 agents, got {group.n}")
-    centers = [bev_center(a, use_centroid) for a in group.agents]
+    centers = [bev_center(a) for a in group.agents]
     best = None
     best_d = math.inf
     for i in range(group.n):
@@ -62,13 +60,20 @@ def split_line(c1: np.ndarray, c2: np.ndarray, rotation_rad: float) -> SplitLine
     return SplitLine((c1 + c2) / 2.0, direction)
 
 
-def cut_and_combine(p1: PointCloud, p2: PointCloud, line: SplitLine) -> PointCloud:
-    """Keep p1's points with side >= 0 and p2's with side < 0, in input order."""
-    keep1 = line.side(p1.xyz[:, :2]) >= 0.0 if len(p1) else np.zeros(0, dtype=bool)
-    keep2 = line.side(p2.xyz[:, :2]) < 0.0 if len(p2) else np.zeros(0, dtype=bool)
+def _half_plane_cut(p1: PointCloud, p2: PointCloud,
+                    line: SplitLine) -> tuple[PointCloud, int, int]:
+    """p1's points with side >= 0, then p2's with side < 0, in input order,
+    with the number of points kept from each."""
+    keep1 = line.side(p1.xyz[:, :2]) >= 0.0
+    keep2 = line.side(p2.xyz[:, :2]) < 0.0
     xyz = np.concatenate([p1.xyz[keep1], p2.xyz[keep2]])
     intensity = np.concatenate([p1.intensity[keep1], p2.intensity[keep2]])
-    return PointCloud(xyz, intensity, EGO_FRAME)
+    return PointCloud(xyz, intensity, EGO_FRAME), int(keep1.sum()), int(keep2.sum())
+
+
+def cut_and_combine(p1: PointCloud, p2: PointCloud, line: SplitLine) -> PointCloud:
+    """Keep p1's points with side >= 0 and p2's with side < 0, in input order."""
+    return _half_plane_cut(p1, p2, line)[0]
 
 
 def _fresh_id(group: CooperativeGroup) -> str:
@@ -86,17 +91,12 @@ def make_mixup_agent(group: CooperativeGroup, cfg: CmagConfig, rng: RngStream,
     Pose and sensor type are inherited from the pair member that contributed
     more points to the cut (ties go to the first member).
     """
-    use_centroid = cfg.mixup_center == "centroid"
     if pair is None:
-        pair = nearest_pair(group, use_centroid)
+        pair = nearest_pair(group)
     a1, a2 = group.agents[pair[0]], group.agents[pair[1]]
     rot = float(rng.uniform(-cfg.split_rotation_range_rad, cfg.split_rotation_range_rad))
-    line = split_line(bev_center(a1, use_centroid), bev_center(a2, use_centroid), rot)
-    keep1 = line.side(a1.cloud.xyz[:, :2]) >= 0.0 if len(a1.cloud) else np.zeros(0, dtype=bool)
-    keep2 = line.side(a2.cloud.xyz[:, :2]) < 0.0 if len(a2.cloud) else np.zeros(0, dtype=bool)
-    xyz = np.concatenate([a1.cloud.xyz[keep1], a2.cloud.xyz[keep2]])
-    intensity = np.concatenate([a1.cloud.intensity[keep1], a2.cloud.intensity[keep2]])
-    donor = a1 if int(keep1.sum()) >= int(keep2.sum()) else a2
-    return Agent(id=_fresh_id(group), pose=donor.pose,
-                 cloud=PointCloud(xyz, intensity, EGO_FRAME),
+    line = split_line(bev_center(a1), bev_center(a2), rot)
+    cloud, kept1, kept2 = _half_plane_cut(a1.cloud, a2.cloud, line)
+    donor = a1 if kept1 >= kept2 else a2
+    return Agent(id=_fresh_id(group), pose=donor.pose, cloud=cloud,
                  agent_type=donor.agent_type, is_ego=False)

@@ -1,7 +1,7 @@
 """Core domain types: point clouds, rigid transforms, agents, groups, distributions."""
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -186,13 +186,7 @@ class CmagConfig:
     pa_translation_bound_m: float = 0.05
     pa_azimuth_bins: int = 2048
     gate_epsilon: float = 1e-6
-    w1: float = 1.0
-    w2: float = 1.0
     seed: int = 0
-    # "origin": split centers are sensor origins; "centroid": BEV cloud centroids.
-    mixup_center: str = "origin"
-    # "replace": Keep gate swaps the mixup agent in; "discard": group unchanged.
-    keep_mode: str = "replace"
 
     def __post_init__(self):
         object.__setattr__(self, "pa_density_targets",
@@ -256,7 +250,3 @@ def validate_group(group: CooperativeGroup) -> str | None:
         if not a.pose.is_valid():
             return f"agent {a.id}: invalid pose"
     return None
-
-
-def replace_agent(agent: Agent, **kwargs) -> Agent:
-    return replace(agent, **kwargs)

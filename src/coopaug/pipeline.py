@@ -9,7 +9,7 @@ from .errors import MismatchedGrids
 from .gate import GateChoice, apply_gate, gate_responses, sample_gate
 from .mixup import make_mixup_agent, nearest_pair
 from .model import (EGO_FRAME, CmagConfig, CooperativeGroup, CountDistribution,
-                    PointCloud, RngStream, validate_group)
+                    PointCloud, RngStream)
 from .rangeview import density_augment
 from .setupaug import apply_setup_aug, sample_setup_params
 
@@ -91,7 +91,7 @@ def cmag(group: CooperativeGroup, phi_s: CountDistribution, phi_c: CountDistribu
     """
     if group.n < 2:
         return group
-    pair = nearest_pair(group, cfg.mixup_center == "centroid")
+    pair = nearest_pair(group)
     mixup = make_mixup_agent(group, cfg, rng, pair=pair)
     cloud = density_augment(mixup.cloud, mixup.agent_type, cfg, rng)
     cloud = apply_setup_aug(cloud, sample_setup_params(cfg, rng))
@@ -100,11 +100,4 @@ def cmag(group: CooperativeGroup, phi_s: CountDistribution, phi_c: CountDistribu
     sampled = sample_gate(responses, rng)
     if decision is None:
         decision = sampled
-    # Keep gate replaces the second pair member; make sure it is not the ego
-    if group.agents[pair[1]].is_ego:
-        pair = (pair[1], pair[0])
-    out = apply_gate(group, mixup, pair, decision, keep_mode=cfg.keep_mode)
-    violation = validate_group(out)
-    if violation is not None:
-        raise AssertionError(f"cmag produced an invalid group: {violation}")
-    return out
+    return apply_gate(group, mixup, pair, decision)

@@ -6,7 +6,7 @@ from coopaug import (AGENT_TYPES, Agent, CooperativeGroup, CountDistribution,
                      RigidTransform, RngStream, TABLE_DISTRIBUTIONS, apply_gate,
                      comprehensive_distribution, comprehensive_from_tables,
                      estimate_source_distribution, gate_responses, sample_gate,
-                     validate_group)
+                     sample_gate_step, validate_group)
 
 
 def agent(aid, is_ego=False, x=0.0):
@@ -141,6 +141,30 @@ class TestSampleGate:
         assert lm == pytest.approx(0.2055, abs=1e-3)
 
 
+class TestSampleGateStep:
+    PHI_C = comprehensive_from_tables()
+
+    def test_matched_source_never_moves(self):
+        pre, post = sample_gate_step(self.PHI_C, self.PHI_C, 1e-6, 20_000,
+                                     RngStream(0, "step"))
+        assert pre == post
+        assert pre.tv_distance(self.PHI_C) < 0.02
+
+    def test_single_count_follows_likelihoods(self):
+        phi_s = CountDistribution({2: 1.0})
+        pre, post = sample_gate_step(phi_s, self.PHI_C, 1e-6, 50_000, RngStream(1, "step"))
+        lp, lk, lm = gate_responses(phi_s, self.PHI_C, 2, 1e-6).likelihoods
+        assert pre.pmf == {2: 1.0}
+        assert post.support == (1, 2, 3)
+        assert post.pmf == pytest.approx({1: lm, 2: lk, 3: lp}, abs=0.01)
+
+    def test_seeded_repeat(self):
+        phi_s = TABLE_DISTRIBUTIONS["v2xset"]
+        a = sample_gate_step(phi_s, self.PHI_C, 1e-6, 5_000, RngStream(3, "step"))
+        b = sample_gate_step(phi_s, self.PHI_C, 1e-6, 5_000, RngStream(3, "step"))
+        assert a == b
+
+
 class TestApplyGate:
     def group3(self):
         return CooperativeGroup((agent("e", is_ego=True), agent("a", x=3.0),
@@ -183,11 +207,6 @@ class TestApplyGate:
         out = apply_gate(g, self.mixup(), (1, 0), GateChoice.KEEP)
         assert out.agents[0].is_ego
         assert out.agents[1].id == "mixup-0"
-
-    def test_keep_discard_mode(self):
-        g = self.group3()
-        out = apply_gate(g, self.mixup(), (1, 2), GateChoice.KEEP, keep_mode="discard")
-        assert out is g
 
     def test_invalid_pair(self):
         with pytest.raises(InvalidPair):

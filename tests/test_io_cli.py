@@ -144,6 +144,17 @@ class TestCli:
         group, _ = load_manifest(tmp_path / "x" / "manifest.json")
         assert sum(a.is_ego for a in group.agents) == 1
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_augment_rejects_jobs_below_one(self, jobs, tmp_path, capsys):
+        manifest = self.simulate(tmp_path / "sim")
+        capsys.readouterr()
+        rc = main(["augment", "--manifest", str(manifest), "--jobs", jobs,
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--jobs" in captured.err
+        assert not (tmp_path / "out").exists()
+
     def test_gate_stats_output(self, capsys):
         rc = main(["gate-stats", "--source-dist", "opv2v",
                    "--iterations", "2000", "--seed", "1"])

@@ -27,11 +27,6 @@ class TestBevCenter:
     def test_vertical_only(self):
         assert np.array_equal(bev_center(agent_at(0.0, 0.0, 3.0)), [0.0, 0.0])
 
-    def test_centroid_option(self):
-        cloud = PointCloud.from_arrays([[2.0, 0.0, 1.0], [4.0, 2.0, -1.0]])
-        a = agent_at(10.0, 10.0, cloud=cloud)
-        assert np.allclose(bev_center(a, use_centroid=True), [3.0, 1.0])
-
 
 class TestNearestPair:
     def test_unique_minimum(self):

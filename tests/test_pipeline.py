@@ -5,7 +5,7 @@ from coopaug import (AGENT_TYPES, Agent, CmagConfig, CooperativeGroup,
                      GateChoice, MismatchedGrids, PointCloud, RigidTransform,
                      RngStream, TABLE_DISTRIBUTIONS, cfc_l1, cmag,
                      comprehensive_from_tables, early_fuse, fuse_grids,
-                     occupancy, total_loss, validate_group)
+                     nearest_pair, occupancy, total_loss, validate_group)
 
 EXTENT = (-20.0, 20.0, -20.0, 20.0)
 
@@ -151,6 +151,25 @@ class TestCmag:
             out = self.run(g, seed=seed)
             assert out.n in (2, 3, 4)
             assert validate_group(out) is None
+
+    def test_ego_second_in_nearest_pair(self):
+        # the pair is (0, 1) with the ego at index 1; agent 2 is far away
+        g = CooperativeGroup((agent("a", x=0.0, seed=1), agent("e", x=4.0, is_ego=True),
+                              agent("b", x=30.0, seed=2)))
+        assert nearest_pair(g) == (0, 1)
+        keep = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(seed=2),
+                    RngStream(2, "aug"), decision=GateChoice.KEEP)
+        assert validate_group(keep) is None
+        assert [a.id for a in keep.agents] == ["mixup-0", "e", "b"]
+        assert keep.agents[1] is g.agents[1] and keep.agents[2] is g.agents[2]
+        minus = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(seed=2),
+                     RngStream(2, "aug"), decision=GateChoice.MINUS)
+        assert validate_group(minus) is None
+        assert [a.id for a in minus.agents] == ["b", "mixup-0"]
+        assert minus.agents[1].is_ego
+        assert minus.agents[1].pose is g.agents[1].pose
+        # forcing a decision leaves the mixup cloud unchanged
+        assert np.array_equal(keep.agents[0].cloud.xyz, minus.agents[1].cloud.xyz)
 
     def test_minus_at_two_keeps_one_ego(self):
         g = group(2)
