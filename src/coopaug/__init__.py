@@ -16,7 +16,7 @@ from .model import (AGENT_TYPES, EGO_FRAME, Agent, AgentType, CmagConfig,
                     CooperativeGroup, CountDistribution, PointCloud,
                     RigidTransform, RngStream, transform_cloud, validate_group)
 from .pipeline import (DEFAULT_CELL_M, DEFAULT_EXTENT, OccupancyGrid, cfc_l1,
-                       cmag, early_fuse, fuse_grids, occupancy, total_loss)
+                       cmag, early_fuse, fuse_grids, occupancy)
 from .rangeview import (NO_RETURN, RangeImage, density_augment, project,
                         resample_beams, unproject)
 from .setupaug import SetupAugParams, apply_setup_aug, sample_setup_params

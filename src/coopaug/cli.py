@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, CoopaugError, IoFailure, TruncatedFile
+from .errors import CoopaugError, IoFailure
 from .gate import (TABLE_DISTRIBUTIONS, comprehensive_from_tables, gate_responses,
                    sample_gate_step)
 from .io import load_cloud, load_manifest, save_manifest, save_range_image_pgm
@@ -40,6 +40,13 @@ def _load_source_dist(name: str, dist_file: str | None) -> CountDistribution:
     raise _UsageError(f"unknown source distribution {name!r}")
 
 
+def _augment(group, args):
+    """`cmag` with the table target, the chosen source and `--seed`."""
+    phi_s = _load_source_dist(args.source_dist, args.dist_file)
+    return cmag(group, phi_s, comprehensive_from_tables(), CmagConfig(seed=args.seed),
+                RngStream(args.seed, "augment"))
+
+
 def _cmd_simulate(args) -> int:
     type_names = [t.strip().upper() for t in args.types.split(",") if t.strip()]
     if len(type_names) != args.agents:
@@ -57,13 +64,8 @@ def _cmd_simulate(args) -> int:
 
 
 def _cmd_augment(args) -> int:
-    if args.jobs < 1:
-        raise _UsageError(f"--jobs must be at least 1, got {args.jobs}")
     group, meta = load_manifest(args.manifest)
-    phi_s = _load_source_dist(args.source_dist, args.dist_file)
-    phi_c = comprehensive_from_tables()
-    cfg = CmagConfig(seed=args.seed)
-    out = cmag(group, phi_s, phi_c, cfg, RngStream(args.seed, "augment"))
+    out = _augment(group, args)
     boxes = np.array([b["center"] + b["half_extents"] for b in meta["boxes"]]).reshape(-1, 6)
     manifest = save_manifest(out, args.out, ground_z=meta["ground_z"], boxes=boxes)
     print(f"wrote {manifest} (N {group.n} -> {out.n})")
@@ -103,12 +105,7 @@ def _cmd_project(args) -> int:
 def _cmd_cfc_check(args) -> int:
     group, _ = load_manifest(args.manifest)
     early_grid = occupancy(early_fuse(group))
-    if args.no_aug:
-        generalized = group
-    else:
-        phi_s = _load_source_dist(args.source_dist, args.dist_file)
-        generalized = cmag(group, phi_s, comprehensive_from_tables(),
-                           CmagConfig(seed=args.seed), RngStream(args.seed, "augment"))
+    generalized = group if args.no_aug else _augment(group, args)
     fused = fuse_grids([occupancy(a.cloud) for a in generalized.agents])
     print(f"{cfc_l1(fused, early_grid):.1f}")
     return 0
@@ -118,6 +115,10 @@ def _build_parser() -> _Parser:
     parser = _Parser(prog="coopaug",
                      description="Cooperative LiDAR mixup augmentation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
+    source = _Parser(add_help=False)
+    source.add_argument("--source-dist", default="opv2v")
+    source.add_argument("--dist-file")
+    source.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("simulate", help="generate a synthetic scene manifest")
     p.add_argument("--agents", type=int, required=True)
@@ -127,22 +128,18 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_simulate)
 
-    p = sub.add_parser("augment", help="run the augmentation pipeline on a manifest")
+    p = sub.add_parser("augment", parents=[source],
+                       help="run the augmentation pipeline on a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--source-dist", default="opv2v")
-    p.add_argument("--dist-file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--jobs", type=int, default=1,
                    help="reserved: must be >= 1; augment runs in one process")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_augment)
 
-    p = sub.add_parser("gate-stats", help="print gate responses and Monte-Carlo drift")
-    p.add_argument("--source-dist", default="opv2v")
-    p.add_argument("--dist-file")
+    p = sub.add_parser("gate-stats", parents=[source],
+                       help="print gate responses and Monte-Carlo drift")
     p.add_argument("--iterations", type=int, default=100000)
     p.add_argument("--epsilon", type=float, default=1e-6)
-    p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=_cmd_gate_stats)
 
     p = sub.add_parser("project", help="write a range-image PGM for a cloud")
@@ -152,11 +149,9 @@ def _build_parser() -> _Parser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_project)
 
-    p = sub.add_parser("cfc-check", help="print the occupancy-consistency L1 value")
+    p = sub.add_parser("cfc-check", parents=[source],
+                       help="print the occupancy-consistency L1 value")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--source-dist", default="opv2v")
-    p.add_argument("--dist-file")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--no-aug", action="store_true")
     p.set_defaults(func=_cmd_cfc_check)
     return parser
@@ -166,11 +161,17 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
+        for flag in ("jobs", "iterations", "width"):
+            value = getattr(args, flag, 1)
+            if value < 1:
+                raise _UsageError(f"--{flag} must be at least 1, got {value}")
+        if not getattr(args, "epsilon", 1.0) > 0:
+            raise _UsageError(f"--epsilon must be positive, got {args.epsilon}")
         return args.func(args)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (IoFailure, BadMagic, TruncatedFile) as exc:
+    except IoFailure as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
     except (CoopaugError, ValueError) as exc:

@@ -33,13 +33,13 @@ class PlacementFailure(CoopaugError):
     pass
 
 
-class BadMagic(CoopaugError):
-    pass
-
-
-class TruncatedFile(CoopaugError):
-    pass
-
-
 class IoFailure(CoopaugError):
+    pass
+
+
+class BadMagic(IoFailure):
+    pass
+
+
+class TruncatedFile(IoFailure):
     pass

@@ -48,18 +48,13 @@ def estimate_source_distribution(counts) -> CountDistribution:
     return CountDistribution({int(k): int(c) / counts.size for k, c in zip(values, freq)})
 
 
-def comprehensive_distribution(dists, weights=None) -> CountDistribution:
-    """Cross-dataset mean pmf (unweighted by default), renormalized."""
+def comprehensive_distribution(dists) -> CountDistribution:
+    """Cross-dataset mean pmf, renormalized."""
     dists = list(dists)
     if not dists:
         raise EmptyInput("no distributions to combine")
-    if weights is None:
-        weights = [1.0] * len(dists)
-    if len(weights) != len(dists):
-        raise ValueError("weights length mismatch")
-    total_w = sum(weights)
     keys = sorted(set().union(*(d.pmf for d in dists)))
-    pmf = {k: sum(w * d.prob(k) for d, w in zip(dists, weights)) / total_w for k in keys}
+    pmf = {k: sum(d.prob(k) for d in dists) / len(dists) for k in keys}
     norm = sum(pmf.values())
     return CountDistribution({k: v / norm for k, v in pmf.items()})
 

@@ -29,7 +29,8 @@ def save_cloud(cloud: PointCloud, path) -> None:
         raise IoFailure(str(exc)) from exc
 
 
-def load_cloud(path, frame: str = EGO_FRAME) -> PointCloud:
+def load_cloud(path) -> PointCloud:
+    """Read a cloud written by save_cloud, in the ego frame."""
     try:
         data = Path(path).read_bytes()
     except OSError as exc:
@@ -44,14 +45,16 @@ def load_cloud(path, frame: str = EGO_FRAME) -> PointCloud:
         raise TruncatedFile(f"{path}: expected {expected} bytes, got {len(data)}")
     records = np.frombuffer(data[8:expected], dtype="<f4").reshape(count, 4)
     return PointCloud(records[:, :3].astype(np.float64),
-                      records[:, 3].astype(np.float64), frame)
+                      records[:, 3].astype(np.float64), EGO_FRAME)
 
 
 def save_range_image_pgm(img: RangeImage, path) -> None:
-    """16-bit binary PGM, millimeter quantization, 0 for no return."""
+    """16-bit binary PGM in millimeters, 0 for no return; makes the parent dir."""
     mm = np.where(img.valid_mask(),
                   np.clip(np.rint(img.ranges * 1000.0), 1, 65535), 0).astype(">u2")
+    path = Path(path)
     try:
+        path.parent.mkdir(parents=True, exist_ok=True)
         with open(path, "wb") as fh:
             fh.write(f"P5\n{img.W} {img.H}\n65535\n".encode("ascii"))
             fh.write(mm.tobytes())
@@ -139,7 +142,7 @@ def load_manifest(path) -> tuple[CooperativeGroup, dict]:
     for entry in doc["agents"]:
         ypr = entry["pose"]["yaw_pitch_roll_rad"]
         pose = RigidTransform.from_ypr(*ypr, translation=entry["pose"]["translation"])
-        cloud = load_cloud(path.parent / entry["cloud_path"], frame=EGO_FRAME)
+        cloud = load_cloud(path.parent / entry["cloud_path"])
         agents.append(Agent(id=str(entry["id"]), pose=pose, cloud=cloud,
                             agent_type=_agent_type_from_json(entry["type"]),
                             is_ego=bool(entry["is_ego"])))

@@ -35,7 +35,7 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range):
         # axes with zero direction: inside slab -> (-inf, inf), outside -> miss
         zero = dirs == 0.0
         inside = (origin >= lo) & (origin <= hi)
-        near = np.where(zero, np.where(inside, -np.inf, np.inf), near)
+        near = np.where(zero & inside, -np.inf, near)
         far = np.where(zero, np.where(inside, np.inf, -np.inf), far)
         tmin = np.maximum(near.max(axis=1), 0.0)
         tmax = far.min(axis=1)

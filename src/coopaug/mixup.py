@@ -60,7 +60,7 @@ def split_line(c1: np.ndarray, c2: np.ndarray, rotation_rad: float) -> SplitLine
     return SplitLine((c1 + c2) / 2.0, direction)
 
 
-def _half_plane_cut(p1: PointCloud, p2: PointCloud,
+def cut_and_combine(p1: PointCloud, p2: PointCloud,
                     line: SplitLine) -> tuple[PointCloud, int, int]:
     """p1's points with side >= 0, then p2's with side < 0, in input order,
     with the number of points kept from each."""
@@ -69,11 +69,6 @@ def _half_plane_cut(p1: PointCloud, p2: PointCloud,
     xyz = np.concatenate([p1.xyz[keep1], p2.xyz[keep2]])
     intensity = np.concatenate([p1.intensity[keep1], p2.intensity[keep2]])
     return PointCloud(xyz, intensity, EGO_FRAME), int(keep1.sum()), int(keep2.sum())
-
-
-def cut_and_combine(p1: PointCloud, p2: PointCloud, line: SplitLine) -> PointCloud:
-    """Keep p1's points with side >= 0 and p2's with side < 0, in input order."""
-    return _half_plane_cut(p1, p2, line)[0]
 
 
 def _fresh_id(group: CooperativeGroup) -> str:
@@ -96,7 +91,7 @@ def make_mixup_agent(group: CooperativeGroup, cfg: CmagConfig, rng: RngStream,
     a1, a2 = group.agents[pair[0]], group.agents[pair[1]]
     rot = float(rng.uniform(-cfg.split_rotation_range_rad, cfg.split_rotation_range_rad))
     line = split_line(bev_center(a1), bev_center(a2), rot)
-    cloud, kept1, kept2 = _half_plane_cut(a1.cloud, a2.cloud, line)
+    cloud, kept1, kept2 = cut_and_combine(a1.cloud, a2.cloud, line)
     donor = a1 if kept1 >= kept2 else a2
     return Agent(id=_fresh_id(group), pose=donor.pose, cloud=cloud,
                  agent_type=donor.agent_type, is_ego=False)

@@ -70,10 +70,10 @@ class RigidTransform:
         roll = math.atan2(r[2, 1], r[2, 2])
         return yaw, pitch, roll
 
-    def is_valid(self, tol: float = 1e-9) -> bool:
+    def is_valid(self) -> bool:
         r = self.rotation
-        return (np.abs(r @ r.T - np.eye(3)).max() < tol
-                and abs(np.linalg.det(r) - 1.0) < tol)
+        return (np.abs(r @ r.T - np.eye(3)).max() < 1e-9
+                and abs(np.linalg.det(r) - 1.0) < 1e-9)
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T

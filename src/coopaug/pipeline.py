@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import MismatchedGrids
-from .gate import GateChoice, apply_gate, gate_responses, sample_gate
+from .gate import apply_gate, gate_responses, sample_gate
 from .mixup import make_mixup_agent, nearest_pair
 from .model import (EGO_FRAME, CmagConfig, CooperativeGroup, CountDistribution,
                     PointCloud, RngStream)
@@ -38,11 +38,10 @@ def occupancy(cloud: PointCloud, extent=DEFAULT_EXTENT,
     nx = math.ceil((x_max - x_min) / cell_m)
     ny = math.ceil((y_max - y_min) / cell_m)
     cells = np.zeros((nx, ny), dtype=np.uint8)
-    if len(cloud):
-        ix = np.floor((cloud.xyz[:, 0] - x_min) / cell_m).astype(np.int64)
-        iy = np.floor((cloud.xyz[:, 1] - y_min) / cell_m).astype(np.int64)
-        keep = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-        cells[ix[keep], iy[keep]] = 1
+    ix = np.floor((cloud.xyz[:, 0] - x_min) / cell_m).astype(np.int64)
+    iy = np.floor((cloud.xyz[:, 1] - y_min) / cell_m).astype(np.int64)
+    keep = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
+    cells[ix[keep], iy[keep]] = 1
     return OccupancyGrid(tuple(extent), cell_m, cells)
 
 
@@ -68,11 +67,6 @@ def cfc_l1(fused_generalized: OccupancyGrid, fused_early: OccupancyGrid) -> floa
                         - fused_early.cells.astype(np.int64)).sum())
 
 
-def total_loss(det_loss: float, cfc_loss: float, w1: float, w2: float) -> float:
-    """Weighted combination of the detection loss scalar and the consistency term."""
-    return w1 * det_loss + w2 * cfc_loss
-
-
 def early_fuse(group: CooperativeGroup) -> PointCloud:
     """Concatenate all agents' ego-frame clouds in agent order."""
     xyz = np.concatenate([a.cloud.xyz for a in group.agents])
@@ -81,13 +75,11 @@ def early_fuse(group: CooperativeGroup) -> PointCloud:
 
 
 def cmag(group: CooperativeGroup, phi_s: CountDistribution, phi_c: CountDistribution,
-         cfg: CmagConfig, rng: RngStream,
-         decision: GateChoice | None = None) -> CooperativeGroup:
+         cfg: CmagConfig, rng: RngStream) -> CooperativeGroup:
     """One augmentation step: mixup agent, point augmentation, gate application.
 
-    Single-agent groups pass through unchanged (no pair to mix). A forced
-    `decision` bypasses the gate draw but still consumes the same stream
-    calls, so forcing a decision never perturbs the other random choices.
+    Single-agent groups pass through unchanged (no pair to mix). The gate
+    decision is the last draw from `rng`.
     """
     if group.n < 2:
         return group
@@ -97,7 +89,4 @@ def cmag(group: CooperativeGroup, phi_s: CountDistribution, phi_c: CountDistribu
     cloud = apply_setup_aug(cloud, sample_setup_params(cfg, rng))
     mixup = replace(mixup, cloud=cloud)
     responses = gate_responses(phi_s, phi_c, group.n, cfg.gate_epsilon)
-    sampled = sample_gate(responses, rng)
-    if decision is None:
-        decision = sampled
-    return apply_gate(group, mixup, pair, decision)
+    return apply_gate(group, mixup, pair, sample_gate(responses, rng))

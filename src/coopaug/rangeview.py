@@ -44,8 +44,6 @@ def project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int) -> 
     f_min = math.radians(fov_deg[0])
     f_max = math.radians(fov_deg[1])
     f = f_max - f_min
-    if len(cloud) == 0:
-        return RangeImage(np.zeros((H, W)), np.zeros((H, W)), fov_deg, cloud.frame)
     x, y, z = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
     horiz = np.hypot(x, y)
     theta = np.arctan2(y, x)
@@ -66,8 +64,6 @@ def unproject(img: RangeImage) -> PointCloud:
     f_max = math.radians(img.fov_deg[1])
     f = f_max - f_min
     rows, cols = np.nonzero(img.valid_mask())
-    if len(rows) == 0:
-        return PointCloud.empty(img.frame)
     theta = math.pi * (1.0 - 2.0 * (cols + 0.5) / img.W)
     phi = f_max - f * (rows + 0.5) / img.H
     r = img.ranges[rows, cols]
@@ -83,9 +79,7 @@ def resample_beams(img: RangeImage, target_H: int) -> RangeImage:
     if target_H < 1:
         raise BadTarget(f"target beam count {target_H} < 1")
     H = img.H
-    if target_H == H:
-        return RangeImage(img.ranges.copy(), img.intensities.copy(), img.fov_deg, img.frame)
-    if target_H < H:
+    if target_H <= H:
         rows = (np.arange(target_H) * H) // target_H
         return RangeImage(img.ranges[rows].copy(), img.intensities[rows].copy(),
                           img.fov_deg, img.frame)

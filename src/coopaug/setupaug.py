@@ -39,10 +39,8 @@ def apply_setup_aug(cloud: PointCloud, params: SetupAugParams) -> PointCloud:
     cloud stays aligned with its labels; identity parameters are the exact
     (bitwise) identity.
     """
-    if len(cloud) == 0:
-        return PointCloud(cloud.xyz.copy(), cloud.intensity.copy(), cloud.frame)
-    if (params.rotation_rad == 0.0 and params.scale == 1.0
-            and not params.translation_m.any()):
+    if len(cloud) == 0 or (params.rotation_rad == 0.0 and params.scale == 1.0
+                           and not params.translation_m.any()):
         return PointCloud(cloud.xyz.copy(), cloud.intensity.copy(), cloud.frame)
     center = cloud.xyz.mean(axis=0)  # BEV centroid in x, y; mean z for scaling
     c, s = math.cos(params.rotation_rad), math.sin(params.rotation_rad)

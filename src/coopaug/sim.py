@@ -13,6 +13,7 @@ from .model import (EGO_FRAME, Agent, AgentType, CooperativeGroup, PointCloud,
 REGION_HALF_M = 50.0
 AZIMUTH_STEPS = 2048
 MIN_AGENT_SEPARATION_M = 5.0
+SENSOR_HEIGHT_M = 2.0
 _MAX_ATTEMPTS = 1000
 
 
@@ -23,8 +24,7 @@ class Scene:
     agent_placements: tuple[tuple[RigidTransform, AgentType], ...]
 
 
-def make_scene(n_boxes: int, n_agents: int, types, rng: RngStream,
-               sensor_height_m: float = 2.0) -> Scene:
+def make_scene(n_boxes: int, n_agents: int, types, rng: RngStream) -> Scene:
     """Random scene with car-sized boxes and well-separated agent placements."""
     types = list(types)
     if n_agents < 1 or len(types) != n_agents:
@@ -40,7 +40,7 @@ def make_scene(n_boxes: int, n_agents: int, types, rng: RngStream,
             raise PlacementFailure("could not separate agents")
         positions.append(xy)
         yaw = float(rng.uniform(-math.pi, math.pi))
-        pose = RigidTransform.from_ypr(yaw, translation=(xy[0], xy[1], sensor_height_m))
+        pose = RigidTransform.from_ypr(yaw, translation=(xy[0], xy[1], SENSOR_HEIGHT_M))
         placements.append((pose, types[i]))
 
     boxes = np.zeros((n_boxes, 6))

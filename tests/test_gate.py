@@ -53,11 +53,6 @@ class TestComprehensiveDistribution:
         with pytest.raises(EmptyInput):
             comprehensive_distribution([])
 
-    def test_weighted_option(self):
-        d = comprehensive_distribution([CountDistribution({1: 1.0}),
-                                        CountDistribution({2: 1.0})], weights=[3, 1])
-        assert d.pmf == pytest.approx({1: 0.75, 2: 0.25})
-
 
 class TestGateResponses:
     def test_opv2v_n2_hand_values(self):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from coopaug import (AGENT_TYPES, Agent, AgentType, BadMagic, CooperativeGroup,
-                     PointCloud, RangeImage, RigidTransform, TruncatedFile,
+                     IoFailure, PointCloud, RangeImage, RigidTransform, TruncatedFile,
                      load_cloud, load_manifest, save_cloud, save_manifest,
                      save_range_image_pgm)
 from coopaug.cli import main
@@ -72,6 +72,12 @@ class TestPgm:
         assert pixels[0, 1] in (1234, 1235)
         assert pixels[1, 0] == 1           # sub-millimeter clamps to 1
         assert pixels[1, 1] == 65535       # saturates, never wraps
+
+    def test_parent_that_is_a_file_is_io_failure(self, tmp_path):
+        img = RangeImage(np.array([[2.0]]), np.zeros((1, 1)), (-25.0, 5.0), "ego")
+        (tmp_path / "f").write_text("not a directory")
+        with pytest.raises(IoFailure):
+            save_range_image_pgm(img, tmp_path / "f" / "r.pgm")
 
 
 class TestManifest:
@@ -155,6 +161,24 @@ class TestCli:
         assert captured.out == "" and "--jobs" in captured.err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command,flag,value", [
+        ("gate-stats", "--iterations", "0"), ("gate-stats", "--iterations", "-1"),
+        ("gate-stats", "--epsilon", "0"), ("gate-stats", "--epsilon", "-0.001"),
+        ("gate-stats", "--epsilon", "nan"),
+        ("project", "--width", "0"), ("project", "--width", "-1")])
+    def test_numeric_argument_out_of_range_exits_one_before_output(
+            self, command, flag, value, tmp_path, capsys):
+        pcv = tmp_path / "c.pcv"
+        save_cloud(PointCloud.from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
+        args = {"gate-stats": [],
+                "project": ["--cloud", str(pcv), "--type", "A",
+                            "--out", str(tmp_path / "c.pgm")]}[command]
+        rc = main([command, *args, flag, value])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and flag in captured.err
+        assert not (tmp_path / "c.pgm").exists()
+
     def test_gate_stats_output(self, capsys):
         rc = main(["gate-stats", "--source-dist", "opv2v",
                    "--iterations", "2000", "--seed", "1"])
@@ -189,6 +213,28 @@ class TestCli:
                    "--width", "512", "--out", str(out)])
         assert rc == 0
         assert out.read_bytes().startswith(b"P5\n512 32\n65535\n")
+
+    def test_project_into_new_directory(self, tmp_path, capsys):
+        pcv = tmp_path / "c.pcv"
+        save_cloud(PointCloud.from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
+        out = tmp_path / "missing" / "c.pgm"
+        rc = main(["project", "--cloud", str(pcv), "--type", "B",
+                   "--width", "512", "--out", str(out)])
+        assert rc == 0
+        assert out.read_bytes().startswith(b"P5\n512 32\n65535\n")
+
+    @pytest.mark.parametrize("data", [b"NOPE\x00\x00\x00\x00",
+                                      b"PCV1\x02\x00\x00\x00" + b"\x00" * 16],
+                             ids=["bad-magic", "truncated"])
+    def test_corrupt_cloud_exit_two(self, data, tmp_path, capsys):
+        pcv = tmp_path / "c.pcv"
+        pcv.write_bytes(data)
+        rc = main(["project", "--cloud", str(pcv), "--type", "A",
+                   "--out", str(tmp_path / "c.pgm")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("i/o error: ")
+        assert str(pcv) in captured.err
 
     def test_usage_error_exit_one(self, capsys):
         rc = main(["gate-stats", "--source-dist", "bogus"])

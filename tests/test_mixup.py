@@ -68,14 +68,14 @@ class TestCutAndCombine:
         # anchor (1,0), direction (0,1): side((0.5,0)) = +0.5, side((1.5,0)) = -0.5
         p1 = PointCloud.from_arrays([[0.5, 0.0, 0.0]])
         p2 = PointCloud.from_arrays([[1.5, 0.0, 0.0]])
-        out = cut_and_combine(p1, p2, self.line())
+        out = cut_and_combine(p1, p2, self.line())[0]
         assert np.array_equal(out.xyz, [[0.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
 
     def test_same_cloud_is_partition(self):
         rng = np.random.default_rng(3)
         xyz = rng.uniform(-3, 3, (200, 3))
         p = PointCloud.from_arrays(xyz)
-        out = cut_and_combine(p, p, self.line())
+        out = cut_and_combine(p, p, self.line())[0]
         assert len(out) == len(p)
         # brute-force: each BEV location appears exactly once
         line = self.line()
@@ -87,15 +87,15 @@ class TestCutAndCombine:
         on_line = PointCloud.from_arrays([[1.0, 5.0, 0.3]])
         line = self.line()
         assert line.side(on_line.xyz[:, :2])[0] == 0.0
-        kept = cut_and_combine(on_line, PointCloud.empty("ego"), line)
-        dropped = cut_and_combine(PointCloud.empty("ego"), on_line, line)
+        kept = cut_and_combine(on_line, PointCloud.empty("ego"), line)[0]
+        dropped = cut_and_combine(PointCloud.empty("ego"), on_line, line)[0]
         assert len(kept) == 1 and len(dropped) == 0
 
     def test_subset_property(self):
         rng = np.random.default_rng(11)
         p1 = PointCloud.from_arrays(rng.uniform(-5, 5, (80, 3)), rng.uniform(0, 1, 80))
         p2 = PointCloud.from_arrays(rng.uniform(-5, 5, (60, 3)), rng.uniform(0, 1, 60))
-        out = cut_and_combine(p1, p2, self.line())
+        out = cut_and_combine(p1, p2, self.line())[0]
         pool = {tuple(r) for r in np.column_stack(
             [np.concatenate([p1.xyz, p2.xyz]), np.concatenate([p1.intensity, p2.intensity])])}
         for row in np.column_stack([out.xyz, out.intensity]):
@@ -107,8 +107,8 @@ class TestCutAndCombine:
         p2 = PointCloud.from_arrays(rng.uniform(-5, 5, (40, 3)))
         line = self.line()
         flipped = split_line(np.array([0.0, 0.0]), np.array([2.0, 0.0]), math.pi)
-        a = cut_and_combine(p1, p2, line)
-        b = cut_and_combine(p2, p1, flipped)
+        a = cut_and_combine(p1, p2, line)[0]
+        b = cut_and_combine(p2, p1, flipped)[0]
         # same point multisets up to order for points strictly off the line
         assert np.array_equal(np.sort(a.xyz.round(12), axis=0),
                               np.sort(b.xyz.round(12), axis=0))

@@ -5,7 +5,7 @@ from coopaug import (AGENT_TYPES, Agent, CmagConfig, CooperativeGroup,
                      GateChoice, MismatchedGrids, PointCloud, RigidTransform,
                      RngStream, TABLE_DISTRIBUTIONS, cfc_l1, cmag,
                      comprehensive_from_tables, early_fuse, fuse_grids,
-                     nearest_pair, occupancy, total_loss, validate_group)
+                     nearest_pair, occupancy, pipeline, validate_group)
 
 EXTENT = (-20.0, 20.0, -20.0, 20.0)
 
@@ -106,15 +106,16 @@ class TestCfcL1:
         assert cfc_l1(per_agent, early) == 0.0
 
 
-class TestTotalLoss:
-    def test_arithmetic(self):
-        assert total_loss(2.0, 0.5, 1.0, 1.0) == 2.5
+def force_gate(monkeypatch, decision):
+    """Make cmag apply `decision`; the gate draw still runs first, so the
+    random stream advances exactly as without forcing."""
+    draw = pipeline.sample_gate
 
-    def test_zero_weight(self):
-        assert total_loss(3.0, 100.0, 2.0, 0.0) == 6.0
+    def forced(responses, rng):
+        draw(responses, rng)
+        return decision
 
-    def test_zero_losses(self):
-        assert total_loss(0.0, 0.0, 1.0, 1.0) == 0.0
+    monkeypatch.setattr(pipeline, "sample_gate", forced)
 
 
 class TestCmag:
@@ -129,10 +130,11 @@ class TestCmag:
         g = CooperativeGroup((agent("e", is_ego=True),))
         assert self.run(g) is g
 
-    def test_forced_keep_preserves_count(self):
+    def test_forced_keep_preserves_count(self, monkeypatch):
         g = group(3)
+        force_gate(monkeypatch, GateChoice.KEEP)
         out = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(seed=1),
-                   RngStream(1, "aug"), decision=GateChoice.KEEP)
+                   RngStream(1, "aug"))
         assert out.n == 3
 
     def test_determinism_bitwise(self):
@@ -152,18 +154,20 @@ class TestCmag:
             assert out.n in (2, 3, 4)
             assert validate_group(out) is None
 
-    def test_ego_second_in_nearest_pair(self):
+    def test_ego_second_in_nearest_pair(self, monkeypatch):
         # the pair is (0, 1) with the ego at index 1; agent 2 is far away
         g = CooperativeGroup((agent("a", x=0.0, seed=1), agent("e", x=4.0, is_ego=True),
                               agent("b", x=30.0, seed=2)))
         assert nearest_pair(g) == (0, 1)
+        force_gate(monkeypatch, GateChoice.KEEP)
         keep = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(seed=2),
-                    RngStream(2, "aug"), decision=GateChoice.KEEP)
+                    RngStream(2, "aug"))
         assert validate_group(keep) is None
         assert [a.id for a in keep.agents] == ["mixup-0", "e", "b"]
         assert keep.agents[1] is g.agents[1] and keep.agents[2] is g.agents[2]
+        force_gate(monkeypatch, GateChoice.MINUS)
         minus = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(seed=2),
-                     RngStream(2, "aug"), decision=GateChoice.MINUS)
+                     RngStream(2, "aug"))
         assert validate_group(minus) is None
         assert [a.id for a in minus.agents] == ["b", "mixup-0"]
         assert minus.agents[1].is_ego
@@ -171,9 +175,10 @@ class TestCmag:
         # forcing a decision leaves the mixup cloud unchanged
         assert np.array_equal(keep.agents[0].cloud.xyz, minus.agents[1].cloud.xyz)
 
-    def test_minus_at_two_keeps_one_ego(self):
+    def test_minus_at_two_keeps_one_ego(self, monkeypatch):
         g = group(2)
+        force_gate(monkeypatch, GateChoice.MINUS)
         out = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(seed=3),
-                   RngStream(3, "aug"), decision=GateChoice.MINUS)
+                   RngStream(3, "aug"))
         assert out.n == 1
         assert out.agents[0].is_ego

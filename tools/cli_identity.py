@@ -1,0 +1,150 @@
+"""Byte-identity check of the coopaug CLI over a fixed command matrix.
+
+    python tools/cli_identity.py SRC OUT [--list]
+
+Imports `coopaug` from SRC (the `src` directory of a checkout), runs the
+matrix below through `coopaug.cli.main` with every output under OUT (which
+must not exist yet), and prints one sha256 over the output files, stdout,
+stderr and exit code of every command, with OUT replaced by a placeholder.
+Two checkouts whose CLI behaves the same print the same digest. `--list`
+first prints one line per command: its label, exit code and own sha256, so
+two listings diff to the commands that changed.
+
+The matrix: `simulate` on four scenes (one with type E and 32 boxes);
+`augment` and `cfc-check` for the four table sources and three seeds on each
+scene; `cfc-check --no-aug`; `project` of every agent cloud at widths 512 and
+2048; `gate-stats` for the four sources at epsilon 1e-6 and 1e-3; and the
+error paths.
+"""
+
+import contextlib
+import hashlib
+import io
+import sys
+from pathlib import Path
+
+SCENES = (("A,B", 4, 0), ("A,B,C,D", 10, 1), ("C,E,A", 32, 2), ("E,D,B,A,C", 10, 3))
+SOURCES = ("opv2v", "v2xset", "v2v4real", "dairv2x")
+SEEDS = (0, 1, 7)
+WIDTHS = (512, 2048)
+EPSILONS = ("1e-6", "1e-3")
+
+
+def matrix(out: Path):
+    """(label, argv) pairs in run order; each command writes under out/label."""
+    cmds = []
+    for k, (types, boxes, seed) in enumerate(SCENES):
+        scene = out / f"sim{k}"
+        manifest = scene / "manifest.json"
+        cmds.append((f"sim{k}", ["simulate", "--agents", len(types.split(",")),
+                                 "--types", types, "--boxes", boxes, "--seed", seed,
+                                 "--out", scene]))
+        for source in SOURCES:
+            for s in SEEDS:
+                cmds.append((f"aug{k}-{source}-{s}",
+                             ["augment", "--manifest", manifest, "--source-dist", source,
+                              "--seed", s, "--out", out / f"aug{k}-{source}-{s}"]))
+                cmds.append((f"cfc{k}-{source}-{s}",
+                             ["cfc-check", "--manifest", manifest, "--source-dist", source,
+                              "--seed", s]))
+        cmds.append((f"cfc{k}-no-aug", ["cfc-check", "--manifest", manifest, "--no-aug"]))
+        for i, t in enumerate(types.split(",")):
+            for w in WIDTHS:
+                label = f"proj{k}-{i}-{w}"
+                cmds.append((label, ["project", "--cloud", scene / f"agent-{i}.pcv",
+                                     "--type", t, "--width", w,
+                                     "--out", out / label / "range.pgm"]))
+    for source in SOURCES:
+        for eps in EPSILONS:
+            cmds.append((f"gate-{source}-{eps}",
+                         ["gate-stats", "--source-dist", source, "--epsilon", eps,
+                          "--iterations", 20000, "--seed", 1]))
+    manifest = out / "sim0" / "manifest.json"
+    bad = out / "bad"
+    cmds += [
+        ("err-no-command", []),
+        ("err-types-count", ["simulate", "--agents", 2, "--types", "A",
+                             "--out", out / "err-types-count"]),
+        ("err-unknown-type", ["simulate", "--agents", 1, "--types", "Z",
+                              "--out", out / "err-unknown-type"]),
+        ("err-source", ["gate-stats", "--source-dist", "bogus"]),
+        ("err-dist-file-flag", ["gate-stats", "--source-dist", "file"]),
+        ("err-dist-file-missing", ["augment", "--manifest", manifest, "--source-dist", "file",
+                                   "--dist-file", bad / "missing.json",
+                                   "--out", out / "err-dist-file-missing"]),
+        ("err-jobs-0", ["augment", "--manifest", manifest, "--jobs", 0,
+                        "--out", out / "err-jobs-0"]),
+        ("err-iterations-0", ["gate-stats", "--iterations", 0]),
+        ("err-iterations-neg", ["gate-stats", "--iterations", -1]),
+        ("err-epsilon-0", ["gate-stats", "--epsilon", 0]),
+        ("err-epsilon-nan", ["gate-stats", "--epsilon", "nan"]),
+        ("err-width-0", ["project", "--cloud", out / "sim0" / "agent-0.pcv", "--type", "A",
+                         "--width", 0, "--out", out / "err-width-0" / "range.pgm"]),
+        ("err-width-neg", ["project", "--cloud", out / "sim0" / "agent-0.pcv", "--type", "A",
+                           "--width", -1, "--out", out / "err-width-neg" / "range.pgm"]),
+        ("err-project-type", ["project", "--cloud", out / "sim0" / "agent-0.pcv",
+                              "--type", "Q", "--out", out / "err-project-type" / "range.pgm"]),
+        ("err-missing-cloud", ["project", "--cloud", bad / "missing.pcv", "--type", "A",
+                               "--out", out / "err-missing-cloud" / "range.pgm"]),
+        ("err-bad-magic", ["project", "--cloud", bad / "magic.pcv", "--type", "A",
+                           "--out", out / "err-bad-magic" / "range.pgm"]),
+        ("err-truncated", ["project", "--cloud", bad / "truncated.pcv", "--type", "A",
+                           "--out", out / "err-truncated" / "range.pgm"]),
+        ("err-missing-manifest", ["cfc-check", "--manifest", bad / "missing.json"]),
+        ("project-new-dir", ["project", "--cloud", out / "sim0" / "agent-0.pcv", "--type", "A",
+                             "--out", out / "project-new-dir" / "new" / "range.pgm"]),
+    ]
+    return cmds
+
+
+def run(cli, label, argv, out: Path) -> tuple[int | str, bytes]:
+    """Run one command; returns its exit code (or the exception that escaped
+    main) and its sha256 over that, the streams and the files under out/label."""
+    (out / label).mkdir(exist_ok=True)  # project-new-dir writes one level below it
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        try:
+            code = cli.main([str(a) for a in argv])
+        except Exception as exc:  # a traceback out of main is an outcome to compare too
+            code = f"raised-{type(exc).__name__}"
+            print(exc, file=sys.stderr)
+    h = hashlib.sha256()
+    root = str(out)
+    for part in (label, " ".join(map(str, argv)), str(code),
+                 stdout.getvalue(), stderr.getvalue()):
+        h.update(part.replace(root, "OUT").encode() + b"\0")
+    target = out / label
+    for path in sorted(p for p in target.rglob("*") if p.is_file()):
+        h.update(path.relative_to(out).as_posix().encode() + b"\0")
+        h.update(path.read_bytes())
+    return code, h.digest()
+
+
+def main(argv) -> int:
+    listing = "--list" in argv
+    args = [a for a in argv if a != "--list"]
+    if len(args) != 2:
+        print(__doc__, file=sys.stderr)
+        return 1
+    src, out = Path(args[0]).resolve(), Path(args[1]).resolve()
+    sys.path.insert(0, str(src))
+    from coopaug import cli
+    if Path(cli.__file__).resolve().parent != src / "coopaug":
+        sys.exit(f"coopaug imported from {cli.__file__}, not from {src}")
+    out.mkdir(parents=True)
+    bad = out / "bad"
+    bad.mkdir()
+    (bad / "magic.pcv").write_bytes(b"NOPE\x00\x00\x00\x00")
+    (bad / "truncated.pcv").write_bytes(b"PCV1\x02\x00\x00\x00" + b"\x00" * 16)
+    total = hashlib.sha256()
+    for label, cmd in matrix(out):
+        code, digest = run(cli, label, cmd, out)
+        total.update(digest)
+        if listing:
+            print(label, code, digest.hex())
+    print(f"sha256 {total.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
