@@ -40,9 +40,8 @@ def _load_source_dist(name: str, dist_file: str | None) -> CountDistribution:
     raise _UsageError(f"unknown source distribution {name!r}")
 
 
-def _augment(group, args):
-    """`cmag` with the table target, the chosen source and `--seed`."""
-    phi_s = _load_source_dist(args.source_dist, args.dist_file)
+def _augment(group, phi_s, args):
+    """`cmag` with the table target, the source `phi_s` and `--seed`."""
     return cmag(group, phi_s, comprehensive_from_tables(), CmagConfig(seed=args.seed),
                 RngStream(args.seed, "augment"))
 
@@ -65,7 +64,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_augment(args) -> int:
     group, meta = load_manifest(args.manifest)
-    out = _augment(group, args)
+    out = _augment(group, _load_source_dist(args.source_dist, args.dist_file), args)
     boxes = np.array([b["center"] + b["half_extents"] for b in meta["boxes"]]).reshape(-1, 6)
     manifest = save_manifest(out, args.out, ground_z=meta["ground_z"], boxes=boxes)
     print(f"wrote {manifest} (N {group.n} -> {out.n})")
@@ -104,8 +103,9 @@ def _cmd_project(args) -> int:
 
 def _cmd_cfc_check(args) -> int:
     group, _ = load_manifest(args.manifest)
+    phi_s = _load_source_dist(args.source_dist, args.dist_file)  # checked with --no-aug too
     early_grid = occupancy(early_fuse(group))
-    generalized = group if args.no_aug else _augment(group, args)
+    generalized = group if args.no_aug else _augment(group, phi_s, args)
     fused = fuse_grids([occupancy(a.cloud) for a in generalized.agents])
     print(f"{cfc_l1(fused, early_grid):.1f}")
     return 0
@@ -161,10 +161,10 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag in ("jobs", "iterations", "width"):
-            value = getattr(args, flag, 1)
-            if value < 1:
-                raise _UsageError(f"--{flag} must be at least 1, got {value}")
+        for flag, least in (("jobs", 1), ("iterations", 1), ("width", 1), ("boxes", 0)):
+            value = getattr(args, flag, least)
+            if value < least:
+                raise _UsageError(f"--{flag} must be at least {least}, got {value}")
         if not getattr(args, "epsilon", 1.0) > 0:
             raise _UsageError(f"--epsilon must be positive, got {args.epsilon}")
         return args.func(args)

@@ -12,36 +12,73 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range):
     origin: (3,) ray origin shared by all rays. dirs: (N, 3) unit directions.
     boxes: (B, 6) rows of (cx, cy, cz, hx, hy, hz). Returns (N,) distances,
     -1 where nothing is hit within max_range.
+
+    Each box is slab-tested only against the rays whose bird's-eye-view
+    azimuth lies in the box's wedge (see `_wedge_slices`); every tested ray
+    does the same float operations as a test against all boxes would.
     """
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     ground_z = float(ground_z)
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 6)
     n = dirs.shape[0]
+    azimuth = np.arctan2(dirs[:, 1], dirs[:, 0])
+    order = np.argsort(azimuth, kind="stable")
+    azimuth = azimuth[order]
+    # one row per axis, in azimuth order: a wedge of rays is a contiguous slice
+    dirs = dirs.T.take(order, axis=1)
     best = np.full(n, np.inf)
     if origin[2] > ground_z:
-        dz = dirs[:, 2]
+        dz = dirs[2]
         down = dz < 0.0
         t = np.where(down, (ground_z - origin[2]) / np.where(down, dz, -1.0), np.inf)
         best = np.where((t > 0) & (t < best), t, best)
     for b in range(boxes.shape[0]):
         lo = boxes[b, :3] - boxes[b, 3:]
         hi = boxes[b, :3] + boxes[b, 3:]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t1 = (lo - origin) / dirs
-            t2 = (hi - origin) / dirs
-        near = np.minimum(t1, t2)
-        far = np.maximum(t1, t2)
-        # axes with zero direction: inside slab -> (-inf, inf), outside -> miss
-        zero = dirs == 0.0
-        inside = (origin >= lo) & (origin <= hi)
-        near = np.where(zero & inside, -np.inf, near)
-        far = np.where(zero, np.where(inside, np.inf, -np.inf), far)
-        tmin = np.maximum(near.max(axis=1), 0.0)
-        tmax = far.min(axis=1)
-        hit = (tmin <= tmax) & (tmin > 0.0)
-        best = np.where(hit & (tmin < best), tmin, best)
-    return np.where(best <= float(max_range), best, -1.0)
+        inside = ((origin >= lo) & (origin <= hi))[:, None]
+        for rays in _wedge_slices(azimuth, origin, lo, hi):
+            d = dirs[:, rays]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                t1 = (lo - origin)[:, None] / d
+                t2 = (hi - origin)[:, None] / d
+            near = np.minimum(t1, t2)
+            far = np.maximum(t1, t2)
+            # axes with zero direction: inside slab -> (-inf, inf), outside -> miss
+            zero = d == 0.0
+            near = np.where(zero & inside, -np.inf, near)
+            far = np.where(zero, np.where(inside, np.inf, -np.inf), far)
+            tmin = np.maximum(near.max(axis=0), 0.0)
+            tmax = far.min(axis=0)
+            hit = (tmin <= tmax) & (tmin > 0.0)
+            best[rays] = np.where(hit & (tmin < best[rays]), tmin, best[rays])
+    unsorted = np.empty(n)
+    unsorted[order] = best
+    return np.where(unsorted <= float(max_range), unsorted, -1.0)
+
+
+def _wedge_slices(azimuth, origin, lo, hi):
+    """Slices of the sorted ray azimuths that can reach the box [lo, hi].
+
+    A ray that hits the box points into the angular wedge spanned, seen from
+    the origin, by the four corners of the box's top-down footprint. The
+    wedge is widened by 1e-9 rad, far above the rounding of `arctan2` and of
+    the slab test, and split in two where it crosses +-pi. With the origin
+    over the footprint, boundary included, any ray can hit: all are kept.
+    """
+    if lo[0] <= origin[0] <= hi[0] and lo[1] <= origin[1] <= hi[1]:
+        return (slice(None),)
+    x = np.array([lo[0], hi[0], lo[0], hi[0]]) - origin[0]
+    y = np.array([lo[1], lo[1], hi[1], hi[1]]) - origin[1]
+    corners = np.arctan2(y, x)
+    # only a footprint wholly behind the origin can span +-pi; any other one not
+    # under the origin lies wholly ahead of it in x, or to one side of it in y
+    if hi[0] < origin[0]:
+        corners = np.where(corners < 0.0, corners + 2.0 * np.pi, corners)
+    start, stop = corners.min() - 1e-9, corners.max() + 1e-9
+    spans = [(start, stop)] if stop <= np.pi else [(start, np.pi), (-np.pi, stop - 2.0 * np.pi)]
+    return tuple(slice(np.searchsorted(azimuth, a, "left"), np.searchsorted(azimuth, z, "right"))
+                 for a, z in spans)
 
 
 def scatter_nearest(rows, cols, ranges, intens, H, W):

@@ -165,19 +165,21 @@ class TestCli:
         ("gate-stats", "--iterations", "0"), ("gate-stats", "--iterations", "-1"),
         ("gate-stats", "--epsilon", "0"), ("gate-stats", "--epsilon", "-0.001"),
         ("gate-stats", "--epsilon", "nan"),
-        ("project", "--width", "0"), ("project", "--width", "-1")])
+        ("project", "--width", "0"), ("project", "--width", "-1"),
+        ("simulate", "--boxes", "-1")])
     def test_numeric_argument_out_of_range_exits_one_before_output(
             self, command, flag, value, tmp_path, capsys):
         pcv = tmp_path / "c.pcv"
         save_cloud(PointCloud.from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
+        out = tmp_path / "out"
         args = {"gate-stats": [],
-                "project": ["--cloud", str(pcv), "--type", "A",
-                            "--out", str(tmp_path / "c.pgm")]}[command]
+                "project": ["--cloud", str(pcv), "--type", "A", "--out", str(out)],
+                "simulate": ["--agents", "1", "--types", "A", "--out", str(out)]}[command]
         rc = main([command, *args, flag, value])
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == "" and flag in captured.err
-        assert not (tmp_path / "c.pgm").exists()
+        assert not out.exists()
 
     def test_gate_stats_output(self, capsys):
         rc = main(["gate-stats", "--source-dist", "opv2v",
@@ -202,6 +204,16 @@ class TestCli:
         rc = main(["cfc-check", "--manifest", str(manifest), "--no-aug"])
         assert rc == 0
         assert capsys.readouterr().out.strip() == "0.0"
+
+    @pytest.mark.parametrize("source", ["bogus", "file"])
+    def test_cfc_check_no_aug_rejects_bad_source(self, source, tmp_path, capsys):
+        manifest = self.simulate(tmp_path / "sim")
+        capsys.readouterr()
+        rc = main(["cfc-check", "--manifest", str(manifest), "--no-aug",
+                   "--source-dist", source])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and source in captured.err
 
     def test_project_writes_pgm(self, tmp_path, capsys):
         cloud = PointCloud.from_arrays(

@@ -216,6 +216,64 @@ class TestRayCastBackends:
             assert np.any(out > 0.0)
 
 
+class TestAzimuthWedge:
+    """`ray_cast` slab-tests a box only against the rays inside its azimuth
+    wedge; these cases sit on the wedge's boundaries."""
+
+    # straight down with every sign of zero (arctan2: azimuth 0, pi, -0.0, -pi), then up
+    VERTICAL = np.array([[0.0, 0.0, -1.0], [-0.0, 0.0, -1.0], [0.0, -0.0, -1.0],
+                         [-0.0, -0.0, -1.0], [0.0, 0.0, 1.0], [-0.0, -0.0, 1.0]])
+
+    @staticmethod
+    def around(dirs):
+        """Each ray and the two neighbouring doubles of every component."""
+        return np.vstack([dirs, np.nextafter(dirs, np.inf), np.nextafter(dirs, -np.inf)])
+
+    def test_box_straddling_the_seam_behind_the_origin(self):
+        # x in [-12, -8], y in [-1, 1]: the wedge crosses +-pi
+        box = np.array([[-10.0, 0.0, 1.0, 2.0, 1.0, 1.0]])
+        tiny = np.nextafter(0.0, 1.0)
+        back = np.array([[-1.0, dy, dz] for dy in (0.0, -0.0, tiny, -tiny)
+                         for dz in (0.0, 0.05, -0.05)])
+        assert set(np.arctan2(back[:, 1], back[:, 0])) == {np.pi, -np.pi}
+        dirs = np.vstack([unit(back), self.around(unit([[-1.0, 0.1, 0.0], [-1.0, -0.1, 0.0]]))])
+        out = assert_ray_cast_matches([0.0, 0.0, 1.0], dirs, 0.0, box, 100.0)
+        assert np.all(out[:12] > 0.0)
+        assert out[0] == out[3] == out[6] == out[9] == 8.0
+
+    def test_origin_over_footprint_edge_and_corner(self):
+        rng = np.random.default_rng(8)
+        dirs = np.vstack([self.VERTICAL, AXIS_DIRS, random_dirs(rng, 200)])
+        for origin in ([12.0, 0.0, 3.0], [8.0, 0.5, 5.0], [10.0, 1.0, 2.5],
+                       [10.0, -1.0, 4.0], [12.0, 1.0, 3.0], [8.0, -1.0, 4.0],
+                       [8.0, 1.0, 2.0 + 1e-9]):
+            out = assert_ray_cast_matches(origin, dirs, 0.0, BOX, 100.0)
+            # straight down onto the top face, whatever the signs of the zeros
+            assert np.all(out[:4] == origin[2] - 2.0)
+
+    def test_footprint_a_micrometre_from_the_origin(self):
+        # the wedge is nearly pi wide; seen from behind, it crosses +-pi
+        lo, hi = BOX[0, :3] - BOX[0, 3:], BOX[0, :3] + BOX[0, 3:]
+        corners = np.array([[x, y, z] for x in (lo[0], hi[0])
+                            for y in (lo[1], hi[1]) for z in (lo[2], hi[2])])
+        rng = np.random.default_rng(9)
+        for origin in ([8.0 - 1e-6, 0.0, 1.0], [12.0 + 1e-6, 0.0, 1.0],
+                       [10.0, 1.0 + 1e-6, 3.0], [12.0 + 1e-6, 1.0 + 1e-6, 1.0],
+                       [8.0 - 1e-6, -1.0 - 1e-6, 2.5]):
+            # aims at the corners and the centre, and rays grazing along x and y
+            aims = unit(np.vstack([corners, BOX[:, :3]]) - origin)
+            side = np.array([[s * 1e-9, t, 0.0] for s in (-1, 0, 1) for t in (-1.0, 1.0)])
+            dirs = np.vstack([self.around(aims), AXIS_DIRS, unit(side), unit(side[:, [1, 0, 2]]),
+                              self.VERTICAL, random_dirs(rng, 300)])
+            assert_ray_cast_matches(origin, dirs, 0.0, BOX, 100.0)
+
+    def test_vertical_rays_outside_the_footprint(self):
+        for origin in ([5.0, 0.0, 5.0], [10.0, 3.0, 1.0], [14.0, 0.0, 3.0],
+                       [12.0 + 1e-9, 1.0, 3.0], [6.0, -2.0, 1.0]):
+            out = assert_ray_cast_matches(origin, self.VERTICAL, 0.0, BOX, 100.0)
+            assert np.all(out[:4] == origin[2]) and np.all(out[4:] == -1.0)
+
+
 class TestScatterBackends:
     def test_backends_agree_bitwise(self):
         rng = np.random.default_rng(2)

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -134,3 +135,14 @@ class TestMakeGroup:
     def test_ego_out_of_bounds(self):
         with pytest.raises(IndexError):
             make_group(self.two_agent_scene(), 5, RngStream(0, "g"))
+
+    def test_full_scene_golden_digest(self):
+        # every ray of a C, E, A scene with 32 boxes: the sha256 of each agent's
+        # xyz bytes as the ray cast testing every ray against every box gave
+        # them. The rays pass through matmul, so a numpy/BLAS build may differ.
+        scene = make_scene(32, 3, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
+        group = make_group(scene, 0, RngStream(3, "golden-lidar"))
+        assert [hashlib.sha256(a.cloud.xyz.tobytes()).hexdigest() for a in group.agents] == [
+            "2a78d8434719c060b272d62057510741a0c248d4266d43530ace023370e91070",
+            "1d0f9b93ad551aeeaf05dbf730b21b74b6309b0dde13aa9705ecf477f37fee5f",
+            "15fc42f233f07b1a9b3d62ab77295da1e708fdb8725db188f74c6c7e7b2d0865"]

@@ -67,6 +67,8 @@ def matrix(out: Path):
                              "--out", out / "err-types-count"]),
         ("err-unknown-type", ["simulate", "--agents", 1, "--types", "Z",
                               "--out", out / "err-unknown-type"]),
+        ("err-boxes-neg", ["simulate", "--agents", 1, "--types", "A", "--boxes", -1,
+                           "--out", out / "err-boxes-neg"]),
         ("err-source", ["gate-stats", "--source-dist", "bogus"]),
         ("err-dist-file-flag", ["gate-stats", "--source-dist", "file"]),
         ("err-dist-file-missing", ["augment", "--manifest", manifest, "--source-dist", "file",
@@ -91,6 +93,8 @@ def matrix(out: Path):
         ("err-truncated", ["project", "--cloud", bad / "truncated.pcv", "--type", "A",
                            "--out", out / "err-truncated" / "range.pgm"]),
         ("err-missing-manifest", ["cfc-check", "--manifest", bad / "missing.json"]),
+        ("err-no-aug-source", ["cfc-check", "--manifest", manifest, "--no-aug",
+                               "--source-dist", "bogus"]),
         ("project-new-dir", ["project", "--cloud", out / "sim0" / "agent-0.pcv", "--type", "A",
                              "--out", out / "project-new-dir" / "new" / "range.pgm"]),
     ]
