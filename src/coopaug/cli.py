@@ -42,7 +42,7 @@ def _load_source_dist(name: str, dist_file: str | None) -> CountDistribution:
 
 def _augment(group, phi_s, args):
     """`cmag` with the table target, the source `phi_s` and `--seed`."""
-    return cmag(group, phi_s, comprehensive_from_tables(), CmagConfig(seed=args.seed),
+    return cmag(group, phi_s, comprehensive_from_tables(), CmagConfig(),
                 RngStream(args.seed, "augment"))
 
 

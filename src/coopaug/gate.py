@@ -6,7 +6,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import EmptyInput, InvalidPair
-from .model import Agent, CooperativeGroup, CountDistribution, RngStream, validate_group
+from .model import Agent, CooperativeGroup, CountDistribution, RngStream
 
 # Agent-count probabilities per source dataset. Counts above the published
 # support carry probability 0.
@@ -140,23 +140,14 @@ def apply_gate(group: CooperativeGroup, mixup: Agent, pair: tuple[int, int],
         raise InvalidPair("mixup agent must not be pre-marked as ego")
 
     if decision is GateChoice.PLUS:
-        out = CooperativeGroup(group.agents + (mixup,))
-    elif decision is GateChoice.MINUS:
+        return CooperativeGroup(group.agents + (mixup,))
+    if decision is GateChoice.MINUS:
         pair_agents = (group.agents[i], group.agents[j])
         ego_member = next((a for a in pair_agents if a.is_ego), None)
         if ego_member is not None:
             mixup = replace(mixup, is_ego=True, pose=ego_member.pose)
         rest = tuple(a for k, a in enumerate(group.agents) if k not in (i, j))
-        out = CooperativeGroup(rest + (mixup,))
-    else:  # KEEP
-        target = j if not group.agents[j].is_ego else i
-        if group.agents[target].is_ego:
-            raise InvalidPair("both pair members are ego")
-        agents = list(group.agents)
-        agents[target] = mixup
-        out = CooperativeGroup(tuple(agents))
-
-    violation = validate_group(out)
-    if violation is not None:
-        raise InvalidPair(f"gate output invalid: {violation}")
-    return out
+        return CooperativeGroup(rest + (mixup,))
+    agents = list(group.agents)  # KEEP replaces the non-ego pair member
+    agents[i if group.agents[j].is_ego else j] = mixup
+    return CooperativeGroup(tuple(agents))

@@ -135,9 +135,6 @@ def load_manifest(path) -> tuple[CooperativeGroup, dict]:
         raise IoFailure(str(exc)) from exc
     if doc.get("version") != MANIFEST_VERSION:
         raise ValueError(f"unsupported manifest version {doc.get('version')!r}")
-    ego_flags = [bool(a["is_ego"]) for a in doc["agents"]]
-    if sum(ego_flags) != 1:
-        raise ValueError(f"manifest must have exactly one ego agent, got {sum(ego_flags)}")
     agents = []
     for entry in doc["agents"]:
         ypr = entry["pose"]["yaw_pitch_roll_rad"]

@@ -31,7 +31,8 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range):
     if origin[2] > ground_z:
         dz = dirs[2]
         down = dz < 0.0
-        t = np.where(down, (ground_z - origin[2]) / np.where(down, dz, -1.0), np.inf)
+        with np.errstate(over="ignore"):  # a subnormal dz overflows to +inf: a miss
+            t = np.where(down, (ground_z - origin[2]) / np.where(down, dz, -1.0), np.inf)
         best = np.where((t > 0) & (t < best), t, best)
     for b in range(boxes.shape[0]):
         lo = boxes[b, :3] - boxes[b, 3:]
@@ -39,7 +40,7 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range):
         inside = ((origin >= lo) & (origin <= hi))[:, None]
         for rays in _wedge_slices(azimuth, origin, lo, hi):
             d = dirs[:, rays]
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 t1 = (lo - origin)[:, None] / d
                 t2 = (hi - origin)[:, None] / d
             near = np.minimum(t1, t2)

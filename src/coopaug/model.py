@@ -20,10 +20,6 @@ class PointCloud:
     frame: str
 
     @staticmethod
-    def empty(frame: str) -> "PointCloud":
-        return PointCloud(np.zeros((0, 3)), np.zeros(0), frame)
-
-    @staticmethod
     def from_arrays(xyz, intensity=None, frame: str = EGO_FRAME) -> "PointCloud":
         xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
         if intensity is None:
@@ -71,9 +67,11 @@ class RigidTransform:
         return yaw, pitch, roll
 
     def is_valid(self) -> bool:
+        """A proper rotation and a finite translation."""
         r = self.rotation
         return (np.abs(r @ r.T - np.eye(3)).max() < 1e-9
-                and abs(np.linalg.det(r) - 1.0) < 1e-9)
+                and abs(np.linalg.det(r) - 1.0) < 1e-9
+                and np.isfinite(self.translation).all())
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
@@ -126,21 +124,19 @@ class Agent:
 
 @dataclass(frozen=True)
 class CooperativeGroup:
+    """Agents in one ego frame; valid by construction (see validate_group)."""
+
     agents: tuple[Agent, ...]
 
     def __post_init__(self):
         object.__setattr__(self, "agents", tuple(self.agents))
+        violation = validate_group(self)
+        if violation is not None:
+            raise ValueError(f"invalid group: {violation}")
 
     @property
     def n(self) -> int:
         return len(self.agents)
-
-    @property
-    def ego_index(self) -> int:
-        for i, a in enumerate(self.agents):
-            if a.is_ego:
-                return i
-        raise ValueError("group has no ego agent")
 
 
 @dataclass(frozen=True)

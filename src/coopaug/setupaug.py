@@ -20,10 +20,6 @@ class SetupAugParams:
         object.__setattr__(self, "translation_m",
                            np.asarray(self.translation_m, dtype=np.float64))
 
-    @staticmethod
-    def identity() -> "SetupAugParams":
-        return SetupAugParams(0.0, 1.0, np.zeros(3))
-
 
 def sample_setup_params(cfg: CmagConfig, rng: RngStream) -> SetupAugParams:
     rot = float(rng.uniform(-cfg.pa_rotation_range_rad, cfg.pa_rotation_range_rad))

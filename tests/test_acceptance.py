@@ -271,7 +271,7 @@ def test_criterion_7_perturbation_composition():
         n = int(rng.integers(5, 60))
         cloud = PointCloud.from_arrays(rng.uniform(-40, 40, size=(n, 3)),
                                        rng.uniform(0, 1, size=n))
-        ident = apply_setup_aug(cloud, SetupAugParams.identity())
+        ident = apply_setup_aug(cloud, SetupAugParams(0.0, 1.0, np.zeros(3)))
         if not (np.array_equal(ident.xyz, cloud.xyz)
                 and np.array_equal(ident.intensity, cloud.intensity)):
             violations += 1

@@ -17,10 +17,24 @@ def tree_bytes(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def edit_manifest(manifest, edit):
+    """Break the group in a saved manifest: a second ego, a repeated id, or a
+    NaN translation, each on the second agent."""
+    doc = json.loads(manifest.read_text())
+    other = doc["agents"][1]
+    if edit == "two-egos":
+        other["is_ego"] = True
+    elif edit == "duplicate-ids":
+        other["id"] = doc["agents"][0]["id"]
+    else:
+        other["pose"]["translation"][0] = float("nan")
+    manifest.write_text(json.dumps(doc))
+
+
 class TestCloudFormat:
     def test_empty_cloud_is_eight_bytes(self, tmp_path):
         path = tmp_path / "e.pcv"
-        save_cloud(PointCloud.empty("ego"), path)
+        save_cloud(PointCloud.from_arrays(np.zeros((0, 3))), path)
         data = path.read_bytes()
         assert len(data) == 8
         assert data == b"PCV1\x00\x00\x00\x00"
@@ -98,7 +112,7 @@ class TestManifest:
         back, meta = load_manifest(manifest)
         assert meta["ground_z"] == -0.1
         assert meta["boxes"][0]["center"] == [3.0, 4.0, 0.7]
-        assert back.n == 2 and back.ego_index == 0
+        assert back.n == 2 and back.agents[0].is_ego
         for a, b in zip(group.agents, back.agents):
             assert a.id == b.id and a.is_ego == b.is_ego
             assert a.agent_type == b.agent_type
@@ -112,13 +126,15 @@ class TestManifest:
         assert doc["agents"][0]["type"] == "A"
         assert isinstance(doc["agents"][1]["type"], dict)
 
-    def test_rejects_multiple_egos(self, tmp_path):
-        save_manifest(self.make_group(), tmp_path)
-        doc = json.loads((tmp_path / "manifest.json").read_text())
-        doc["agents"][1]["is_ego"] = True
-        (tmp_path / "manifest.json").write_text(json.dumps(doc))
-        with pytest.raises(ValueError):
-            load_manifest(tmp_path / "manifest.json")
+    @pytest.mark.parametrize("edit,message", [("two-egos", "ego count = 2"),
+                                              ("duplicate-ids", "duplicate agent ids"),
+                                              ("nan-translation", "invalid pose")],
+                             ids=["two-egos", "duplicate-ids", "nan-translation"])
+    def test_rejects_invalid_group(self, edit, message, tmp_path):
+        manifest = save_manifest(self.make_group(), tmp_path)
+        edit_manifest(manifest, edit)
+        with pytest.raises(ValueError, match=message):
+            load_manifest(manifest)
 
 
 class TestCli:
@@ -179,6 +195,23 @@ class TestCli:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == "" and flag in captured.err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["augment", "cfc-check"])
+    @pytest.mark.parametrize("edit,n_agents", [("two-egos", 2), ("duplicate-ids", 2),
+                                               ("nan-translation", 2), ("nan-translation", 3)])
+    def test_invalid_group_manifest_exits_one(self, command, edit, n_agents, tmp_path, capsys):
+        agents = [Agent(f"agent-{k}", RigidTransform.from_ypr(0.0, translation=(4.0 * k, 0, 0)),
+                        PointCloud.from_arrays(np.array([[4.0 * k + 1.0, 0.5, 0.0]])),
+                        AGENT_TYPES["A"], k == 0) for k in range(n_agents)]
+        manifest = save_manifest(CooperativeGroup(agents), tmp_path / "in")
+        edit_manifest(manifest, edit)
+        out = tmp_path / "out"
+        rc = main([command, "--manifest", str(manifest),
+                   *(["--out", str(out)] if command == "augment" else [])])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: invalid group: ")
         assert not out.exists()
 
     def test_gate_stats_output(self, capsys):

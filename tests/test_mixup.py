@@ -8,10 +8,12 @@ from coopaug import (AGENT_TYPES, Agent, CmagConfig, CooperativeGroup,
                      RigidTransform, RngStream, bev_center, cut_and_combine,
                      make_mixup_agent, nearest_pair, split_line)
 
+EMPTY = PointCloud.from_arrays(np.zeros((0, 3)))
+
 
 def agent_at(x, y, z=0.0, aid=None, is_ego=False, cloud=None):
     if cloud is None:
-        cloud = PointCloud.empty("ego")
+        cloud = EMPTY
     pose = RigidTransform.from_ypr(0.0, translation=(x, y, z))
     return Agent(id=aid or f"a-{x}-{y}", pose=pose, cloud=cloud,
                  agent_type=AGENT_TYPES["A"], is_ego=is_ego)
@@ -87,8 +89,8 @@ class TestCutAndCombine:
         on_line = PointCloud.from_arrays([[1.0, 5.0, 0.3]])
         line = self.line()
         assert line.side(on_line.xyz[:, :2])[0] == 0.0
-        kept = cut_and_combine(on_line, PointCloud.empty("ego"), line)[0]
-        dropped = cut_and_combine(PointCloud.empty("ego"), on_line, line)[0]
+        kept = cut_and_combine(on_line, EMPTY, line)[0]
+        dropped = cut_and_combine(EMPTY, on_line, line)[0]
         assert len(kept) == 1 and len(dropped) == 0
 
     def test_subset_property(self):

@@ -55,7 +55,8 @@ class TestTransformCloud:
         assert np.abs(back.xyz - cloud.xyz).max() < 1e-9
 
     def test_empty_cloud(self):
-        out = transform_cloud(PointCloud.empty("a"), RigidTransform.identity(), "ego")
+        out = transform_cloud(PointCloud.from_arrays(np.zeros((0, 3)), frame="a"),
+                              RigidTransform.identity(), "ego")
         assert len(out) == 0
 
 
@@ -76,22 +77,27 @@ class TestValidateGroup:
         assert validate_group(g) is None
 
     def test_zero_ego(self):
-        g = CooperativeGroup((make_agent("a"), make_agent("b")))
-        assert "ego count = 0" in validate_group(g)
+        with pytest.raises(ValueError, match="ego count = 0"):
+            CooperativeGroup((make_agent("a"), make_agent("b")))
 
     def test_nan_point(self):
         bad = PointCloud.from_arrays([[np.nan, 0, 0]])
-        g = CooperativeGroup((make_agent("e", is_ego=True, cloud=bad),))
-        assert "non-finite" in validate_group(g)
+        with pytest.raises(ValueError, match="non-finite"):
+            CooperativeGroup((make_agent("e", is_ego=True, cloud=bad),))
+
+    def test_nan_translation(self):
+        with pytest.raises(ValueError, match="invalid pose"):
+            CooperativeGroup((make_agent("e", is_ego=True),
+                              make_agent("a", translation=(np.nan, 0, 0))))
 
     def test_wrong_frame(self):
         cloud = PointCloud.from_arrays([[0, 0, 0]], frame="agent-3")
-        g = CooperativeGroup((make_agent("e", is_ego=True, cloud=cloud),))
-        assert "frame" in validate_group(g)
+        with pytest.raises(ValueError, match="frame"):
+            CooperativeGroup((make_agent("e", is_ego=True, cloud=cloud),))
 
     def test_duplicate_ids(self):
-        g = CooperativeGroup((make_agent("e", is_ego=True), make_agent("e")))
-        assert "duplicate" in validate_group(g)
+        with pytest.raises(ValueError, match="duplicate"):
+            CooperativeGroup((make_agent("e", is_ego=True), make_agent("e")))
 
 
 class TestCountDistribution:

@@ -8,6 +8,7 @@ from coopaug import (AGENT_TYPES, Agent, CmagConfig, CooperativeGroup,
                      nearest_pair, occupancy, pipeline, validate_group)
 
 EXTENT = (-20.0, 20.0, -20.0, 20.0)
+EMPTY = PointCloud.from_arrays(np.zeros((0, 3)))
 
 
 def agent(aid, x=0.0, n_points=50, is_ego=False, seed=0):
@@ -36,15 +37,14 @@ class TestEarlyFuse:
         assert np.array_equal(early_fuse(g).xyz, g.agents[0].cloud.xyz)
 
     def test_empty_cloud_member(self):
-        empty = Agent("x", RigidTransform.identity(), PointCloud.empty("ego"),
-                      AGENT_TYPES["A"], False)
+        empty = Agent("x", RigidTransform.identity(), EMPTY, AGENT_TYPES["A"], False)
         g = CooperativeGroup((agent("e", n_points=10, is_ego=True), empty))
         assert len(early_fuse(g)) == 10
 
 
 class TestOccupancy:
     def test_empty_cloud(self):
-        grid = occupancy(PointCloud.empty("ego"), EXTENT, 0.5)
+        grid = occupancy(EMPTY, EXTENT, 0.5)
         assert grid.cells.sum() == 0
 
     def test_single_center_point(self):
@@ -69,7 +69,7 @@ class TestOccupancy:
 class TestFuseGrids:
     def test_zero_is_identity(self):
         g = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]), EXTENT, 0.5)
-        z = occupancy(PointCloud.empty("ego"), EXTENT, 0.5)
+        z = occupancy(EMPTY, EXTENT, 0.5)
         assert np.array_equal(fuse_grids([g, z]).cells, g.cells)
 
     def test_idempotence(self):
@@ -82,8 +82,8 @@ class TestFuseGrids:
         assert fuse_grids([a, b]).cells.sum() == 2
 
     def test_mismatch(self):
-        a = occupancy(PointCloud.empty("ego"), EXTENT, 0.5)
-        b = occupancy(PointCloud.empty("ego"), EXTENT, 0.25)
+        a = occupancy(EMPTY, EXTENT, 0.5)
+        b = occupancy(EMPTY, EXTENT, 0.25)
         with pytest.raises(MismatchedGrids):
             fuse_grids([a, b])
 
@@ -96,7 +96,7 @@ class TestCfcL1:
     def test_counting(self):
         a = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0], [2.0, 2.0, 0], [3.0, 3.0, 0]]),
                       EXTENT, 0.5)
-        b = occupancy(PointCloud.empty("ego"), EXTENT, 0.5)
+        b = occupancy(EMPTY, EXTENT, 0.5)
         assert cfc_l1(a, b) == 3.0
 
     def test_union_max_equivalence(self):

@@ -31,7 +31,7 @@ class TestProject:
         assert not img.valid_mask().any()
 
     def test_empty_cloud(self):
-        img = project(PointCloud.empty("ego"), FOV, 4, 8)
+        img = project(cloud_of(np.zeros((0, 3))), FOV, 4, 8)
         assert not img.valid_mask().any()
 
     def test_fov_top_maps_to_row_zero(self):
@@ -66,7 +66,7 @@ class TestUnproject:
         assert angle <= half_pixel
 
     def test_empty_image(self):
-        img = project(PointCloud.empty("ego"), FOV, 8, 16)
+        img = project(cloud_of(np.zeros((0, 3))), FOV, 8, 16)
         assert len(unproject(img)) == 0
 
     def test_round_trip_random_cloud(self):
@@ -170,7 +170,7 @@ class TestDensityAugment:
         assert len(np.unique(phi.round(9))) == 32
 
     def test_empty_cloud(self):
-        out = density_augment(PointCloud.empty("ego"), AGENT_TYPES["A"], CmagConfig(),
+        out = density_augment(cloud_of(np.zeros((0, 3))), AGENT_TYPES["A"], CmagConfig(),
                               RngStream(0, "d"))
         assert len(out) == 0
 

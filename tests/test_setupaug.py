@@ -32,7 +32,7 @@ class TestApplySetupAug:
     def test_identity_is_bitwise(self):
         rng = np.random.default_rng(0)
         cloud = PointCloud.from_arrays(rng.uniform(-5, 5, (30, 3)), rng.uniform(0, 1, 30))
-        out = apply_setup_aug(cloud, SetupAugParams.identity())
+        out = apply_setup_aug(cloud, SetupAugParams(0.0, 1.0, np.zeros(3)))
         assert np.array_equal(out.xyz, cloud.xyz)
         assert np.array_equal(out.intensity, cloud.intensity)
 
@@ -73,7 +73,7 @@ class TestApplySetupAug:
         assert np.array_equal(out.intensity, cloud.intensity)
 
     def test_empty_cloud(self):
-        out = apply_setup_aug(PointCloud.empty("ego"),
+        out = apply_setup_aug(PointCloud.from_arrays(np.zeros((0, 3))),
                               SetupAugParams(0.3, 1.1, np.array([1.0, 0, 0])))
         assert len(out) == 0
 

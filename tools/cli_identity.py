@@ -14,12 +14,15 @@ The matrix: `simulate` on four scenes (one with type E and 32 boxes);
 `augment` and `cfc-check` for the four table sources and three seeds on each
 scene; `cfc-check --no-aug`; `project` of every agent cloud at widths 512 and
 2048; `gate-stats` for the four sources at epsilon 1e-6 and 1e-3; and the
-error paths.
+error paths, among them `augment` and `cfc-check` on manifests whose group is
+invalid (two egos, a repeated id, a NaN translation with 2 and with 3 agents).
 """
 
 import contextlib
 import hashlib
 import io
+import json
+import struct
 import sys
 from pathlib import Path
 
@@ -28,6 +31,8 @@ SOURCES = ("opv2v", "v2xset", "v2v4real", "dairv2x")
 SEEDS = (0, 1, 7)
 WIDTHS = (512, 2048)
 EPSILONS = ("1e-6", "1e-3")
+# Manifests whose group breaks one invariant on its second agent: (name, agents).
+BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-3", 3))
 
 
 def matrix(out: Path):
@@ -98,7 +103,33 @@ def matrix(out: Path):
         ("project-new-dir", ["project", "--cloud", out / "sim0" / "agent-0.pcv", "--type", "A",
                              "--out", out / "project-new-dir" / "new" / "range.pgm"]),
     ]
+    for name, _ in BAD_MANIFESTS:
+        bad_manifest = bad / name / "manifest.json"
+        cmds.append((f"err-{name}-aug", ["augment", "--manifest", bad_manifest,
+                                         "--out", out / f"err-{name}-aug"]))
+        cmds.append((f"err-{name}-cfc", ["cfc-check", "--manifest", bad_manifest]))
     return cmds
+
+
+def write_bad_manifest(root: Path, name: str, n_agents: int) -> None:
+    """A manifest of type A agents 4 m apart, each with a one-point cloud,
+    then the edit `name` applied to the second agent."""
+    root.mkdir()
+    agents = []
+    for k in range(n_agents):
+        (root / f"agent-{k}.pcv").write_bytes(
+            b"PCV1" + struct.pack("<I4f", 1, 4.0 * k + 1.0, 0.5, 0.0, 1.0))
+        agents.append({"id": f"agent-{k}", "type": "A", "cloud_path": f"agent-{k}.pcv",
+                       "is_ego": k == 0, "pose": {"yaw_pitch_roll_rad": [0.0, 0.0, 0.0],
+                                                  "translation": [4.0 * k, 0.0, 0.0]}})
+    if name == "two-egos":
+        agents[1]["is_ego"] = True
+    elif name == "dup-ids":
+        agents[1]["id"] = agents[0]["id"]
+    else:
+        agents[1]["pose"]["translation"][0] = float("nan")
+    doc = {"version": "1", "ground_z": 0.0, "boxes": [], "agents": agents}
+    (root / "manifest.json").write_text(json.dumps(doc))
 
 
 def run(cli, label, argv, out: Path) -> tuple[int | str, bytes]:
@@ -140,6 +171,8 @@ def main(argv) -> int:
     bad.mkdir()
     (bad / "magic.pcv").write_bytes(b"NOPE\x00\x00\x00\x00")
     (bad / "truncated.pcv").write_bytes(b"PCV1\x02\x00\x00\x00" + b"\x00" * 16)
+    for name, n_agents in BAD_MANIFESTS:
+        write_bad_manifest(bad / name, name, n_agents)
     total = hashlib.sha256()
     for label, cmd in matrix(out):
         code, digest = run(cli, label, cmd, out)
