@@ -2,7 +2,7 @@
 
 from .errors import (BadMagic, BadTarget, CoopaugError, DegenerateCenters,
                      EmptyInput, GroupTooSmall, InvalidPair, IoFailure,
-                     MismatchedGrids, PlacementFailure, TruncatedFile)
+                     PlacementFailure, TruncatedFile)
 from .gate import (GateChoice, GateResponses, TABLE_DISTRIBUTIONS, apply_gate,
                    comprehensive_distribution, comprehensive_from_tables,
                    estimate_source_distribution, gate_responses, sample_gate,
@@ -15,8 +15,7 @@ from .mixup import (SplitLine, bev_center, cut_and_combine, make_mixup_agent,
 from .model import (AGENT_TYPES, EGO_FRAME, Agent, AgentType, CmagConfig,
                     CooperativeGroup, CountDistribution, PointCloud,
                     RigidTransform, RngStream, transform_cloud, validate_group)
-from .pipeline import (DEFAULT_CELL_M, DEFAULT_EXTENT, OccupancyGrid, cfc_l1,
-                       cmag, early_fuse, fuse_grids, occupancy)
+from .pipeline import cfc_l1, cmag, early_fuse, fuse_grids, occupancy
 from .rangeview import (NO_RETURN, RangeImage, density_augment, project,
                         resample_beams, unproject)
 from .setupaug import SetupAugParams, apply_setup_aug, sample_setup_params

@@ -8,12 +8,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import CoopaugError, IoFailure
-from .gate import (TABLE_DISTRIBUTIONS, comprehensive_from_tables, gate_responses,
-                   sample_gate_step)
+from .gate import (EPSILON, TABLE_DISTRIBUTIONS, comprehensive_from_tables,
+                   gate_responses, sample_gate_step)
 from .io import load_cloud, load_manifest, save_manifest, save_range_image_pgm
 from .model import AGENT_TYPES, CmagConfig, CountDistribution, RngStream
 from .pipeline import cmag, early_fuse, fuse_grids, occupancy, cfc_l1
-from .rangeview import project as project_cloud
+from .rangeview import AZIMUTH_BINS, project as project_cloud
 from .sim import make_group, make_scene
 
 
@@ -36,6 +36,9 @@ def _load_source_dist(name: str, dist_file: str | None) -> CountDistribution:
             doc = json.loads(Path(dist_file).read_text())
         except OSError as exc:
             raise IoFailure(str(exc)) from exc
+        if not (isinstance(doc, dict)
+                and all(k.isdecimal() and type(v) in (int, float) for k, v in doc.items())):
+            raise ValueError(f"{dist_file}: not an object of count: probability")
         return CountDistribution({int(k): float(v) for k, v in doc.items()})
     raise _UsageError(f"unknown source distribution {name!r}")
 
@@ -139,13 +142,13 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("gate-stats", parents=[source],
                        help="print gate responses and Monte-Carlo drift")
     p.add_argument("--iterations", type=int, default=100000)
-    p.add_argument("--epsilon", type=float, default=1e-6)
+    p.add_argument("--epsilon", type=float, default=EPSILON)
     p.set_defaults(func=_cmd_gate_stats)
 
     p = sub.add_parser("project", help="write a range-image PGM for a cloud")
     p.add_argument("--cloud", required=True)
     p.add_argument("--type", required=True)
-    p.add_argument("--width", type=int, default=2048)
+    p.add_argument("--width", type=int, default=AZIMUTH_BINS)
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_project)
 

@@ -21,10 +21,6 @@ class BadTarget(CoopaugError):
     pass
 
 
-class MismatchedGrids(CoopaugError):
-    pass
-
-
 class InvalidPair(CoopaugError):
     pass
 

@@ -8,6 +8,11 @@ import numpy as np
 from .errors import EmptyInput, InvalidPair
 from .model import Agent, CooperativeGroup, CountDistribution, RngStream
 
+# Guards the responses against division by zero; not a response scale.
+EPSILON = 1e-6
+# The keep response; the plus and minus responses are measured against it.
+R_KEEP = 1.0
+
 # Agent-count probabilities per source dataset. Counts above the published
 # support carry probability 0.
 TABLE_DISTRIBUTIONS: dict[str, CountDistribution] = {
@@ -26,16 +31,15 @@ class GateChoice(enum.Enum):
 
 @dataclass(frozen=True)
 class GateResponses:
-    """Raw responses and their normalized likelihoods (plus, keep, minus)."""
+    """Raw plus/minus responses; likelihoods (plus, keep, minus) add R_KEEP."""
 
     r_plus: float
-    r_keep: float
     r_minus: float
 
     @property
     def likelihoods(self) -> tuple[float, float, float]:
-        total = self.r_plus + self.r_keep + self.r_minus
-        return (self.r_plus / total, self.r_keep / total, self.r_minus / total)
+        total = self.r_plus + R_KEEP + self.r_minus
+        return (self.r_plus / total, R_KEEP / total, self.r_minus / total)
 
 
 def estimate_source_distribution(counts) -> CountDistribution:
@@ -69,29 +73,27 @@ def gate_responses(phi_s: CountDistribution, phi_c: CountDistribution,
 
     A neighbor count k that the source under-represents relative to the
     comprehensive distribution draws a positive response; the keep response
-    is fixed at 1. For a count the source has, the response is
+    is fixed at R_KEEP. For a count the source has, the response is
     (phi_c(k) - phi_s(k)) / phi_s(k). For a count the source never has
     (phi_s(k) = 0) it is min(1, phi_c(k) / phi_s(n_s)): the share of the
     current count's source mass that would fill k, capped at the keep
     response, so a single step cannot overshoot into an empty count.
-    Epsilon only guards division by zero, for source probabilities below it
-    (an unseen current count n_s included); it is not a response scale.
+    Epsilon (> 0) only guards division by zero, for source probabilities below
+    it (an unseen current count n_s included); it is not a response scale.
     Probabilities at count 0 are 0 by definition.
     """
     if n_s < 1:
         raise ValueError("group size must be >= 1")
-    if epsilon <= 0:
-        raise ValueError("epsilon must be positive")
 
     def resp(count: int) -> float:
         if count < 1:
             return 0.0
         p_s = phi_s.prob(count)
         if p_s == 0.0:
-            return min(1.0, phi_c.prob(count) / max(phi_s.prob(n_s), epsilon))
+            return min(R_KEEP, phi_c.prob(count) / max(phi_s.prob(n_s), epsilon))
         return max(0.0, (phi_c.prob(count) - p_s) / max(p_s, epsilon))
 
-    return GateResponses(r_plus=resp(n_s + 1), r_keep=1.0, r_minus=resp(n_s - 1))
+    return GateResponses(r_plus=resp(n_s + 1), r_minus=resp(n_s - 1))
 
 
 def sample_gate(responses: GateResponses, rng: RngStream) -> GateChoice:

@@ -44,6 +44,8 @@ def load_cloud(path) -> PointCloud:
     if len(data) < expected:
         raise TruncatedFile(f"{path}: expected {expected} bytes, got {len(data)}")
     records = np.frombuffer(data[8:expected], dtype="<f4").reshape(count, 4)
+    if not np.isfinite(records).all():
+        raise ValueError(f"{path}: non-finite point record")
     return PointCloud(records[:, :3].astype(np.float64),
                       records[:, 3].astype(np.float64), EGO_FRAME)
 
@@ -126,6 +128,41 @@ def save_manifest(group: CooperativeGroup, out_dir, ground_z: float = 0.0,
     return manifest_path
 
 
+def _numbers(values, n: int) -> bool:
+    """Whether `values` is a JSON list of n numbers."""
+    return isinstance(values, list) and len(values) == n and all(
+        type(v) in (int, float) for v in values)
+
+
+def _shape_error(doc) -> str | None:
+    """What is wrong with a manifest document's shape, or None. Agent ids must
+    be plain file names, and cloud paths stay inside the manifest directory."""
+    if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
+        return f"not a version {MANIFEST_VERSION} manifest object"
+    boxes = doc.get("boxes", [])
+    if not (_numbers([doc.get("ground_z", 0.0)], 1) and isinstance(doc.get("agents"), list)
+            and isinstance(boxes, list) and all(isinstance(b, dict) and _numbers(
+                b.get("center"), 3) and _numbers(b.get("half_extents"), 3) for b in boxes)):
+        return "needs a list of agents, a number ground_z and center/half_extents boxes"
+    for k, entry in enumerate(doc["agents"]):
+        entry = entry if isinstance(entry, dict) else {}
+        pose, kind = entry.get("pose"), entry.get("type")
+        if not (isinstance(entry.get("id"), str) and isinstance(entry.get("cloud_path"), str)
+                and type(entry.get("is_ego")) is bool and isinstance(pose, dict)
+                and _numbers(pose.get("yaw_pitch_roll_rad"), 3)
+                and _numbers(pose.get("translation"), 3)
+                and (isinstance(kind, str) or isinstance(kind, dict)
+                     and _numbers([kind.get(f) for f in ("beams", "range_m", "range_error_m")], 3)
+                     and _numbers(kind.get("fov_deg"), 2)
+                     and all(isinstance(kind.get(f, ""), str)
+                             for f in ("name", "realism", "agent_class")))):
+            return f"agent {k} needs an id, type, pose, cloud_path and is_ego"
+        cloud = Path(entry["cloud_path"])
+        if Path(entry["id"]).name != entry["id"] or cloud.is_absolute() or ".." in cloud.parts:
+            return f"agent {k}: id or cloud_path leaves the manifest directory"
+    return None
+
+
 def load_manifest(path) -> tuple[CooperativeGroup, dict]:
     """Load a manifest and its referenced clouds; returns (group, scene metadata)."""
     path = Path(path)
@@ -133,15 +170,16 @@ def load_manifest(path) -> tuple[CooperativeGroup, dict]:
         doc = json.loads(path.read_text())
     except OSError as exc:
         raise IoFailure(str(exc)) from exc
-    if doc.get("version") != MANIFEST_VERSION:
-        raise ValueError(f"unsupported manifest version {doc.get('version')!r}")
+    problem = _shape_error(doc)
+    if problem is not None:
+        raise ValueError(f"{path}: {problem}")
     agents = []
     for entry in doc["agents"]:
         ypr = entry["pose"]["yaw_pitch_roll_rad"]
         pose = RigidTransform.from_ypr(*ypr, translation=entry["pose"]["translation"])
         cloud = load_cloud(path.parent / entry["cloud_path"])
-        agents.append(Agent(id=str(entry["id"]), pose=pose, cloud=cloud,
+        agents.append(Agent(id=entry["id"], pose=pose, cloud=cloud,
                             agent_type=_agent_type_from_json(entry["type"]),
-                            is_ego=bool(entry["is_ego"])))
+                            is_ego=entry["is_ego"]))
     meta = {"ground_z": float(doc.get("ground_z", 0.0)), "boxes": doc.get("boxes", [])}
     return CooperativeGroup(tuple(agents)), meta

@@ -6,8 +6,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCenters, GroupTooSmall
-from .model import (EGO_FRAME, Agent, CmagConfig, CooperativeGroup, PointCloud,
-                    RngStream)
+from .model import EGO_FRAME, Agent, CooperativeGroup, PointCloud, RngStream
+
+# The split line turns by up to this much either way: the cut varies, yet
+# both source agents keep contributing points.
+SPLIT_ROTATION_RAD = math.pi / 4
 
 
 @dataclass(frozen=True)
@@ -79,7 +82,7 @@ def _fresh_id(group: CooperativeGroup) -> str:
     return f"mixup-{k}"
 
 
-def make_mixup_agent(group: CooperativeGroup, cfg: CmagConfig, rng: RngStream,
+def make_mixup_agent(group: CooperativeGroup, rng: RngStream,
                      pair: tuple[int, int] | None = None) -> Agent:
     """Build the mixup agent from the nearest pair's half-plane combination.
 
@@ -89,7 +92,7 @@ def make_mixup_agent(group: CooperativeGroup, cfg: CmagConfig, rng: RngStream,
     if pair is None:
         pair = nearest_pair(group)
     a1, a2 = group.agents[pair[0]], group.agents[pair[1]]
-    rot = float(rng.uniform(-cfg.split_rotation_range_rad, cfg.split_rotation_range_rad))
+    rot = float(rng.uniform(-SPLIT_ROTATION_RAD, SPLIT_ROTATION_RAD))
     line = split_line(bev_center(a1), bev_center(a2), rot)
     cloud, kept1, kept2 = cut_and_combine(a1.cloud, a2.cloud, line)
     donor = a1 if kept1 >= kept2 else a2

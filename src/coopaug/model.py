@@ -168,32 +168,9 @@ class CountDistribution:
 
 @dataclass(frozen=True)
 class CmagConfig:
-    """Tunable parameters of the augmentation pipeline.
+    """`cmag`'s unread `cfg`; the pipeline's magnitudes are module constants."""
 
-    All magnitudes are configuration, not physics: the split rotation keeps
-    both source agents contributing, the setup perturbations are at the scale
-    of typical sensor error, and the gate epsilon only guards division by zero.
-    """
-
-    split_rotation_range_rad: float = math.pi / 4
-    pa_density_targets: tuple[int, ...] = (16, 32, 40, 64, 128)
-    pa_rotation_range_rad: float = 0.0175
-    pa_scale_range: tuple[float, float] = (0.98, 1.02)
-    pa_translation_bound_m: float = 0.05
-    pa_azimuth_bins: int = 2048
-    gate_epsilon: float = 1e-6
     seed: int = 0
-
-    def __post_init__(self):
-        object.__setattr__(self, "pa_density_targets",
-                           tuple(sorted(set(int(t) for t in self.pa_density_targets))))
-        if self.gate_epsilon <= 0:
-            raise ValueError("gate_epsilon must be positive")
-        if min(self.pa_scale_range) <= 0:
-            raise ValueError("pa_scale_range must be strictly positive")
-        if min(self.split_rotation_range_rad, self.pa_rotation_range_rad,
-               self.pa_translation_bound_m) < 0:
-            raise ValueError("ranges must be nonnegative")
 
 
 class RngStream:
@@ -230,8 +207,6 @@ def transform_cloud(cloud: PointCloud, t: RigidTransform, target_frame: str) -> 
 
 def validate_group(group: CooperativeGroup) -> str | None:
     """Return None if the group satisfies all invariants, else a violation message."""
-    if group.n < 1:
-        return "empty group"
     n_ego = sum(a.is_ego for a in group.agents)
     if n_ego != 1:
         return f"ego count = {n_ego}"

@@ -1,70 +1,44 @@
 """Full augmentation pipeline plus BEV-occupancy consistency computation."""
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
 import numpy as np
 
-from .errors import MismatchedGrids
-from .gate import apply_gate, gate_responses, sample_gate
+from .gate import EPSILON, apply_gate, gate_responses, sample_gate
 from .mixup import make_mixup_agent, nearest_pair
 from .model import (EGO_FRAME, CmagConfig, CooperativeGroup, CountDistribution,
                     PointCloud, RngStream)
 from .rangeview import density_augment
 from .setupaug import apply_setup_aug, sample_setup_params
 
-DEFAULT_EXTENT = (-70.4, 70.4, -40.0, 40.0)
-DEFAULT_CELL_M = 0.4
+# The one BEV occupancy grid, around the ego: x_min, x_max, y_min, y_max in
+# meters, and its square cell size; 352 x 200 cells.
+GRID_EXTENT = (-70.4, 70.4, -40.0, 40.0)
+GRID_CELL_M = 0.4
 
 
-@dataclass(frozen=True)
-class OccupancyGrid:
-    """Binary BEV grid over a rectangular extent with square cells."""
-
-    extent: tuple[float, float, float, float]  # x_min, x_max, y_min, y_max
-    cell_m: float
-    cells: np.ndarray  # (nx, ny) uint8
-
-    def compatible(self, other: "OccupancyGrid") -> bool:
-        return self.extent == other.extent and self.cell_m == other.cell_m
-
-
-def occupancy(cloud: PointCloud, extent=DEFAULT_EXTENT,
-              cell_m: float = DEFAULT_CELL_M) -> OccupancyGrid:
-    """Mark each half-open BEV cell holding at least one point."""
-    if cell_m <= 0:
-        raise ValueError("cell size must be positive")
-    x_min, x_max, y_min, y_max = extent
-    nx = math.ceil((x_max - x_min) / cell_m)
-    ny = math.ceil((y_max - y_min) / cell_m)
+def occupancy(cloud: PointCloud) -> np.ndarray:
+    """(nx, ny) uint8 grid over GRID_EXTENT marking each half-open cell with a point."""
+    x_min, x_max, y_min, y_max = GRID_EXTENT
+    nx = math.ceil((x_max - x_min) / GRID_CELL_M)
+    ny = math.ceil((y_max - y_min) / GRID_CELL_M)
     cells = np.zeros((nx, ny), dtype=np.uint8)
-    ix = np.floor((cloud.xyz[:, 0] - x_min) / cell_m).astype(np.int64)
-    iy = np.floor((cloud.xyz[:, 1] - y_min) / cell_m).astype(np.int64)
+    ix = np.floor((cloud.xyz[:, 0] - x_min) / GRID_CELL_M).astype(np.int64)
+    iy = np.floor((cloud.xyz[:, 1] - y_min) / GRID_CELL_M).astype(np.int64)
     keep = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
     cells[ix[keep], iy[keep]] = 1
-    return OccupancyGrid(tuple(extent), cell_m, cells)
+    return cells
 
 
-def fuse_grids(grids) -> OccupancyGrid:
-    """Elementwise maximum; all grids must share extent and cell size."""
-    grids = list(grids)
-    if not grids:
-        raise MismatchedGrids("no grids to fuse")
-    first = grids[0]
-    cells = first.cells.copy()
-    for g in grids[1:]:
-        if not first.compatible(g):
-            raise MismatchedGrids("grid extent/cell mismatch")
-        np.maximum(cells, g.cells, out=cells)
-    return OccupancyGrid(first.extent, first.cell_m, cells)
+def fuse_grids(grids) -> np.ndarray:
+    """Elementwise maximum of occupancy grids."""
+    return np.maximum.reduce(list(grids))
 
 
-def cfc_l1(fused_generalized: OccupancyGrid, fused_early: OccupancyGrid) -> float:
-    """L1 discrepancy between the fused generalized and early-fused grids."""
-    if not fused_generalized.compatible(fused_early):
-        raise MismatchedGrids("grid extent/cell mismatch")
-    return float(np.abs(fused_generalized.cells.astype(np.int64)
-                        - fused_early.cells.astype(np.int64)).sum())
+def cfc_l1(fused_generalized: np.ndarray, fused_early: np.ndarray) -> float:
+    """L1 distance of the binary fused generalized and early-fused grids."""
+    return float(np.count_nonzero(fused_generalized != fused_early))
 
 
 def early_fuse(group: CooperativeGroup) -> PointCloud:
@@ -79,14 +53,14 @@ def cmag(group: CooperativeGroup, phi_s: CountDistribution, phi_c: CountDistribu
     """One augmentation step: mixup agent, point augmentation, gate application.
 
     Single-agent groups pass through unchanged (no pair to mix). The gate
-    decision is the last draw from `rng`.
+    decision is the last draw from `rng`. `cfg` is not read.
     """
     if group.n < 2:
         return group
     pair = nearest_pair(group)
-    mixup = make_mixup_agent(group, cfg, rng, pair=pair)
-    cloud = density_augment(mixup.cloud, mixup.agent_type, cfg, rng)
-    cloud = apply_setup_aug(cloud, sample_setup_params(cfg, rng))
+    mixup = make_mixup_agent(group, rng, pair=pair)
+    cloud = density_augment(mixup.cloud, mixup.agent_type, rng)
+    cloud = apply_setup_aug(cloud, sample_setup_params(rng))
     mixup = replace(mixup, cloud=cloud)
-    responses = gate_responses(phi_s, phi_c, group.n, cfg.gate_epsilon)
+    responses = gate_responses(phi_s, phi_c, group.n, EPSILON)
     return apply_gate(group, mixup, pair, sample_gate(responses, rng))

@@ -7,9 +7,13 @@ import numpy as np
 
 from .errors import BadTarget
 from .kernels import scatter_nearest
-from .model import AgentType, CmagConfig, PointCloud, RngStream
+from .model import AgentType, PointCloud, RngStream
 
 NO_RETURN = 0.0
+# Azimuth columns of the simulated ray grid and of augmentation range images.
+AZIMUTH_BINS = 2048
+# Beam counts density augmentation re-beams to: common LiDAR beam counts.
+DENSITY_TARGETS = (16, 32, 40, 64, 128)
 
 
 @dataclass(frozen=True)
@@ -100,13 +104,12 @@ def resample_beams(img: RangeImage, target_H: int) -> RangeImage:
     return RangeImage(ranges, intens, img.fov_deg, img.frame)
 
 
-def density_augment(cloud: PointCloud, agent_type: AgentType, cfg: CmagConfig,
-                    rng: RngStream) -> PointCloud:
+def density_augment(cloud: PointCloud, agent_type: AgentType, rng: RngStream) -> PointCloud:
     """Re-beam a cloud to a randomly chosen target beam count.
 
     Always goes through the range image, so the azimuth/elevation quantization
     is applied uniformly even when the target equals the native beam count.
     """
-    target = int(rng.choice(cfg.pa_density_targets))
-    img = project(cloud, agent_type.fov_deg, agent_type.beams, cfg.pa_azimuth_bins)
+    target = int(rng.choice(DENSITY_TARGETS))
+    img = project(cloud, agent_type.fov_deg, agent_type.beams, AZIMUTH_BINS)
     return unproject(resample_beams(img, target))

@@ -5,7 +5,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import CmagConfig, PointCloud, RngStream
+from .model import PointCloud, RngStream
+
+# Perturbation bounds at the scale of typical sensor calibration error:
+# about 1 degree of yaw, 2% of scale and 5 cm of offset per axis.
+ROTATION_RANGE_RAD = 0.0175
+SCALE_RANGE = (0.98, 1.02)
+TRANSLATION_BOUND_M = 0.05
 
 
 @dataclass(frozen=True)
@@ -21,10 +27,10 @@ class SetupAugParams:
                            np.asarray(self.translation_m, dtype=np.float64))
 
 
-def sample_setup_params(cfg: CmagConfig, rng: RngStream) -> SetupAugParams:
-    rot = float(rng.uniform(-cfg.pa_rotation_range_rad, cfg.pa_rotation_range_rad))
-    scale = float(rng.uniform(cfg.pa_scale_range[0], cfg.pa_scale_range[1]))
-    trans = rng.uniform(-cfg.pa_translation_bound_m, cfg.pa_translation_bound_m, 3)
+def sample_setup_params(rng: RngStream) -> SetupAugParams:
+    rot = float(rng.uniform(-ROTATION_RANGE_RAD, ROTATION_RANGE_RAD))
+    scale = float(rng.uniform(SCALE_RANGE[0], SCALE_RANGE[1]))
+    trans = rng.uniform(-TRANSLATION_BOUND_M, TRANSLATION_BOUND_M, 3)
     return SetupAugParams(rot, scale, np.asarray(trans))
 
 

@@ -9,9 +9,9 @@ from .errors import PlacementFailure
 from .kernels import ray_cast
 from .model import (EGO_FRAME, Agent, AgentType, CooperativeGroup, PointCloud,
                     RigidTransform, RngStream, transform_cloud)
+from .rangeview import AZIMUTH_BINS
 
 REGION_HALF_M = 50.0
-AZIMUTH_STEPS = 2048
 MIN_AGENT_SEPARATION_M = 5.0
 SENSOR_HEIGHT_M = 2.0
 _MAX_ATTEMPTS = 1000
@@ -60,16 +60,16 @@ def make_scene(n_boxes: int, n_agents: int, types, rng: RngStream) -> Scene:
 
 
 def _ray_directions(agent_type: AgentType) -> np.ndarray:
-    """(beams * AZIMUTH_STEPS, 3) unit rays, beam-major, in the sensor frame.
+    """(beams * AZIMUTH_BINS, 3) unit rays, beam-major, in the sensor frame.
 
     Azimuths sit at range-image pixel centers so projection round trips are
     collision-free; elevations are spaced evenly and inclusively over the FOV.
     """
     elev = np.radians(np.linspace(agent_type.fov_deg[0], agent_type.fov_deg[1],
                                   agent_type.beams))
-    azim = math.pi * (1.0 - (2.0 * np.arange(AZIMUTH_STEPS) + 1.0) / AZIMUTH_STEPS)
+    azim = math.pi * (1.0 - (2.0 * np.arange(AZIMUTH_BINS) + 1.0) / AZIMUTH_BINS)
     cos_e = np.cos(elev)[:, None]
-    dirs = np.empty((agent_type.beams, AZIMUTH_STEPS, 3))
+    dirs = np.empty((agent_type.beams, AZIMUTH_BINS, 3))
     dirs[:, :, 0] = cos_e * np.cos(azim)[None, :]
     dirs[:, :, 1] = cos_e * np.sin(azim)[None, :]
     dirs[:, :, 2] = np.sin(elev)[:, None]

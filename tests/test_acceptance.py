@@ -15,8 +15,10 @@ from coopaug import (AGENT_TYPES, AgentType, CmagConfig, CountDistribution,
                      TABLE_DISTRIBUTIONS, bev_center, cfc_l1, cmag,
                      comprehensive_from_tables, density_augment, early_fuse,
                      fuse_grids, gate_responses, make_group, make_mixup_agent,
-                     make_scene, nearest_pair, occupancy, project, simulate_lidar,
-                     split_line, unproject, apply_setup_aug, SetupAugParams)
+                     make_scene, nearest_pair, occupancy, project, rangeview,
+                     simulate_lidar, split_line, unproject, apply_setup_aug,
+                     SetupAugParams)
+from coopaug.mixup import SPLIT_ROTATION_RAD
 from coopaug.cli import main as cli_main
 
 CHEAP = AgentType("Q", 2, 120.0, (-25.0, 5.0), 0.0, "Sim", "Vehicle")
@@ -92,7 +94,6 @@ def test_criterion_2_distribution_contraction():
 
 
 def test_criterion_3_mixup_invariants():
-    cfg = CmagConfig()
     violations = 0
     for trial in range(1000):
         scene = make_scene(2, 3, [CHEAP] * 3, RngStream(trial, "c3-scene"))
@@ -100,10 +101,9 @@ def test_criterion_3_mixup_invariants():
         pair = nearest_pair(group)
         a1, a2 = group.agents[pair[0]], group.agents[pair[1]]
         mirror = RngStream(trial, "c3-mix")
-        rot = float(mirror.uniform(-cfg.split_rotation_range_rad,
-                                   cfg.split_rotation_range_rad))
+        rot = float(mirror.uniform(-SPLIT_ROTATION_RAD, SPLIT_ROTATION_RAD))
         line = split_line(bev_center(a1), bev_center(a2), rot)
-        mix = make_mixup_agent(group, cfg, RngStream(trial, "c3-mix"))
+        mix = make_mixup_agent(group, RngStream(trial, "c3-mix"))
         out = mix.cloud.xyz
         # membership: every output row appears verbatim in one of the sources
         src = {r.tobytes() for r in a1.cloud.xyz} | {r.tobytes() for r in a2.cloud.xyz}
@@ -174,11 +174,11 @@ def test_criterion_4_range_view_round_trip():
            violations == 0, f"{violations} violations")
 
 
-def test_criterion_5_beam_resampling_fidelity():
+def test_criterion_5_beam_resampling_fidelity(monkeypatch):
     type64 = AGENT_TYPES["A"]
     type32 = AgentType("A32", 32, type64.range_m, type64.fov_deg,
                        type64.range_error_m, "Sim", "Vehicle")
-    cfg = CmagConfig(pa_density_targets=(32,))
+    monkeypatch.setattr(rangeview, "DENSITY_TARGETS", (32,))
     half_pitch = (type64.fov_deg[1] - type64.fov_deg[0]) / (type32.beams - 1) / 2.0
     native_elev = np.linspace(type64.fov_deg[0], type64.fov_deg[1], type32.beams)
     failures = []
@@ -197,7 +197,7 @@ def test_criterion_5_beam_resampling_fidelity():
                                  rng.derive("l64"))
         cloud32 = simulate_lidar(Scene(0.0, boxes, ((pose, type32),)), 0,
                                  rng.derive("l32"))
-        down = density_augment(cloud64, type64, cfg, rng.derive("da"))
+        down = density_augment(cloud64, type64, rng.derive("da"))
 
         def per_beam(cloud):
             elev = np.degrees(np.arctan2(
@@ -223,7 +223,7 @@ def test_criterion_5_beam_resampling_fidelity():
 
 
 def inbounds_scene(n_agents: int, rng: RngStream) -> Scene:
-    """Random scene whose agents all sit inside the default occupancy extent."""
+    """Random scene whose agents all sit inside the occupancy grid."""
     placements = []
     centers = []
     while len(placements) < n_agents:
@@ -255,7 +255,7 @@ def test_criterion_6_consistency_identity_and_sensitivity():
         if cfc_l1(fused, base) != 0.0:
             zero_bad += 1
         out = cmag(group, TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(),
-                   CmagConfig(seed=trial), RngStream(trial, "c6-aug"))
+                   CmagConfig(), RngStream(trial, "c6-aug"))
         fused2 = fuse_grids([occupancy(a.cloud) for a in out.agents])
         if cfc_l1(fused2, base) > 0.0:
             sensitive += 1

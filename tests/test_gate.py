@@ -113,13 +113,13 @@ class TestGateResponses:
 class TestSampleGate:
     def test_degenerate_plus(self):
         from coopaug.gate import GateResponses
-        resp = GateResponses(1e12, 1.0, 0.0)
+        resp = GateResponses(1e12, 0.0)
         rng = RngStream(0, "g")
         assert all(sample_gate(resp, rng) is GateChoice.PLUS for _ in range(100))
 
     def test_degenerate_keep(self):
         from coopaug.gate import GateResponses
-        resp = GateResponses(0.0, 1.0, 0.0)
+        resp = GateResponses(0.0, 0.0)
         rng = RngStream(0, "g")
         assert all(sample_gate(resp, rng) is GateChoice.KEEP for _ in range(100))
 

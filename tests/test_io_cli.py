@@ -1,8 +1,15 @@
+import contextlib
+import dataclasses
+import io
 import json
+import struct
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopaug import (AGENT_TYPES, Agent, AgentType, BadMagic, CooperativeGroup,
                      IoFailure, PointCloud, RangeImage, RigidTransform, TruncatedFile,
@@ -15,6 +22,14 @@ def tree_bytes(root):
     root = Path(root)
     return {p.relative_to(root).as_posix(): p.read_bytes()
             for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def one_point_group(n_agents=2):
+    """Type A agents 4 m apart, the first one ego, each with a one-point cloud."""
+    return CooperativeGroup(tuple(
+        Agent(f"agent-{k}", RigidTransform.from_ypr(0.0, translation=(4.0 * k, 0, 0)),
+              PointCloud.from_arrays(np.array([[4.0 * k + 1.0, 0.5, 0.0]])),
+              AGENT_TYPES["A"], k == 0) for k in range(n_agents)))
 
 
 def edit_manifest(manifest, edit):
@@ -201,10 +216,7 @@ class TestCli:
     @pytest.mark.parametrize("edit,n_agents", [("two-egos", 2), ("duplicate-ids", 2),
                                                ("nan-translation", 2), ("nan-translation", 3)])
     def test_invalid_group_manifest_exits_one(self, command, edit, n_agents, tmp_path, capsys):
-        agents = [Agent(f"agent-{k}", RigidTransform.from_ypr(0.0, translation=(4.0 * k, 0, 0)),
-                        PointCloud.from_arrays(np.array([[4.0 * k + 1.0, 0.5, 0.0]])),
-                        AGENT_TYPES["A"], k == 0) for k in range(n_agents)]
-        manifest = save_manifest(CooperativeGroup(agents), tmp_path / "in")
+        manifest = save_manifest(one_point_group(n_agents), tmp_path / "in")
         edit_manifest(manifest, edit)
         out = tmp_path / "out"
         rc = main([command, "--manifest", str(manifest),
@@ -212,6 +224,62 @@ class TestCli:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: invalid group: ")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["augment", "cfc-check"])
+    @pytest.mark.parametrize("case", ["no-agents", "no-pose", "type-5", "agents-int",
+                                      "boxes-str", "top-level-array", "dist-file-list",
+                                      "cloud-path-outside", "escaped-id"])
+    def test_malformed_input_exits_one(self, case, command, tmp_path, capsys):
+        manifest = save_manifest(one_point_group(), tmp_path / "in")
+        doc = json.loads(manifest.read_text())
+        agents = doc["agents"]
+        bad_file, extra = manifest, []
+        if case == "no-agents":
+            del doc["agents"]
+        elif case == "no-pose":
+            del agents[1]["pose"]
+        elif case == "type-5":
+            agents[1]["type"] = 5
+        elif case == "agents-int":
+            doc["agents"] = [1]
+        elif case == "boxes-str":
+            doc["boxes"] = "x"
+        elif case == "top-level-array":
+            doc = [doc]
+        elif case == "dist-file-list":
+            bad_file = tmp_path / "pmf.json"
+            bad_file.write_text("[0.5, 0.5]")
+            extra = ["--source-dist", "file", "--dist-file", str(bad_file)]
+        elif case == "cloud-path-outside":
+            # a readable cloud outside the manifest directory
+            save_cloud(PointCloud.from_arrays(np.array([[5.0, 0.5, 0.0]])),
+                       tmp_path / "agent-1.pcv")
+            agents[1]["cloud_path"] = "../agent-1.pcv"
+        else:
+            # a lone ego passes augment unchanged, so its id names the saved cloud
+            doc["agents"] = [dict(agents[0], id="../escaped")]
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main([command, "--manifest", str(manifest), *extra,
+                   *(["--out", str(out)] if command == "augment" else [])])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: ")
+        assert str(bad_file) in captured.err and "Traceback" not in captured.err
+        assert not out.exists() and not (tmp_path / "escaped.pcv").exists()
+
+    @pytest.mark.parametrize("record", [[float("nan"), 0.5, 0.0, 1.0],
+                                        [10.0, 0.5, 0.0, float("inf")]],
+                             ids=["nan-coordinate", "inf-intensity"])
+    def test_non_finite_cloud_exits_one(self, record, tmp_path, capsys):
+        pcv = tmp_path / "c.pcv"
+        pcv.write_bytes(b"PCV1" + struct.pack("<I4f", 1, *record))
+        out = tmp_path / "c.pgm"
+        rc = main(["project", "--cloud", str(pcv), "--type", "A", "--out", str(out)])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {pcv}: non-finite")
         assert not out.exists()
 
     def test_gate_stats_output(self, capsys):
@@ -299,3 +367,57 @@ class TestCli:
     def test_missing_manifest_exit_two(self, tmp_path, capsys):
         rc = main(["cfc-check", "--manifest", str(tmp_path / "nope.json")])
         assert rc == 2
+
+
+# One value of each JSON type: null, boolean, string, array, object, number.
+JSON_VALUES = (None, True, "x", [0], {"k": 0}, 3)
+DELETE = "delete the key"
+
+
+def json_kind(value) -> str:
+    """The JSON type of a value; ints and floats are both numbers."""
+    return "number" if type(value) in (int, float) else type(value).__name__
+
+
+def json_paths(value, path=()):
+    """The path of every value in a JSON document, the root's () included."""
+    yield path
+    if isinstance(value, (dict, list)):
+        for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
+            yield from json_paths(child, path + (key,))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_mutated_manifest_exits_zero_one_or_two(data):
+    """Delete one key of a valid manifest, or give one of its values another
+    JSON type: augment and cfc-check still return 0, 1 or 2 and never raise."""
+    ego, other = one_point_group().agents
+    custom = AgentType("X", 16, 90.0, (-20.0, 10.0), 0.01, "Sim", "Infra")
+    group = CooperativeGroup((ego, dataclasses.replace(other, agent_type=custom)))
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = save_manifest(group, Path(tmp) / "in",
+                                 boxes=np.array([[9.0, 9.0, 0.5, 2.0, 1.0, 0.5]]))
+        doc = json.loads(manifest.read_text())
+        path = data.draw(st.sampled_from(list(json_paths(doc))))
+        parent = doc
+        for key in path[:-1]:
+            parent = parent[key]
+        old = parent[path[-1]] if path else doc
+        ops = [v for v in JSON_VALUES if json_kind(v) != json_kind(old)]
+        if path and isinstance(path[-1], str):
+            ops.append(DELETE)
+        op = data.draw(st.sampled_from(ops))
+        if not path:
+            doc = op
+        elif op == DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = op
+        manifest = manifest.with_name("mutated.json")
+        manifest.write_text(json.dumps(doc))
+        for argv in (["augment", "--manifest", manifest, "--out", Path(tmp) / "out"],
+                     ["cfc-check", "--manifest", manifest]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                assert main([str(a) for a in argv]) in (0, 1, 2)

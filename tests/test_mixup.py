@@ -3,10 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from coopaug import (AGENT_TYPES, Agent, CmagConfig, CooperativeGroup,
-                     DegenerateCenters, GroupTooSmall, PointCloud,
-                     RigidTransform, RngStream, bev_center, cut_and_combine,
-                     make_mixup_agent, nearest_pair, split_line)
+from coopaug import (AGENT_TYPES, Agent, CooperativeGroup, DegenerateCenters,
+                     GroupTooSmall, PointCloud, RigidTransform, RngStream,
+                     bev_center, cut_and_combine, make_mixup_agent, mixup,
+                     nearest_pair, split_line)
 
 EMPTY = PointCloud.from_arrays(np.zeros((0, 3)))
 
@@ -126,7 +126,7 @@ class TestMakeMixupAgent:
 
     def test_subset_bound(self):
         g = self.group()
-        mix = make_mixup_agent(g, CmagConfig(), RngStream(0, "m"))
+        mix = make_mixup_agent(g, RngStream(0, "m"))
         assert len(mix.cloud) <= len(g.agents[0].cloud) + len(g.agents[1].cloud)
         assert not mix.is_ego
         assert mix.id not in {a.id for a in g.agents}
@@ -134,28 +134,28 @@ class TestMakeMixupAgent:
     def test_too_small(self):
         g = CooperativeGroup((agent_at(0, 0, is_ego=True),))
         with pytest.raises(GroupTooSmall):
-            make_mixup_agent(g, CmagConfig(), RngStream(0, "m"))
+            make_mixup_agent(g, RngStream(0, "m"))
 
     def test_membership_oracle(self):
         g = self.group(seed=9)
-        mix = make_mixup_agent(g, CmagConfig(), RngStream(4, "m"))
+        mix = make_mixup_agent(g, RngStream(4, "m"))
         pool = {tuple(r) for a in g.agents for r in a.cloud.xyz}
         for r in mix.cloud.xyz:
             assert tuple(r) in pool
 
     def test_bitwise_determinism(self):
         g = self.group(seed=2)
-        m1 = make_mixup_agent(g, CmagConfig(seed=7), RngStream(7, "m"))
-        m2 = make_mixup_agent(g, CmagConfig(seed=7), RngStream(7, "m"))
+        m1 = make_mixup_agent(g, RngStream(7, "m"))
+        m2 = make_mixup_agent(g, RngStream(7, "m"))
         assert np.array_equal(m1.cloud.xyz, m2.cloud.xyz)
         assert m1.id == m2.id and m1.agent_type == m2.agent_type
 
-    def test_donor_metadata(self):
+    def test_donor_metadata(self, monkeypatch):
         # zero rotation keeps left points from agent 0 (side >= 0 is the +y
         # rotated half); verify metadata comes from the majority contributor
         g = self.group()
-        cfg = CmagConfig(split_rotation_range_rad=0.0)
-        mix = make_mixup_agent(g, cfg, RngStream(0, "m"))
+        monkeypatch.setattr(mixup, "SPLIT_ROTATION_RAD", 0.0)
+        mix = make_mixup_agent(g, RngStream(0, "m"))
         donor_ids = {tuple(p) for p in g.agents[0].cloud.xyz}
         from_a0 = sum(tuple(p) in donor_ids for p in mix.cloud.xyz)
         expect_a0 = from_a0 >= len(mix.cloud) - from_a0

@@ -77,8 +77,9 @@ class TestValidateGroup:
         assert validate_group(g) is None
 
     def test_zero_ego(self):
-        with pytest.raises(ValueError, match="ego count = 0"):
-            CooperativeGroup((make_agent("a"), make_agent("b")))
+        for agents in ((make_agent("a"), make_agent("b")), ()):  # () is the empty group
+            with pytest.raises(ValueError, match="ego count = 0"):
+                CooperativeGroup(agents)
 
     def test_nan_point(self):
         bad = PointCloud.from_arrays([[np.nan, 0, 0]])

@@ -2,12 +2,11 @@ import numpy as np
 import pytest
 
 from coopaug import (AGENT_TYPES, Agent, CmagConfig, CooperativeGroup,
-                     GateChoice, MismatchedGrids, PointCloud, RigidTransform,
+                     GateChoice, PointCloud, RigidTransform,
                      RngStream, TABLE_DISTRIBUTIONS, cfc_l1, cmag,
                      comprehensive_from_tables, early_fuse, fuse_grids,
                      nearest_pair, occupancy, pipeline, validate_group)
 
-EXTENT = (-20.0, 20.0, -20.0, 20.0)
 EMPTY = PointCloud.from_arrays(np.zeros((0, 3)))
 
 
@@ -44,65 +43,59 @@ class TestEarlyFuse:
 
 class TestOccupancy:
     def test_empty_cloud(self):
-        grid = occupancy(EMPTY, EXTENT, 0.5)
-        assert grid.cells.sum() == 0
+        grid = occupancy(EMPTY)
+        assert grid.shape == (352, 200) and grid.dtype == np.uint8
+        assert grid.sum() == 0
 
     def test_single_center_point(self):
-        grid = occupancy(PointCloud.from_arrays([[0.1, 0.1, 5.0]]), EXTENT, 0.5)
-        assert grid.cells.sum() == 1
+        grid = occupancy(PointCloud.from_arrays([[0.1, 0.1, 5.0]]))
+        assert grid.sum() == 1
 
     def test_idempotent_per_cell(self):
-        one = occupancy(PointCloud.from_arrays([[0.1, 0.1, 0.0]]), EXTENT, 0.5)
-        two = occupancy(PointCloud.from_arrays([[0.1, 0.1, 0.0], [0.2, 0.2, 9.0]]),
-                        EXTENT, 0.5)
-        assert np.array_equal(one.cells, two.cells)
+        one = occupancy(PointCloud.from_arrays([[0.1, 0.1, 0.0]]))
+        two = occupancy(PointCloud.from_arrays([[0.1, 0.1, 0.0], [0.2, 0.2, 9.0]]))
+        assert np.array_equal(one, two)
 
     def test_outside_extent_ignored(self):
-        grid = occupancy(PointCloud.from_arrays([[500.0, 0.0, 0.0]]), EXTENT, 0.5)
-        assert grid.cells.sum() == 0
+        grid = occupancy(PointCloud.from_arrays([[500.0, 0.0, 0.0]]))
+        assert grid.sum() == 0
 
     def test_half_open_cells(self):
-        grid = occupancy(PointCloud.from_arrays([[0.0, 0.0, 0.0]]), (0.0, 1.0, 0.0, 1.0), 0.5)
-        assert grid.cells[0, 0] == 1 and grid.cells.sum() == 1
+        x_min, x_max, y_min, y_max = pipeline.GRID_EXTENT
+        grid = occupancy(PointCloud.from_arrays([[x_min, y_min, 0.0], [x_max, y_max, 0.0]]))
+        assert grid[0, 0] == 1 and grid.sum() == 1
 
 
 class TestFuseGrids:
     def test_zero_is_identity(self):
-        g = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]), EXTENT, 0.5)
-        z = occupancy(EMPTY, EXTENT, 0.5)
-        assert np.array_equal(fuse_grids([g, z]).cells, g.cells)
+        g = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]))
+        z = occupancy(EMPTY)
+        assert np.array_equal(fuse_grids([g, z]), g)
 
     def test_idempotence(self):
-        g = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]), EXTENT, 0.5)
-        assert np.array_equal(fuse_grids([g, g]).cells, g.cells)
+        g = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]))
+        assert np.array_equal(fuse_grids([g, g]), g)
 
     def test_disjoint_union(self):
-        a = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]), EXTENT, 0.5)
-        b = occupancy(PointCloud.from_arrays([[-3.0, 2.0, 0.0]]), EXTENT, 0.5)
-        assert fuse_grids([a, b]).cells.sum() == 2
-
-    def test_mismatch(self):
-        a = occupancy(EMPTY, EXTENT, 0.5)
-        b = occupancy(EMPTY, EXTENT, 0.25)
-        with pytest.raises(MismatchedGrids):
-            fuse_grids([a, b])
+        a = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]))
+        b = occupancy(PointCloud.from_arrays([[-3.0, 2.0, 0.0]]))
+        assert fuse_grids([a, b]).sum() == 2
 
 
 class TestCfcL1:
     def test_identical_grids(self):
-        g = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]), EXTENT, 0.5)
+        g = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]))
         assert cfc_l1(g, g) == 0.0
 
     def test_counting(self):
-        a = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0], [2.0, 2.0, 0], [3.0, 3.0, 0]]),
-                      EXTENT, 0.5)
-        b = occupancy(EMPTY, EXTENT, 0.5)
+        a = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0], [2.0, 2.0, 0], [3.0, 3.0, 0]]))
+        b = occupancy(EMPTY)
         assert cfc_l1(a, b) == 3.0
 
     def test_union_max_equivalence(self):
         g = group(3)
-        per_agent = fuse_grids([occupancy(a.cloud, EXTENT, 0.5) for a in g.agents])
-        early = occupancy(early_fuse(g), EXTENT, 0.5)
+        per_agent = fuse_grids([occupancy(a.cloud) for a in g.agents])
+        early = occupancy(early_fuse(g))
         assert cfc_l1(per_agent, early) == 0.0
 
 
@@ -121,9 +114,8 @@ def force_gate(monkeypatch, decision):
 class TestCmag:
     PHI_S = TABLE_DISTRIBUTIONS["opv2v"]
 
-    def run(self, g, seed=0, **cfg_kwargs):
-        cfg = CmagConfig(seed=seed, **cfg_kwargs)
-        return cmag(g, self.PHI_S, comprehensive_from_tables(), cfg,
+    def run(self, g, seed=0):
+        return cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(),
                     RngStream(seed, "aug"))
 
     def test_single_agent_passthrough(self):
@@ -133,7 +125,7 @@ class TestCmag:
     def test_forced_keep_preserves_count(self, monkeypatch):
         g = group(3)
         force_gate(monkeypatch, GateChoice.KEEP)
-        out = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(seed=1),
+        out = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(),
                    RngStream(1, "aug"))
         assert out.n == 3
 
@@ -160,13 +152,13 @@ class TestCmag:
                               agent("b", x=30.0, seed=2)))
         assert nearest_pair(g) == (0, 1)
         force_gate(monkeypatch, GateChoice.KEEP)
-        keep = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(seed=2),
+        keep = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(),
                     RngStream(2, "aug"))
         assert validate_group(keep) is None
         assert [a.id for a in keep.agents] == ["mixup-0", "e", "b"]
         assert keep.agents[1] is g.agents[1] and keep.agents[2] is g.agents[2]
         force_gate(monkeypatch, GateChoice.MINUS)
-        minus = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(seed=2),
+        minus = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(),
                      RngStream(2, "aug"))
         assert validate_group(minus) is None
         assert [a.id for a in minus.agents] == ["b", "mixup-0"]
@@ -178,7 +170,7 @@ class TestCmag:
     def test_minus_at_two_keeps_one_ego(self, monkeypatch):
         g = group(2)
         force_gate(monkeypatch, GateChoice.MINUS)
-        out = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(seed=3),
+        out = cmag(g, self.PHI_S, comprehensive_from_tables(), CmagConfig(),
                    RngStream(3, "aug"))
         assert out.n == 1
         assert out.agents[0].is_ego

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coopaug import (AGENT_TYPES, BadTarget, CmagConfig, PointCloud, RngStream,
-                     density_augment, project, resample_beams, unproject)
+from coopaug import (AGENT_TYPES, BadTarget, PointCloud, RngStream, density_augment,
+                     project, rangeview, resample_beams, unproject)
 
 FOV = (-25.0, 5.0)
 
@@ -163,27 +163,26 @@ class TestDensityAugment:
                         r * np.sin(pp)], axis=-1).reshape(-1, 3)
         return cloud_of(xyz)
 
-    def test_target_beam_count(self):
-        cfg = CmagConfig(pa_density_targets=(32,))
-        out = density_augment(self.dense_cloud(), AGENT_TYPES["A"], cfg, RngStream(0, "d"))
+    def test_target_beam_count(self, monkeypatch):
+        monkeypatch.setattr(rangeview, "DENSITY_TARGETS", (32,))
+        out = density_augment(self.dense_cloud(), AGENT_TYPES["A"], RngStream(0, "d"))
         phi = np.arctan2(out.xyz[:, 2], np.hypot(out.xyz[:, 0], out.xyz[:, 1]))
         assert len(np.unique(phi.round(9))) == 32
 
     def test_empty_cloud(self):
-        out = density_augment(cloud_of(np.zeros((0, 3))), AGENT_TYPES["A"], CmagConfig(),
-                              RngStream(0, "d"))
+        out = density_augment(cloud_of(np.zeros((0, 3))), AGENT_TYPES["A"], RngStream(0, "d"))
         assert len(out) == 0
 
-    def test_identity_target_is_round_trip(self):
-        cfg = CmagConfig(pa_density_targets=(64,))
+    def test_identity_target_is_round_trip(self, monkeypatch):
+        monkeypatch.setattr(rangeview, "DENSITY_TARGETS", (64,))
         cloud = self.dense_cloud()
-        out = density_augment(cloud, AGENT_TYPES["A"], cfg, RngStream(0, "d"))
-        img = project(cloud, AGENT_TYPES["A"].fov_deg, 64, cfg.pa_azimuth_bins)
+        out = density_augment(cloud, AGENT_TYPES["A"], RngStream(0, "d"))
+        img = project(cloud, AGENT_TYPES["A"].fov_deg, 64, rangeview.AZIMUTH_BINS)
         expected = unproject(img)
         assert np.array_equal(out.xyz, expected.xyz)
 
-    def test_output_inside_fov(self):
-        cfg = CmagConfig(pa_density_targets=(16, 128))
-        out = density_augment(self.dense_cloud(), AGENT_TYPES["A"], cfg, RngStream(3, "d"))
+    def test_output_inside_fov(self, monkeypatch):
+        monkeypatch.setattr(rangeview, "DENSITY_TARGETS", (16, 128))
+        out = density_augment(self.dense_cloud(), AGENT_TYPES["A"], RngStream(3, "d"))
         phi = np.degrees(np.arctan2(out.xyz[:, 2], np.hypot(out.xyz[:, 0], out.xyz[:, 1])))
         assert phi.min() >= FOV[0] - 1e-9 and phi.max() <= FOV[1] + 1e-9

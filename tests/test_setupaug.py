@@ -1,29 +1,29 @@
 import numpy as np
 import pytest
 
-from coopaug import (CmagConfig, PointCloud, RngStream, SetupAugParams,
-                     apply_setup_aug, sample_setup_params)
+from coopaug import (PointCloud, RngStream, SetupAugParams, apply_setup_aug,
+                     sample_setup_params, setupaug)
 
 
 class TestSampleSetupParams:
-    def test_degenerate_ranges_give_identity(self):
-        cfg = CmagConfig(pa_rotation_range_rad=0.0, pa_scale_range=(1.0, 1.0),
-                         pa_translation_bound_m=0.0)
-        p = sample_setup_params(cfg, RngStream(0, "s"))
+    def test_degenerate_ranges_give_identity(self, monkeypatch):
+        monkeypatch.setattr(setupaug, "ROTATION_RANGE_RAD", 0.0)
+        monkeypatch.setattr(setupaug, "SCALE_RANGE", (1.0, 1.0))
+        monkeypatch.setattr(setupaug, "TRANSLATION_BOUND_M", 0.0)
+        p = sample_setup_params(RngStream(0, "s"))
         assert p.rotation_rad == 0.0 and p.scale == 1.0
         assert np.array_equal(p.translation_m, np.zeros(3))
 
     def test_default_ranges(self):
-        cfg = CmagConfig()
         for i in range(50):
-            p = sample_setup_params(cfg, RngStream(i, "s"))
+            p = sample_setup_params(RngStream(i, "s"))
             assert abs(p.rotation_rad) <= 0.0175
             assert 0.98 <= p.scale <= 1.02
             assert np.abs(p.translation_m).max() <= 0.05
 
     def test_fixed_seed_repeats(self):
-        a = sample_setup_params(CmagConfig(), RngStream(5, "s"))
-        b = sample_setup_params(CmagConfig(), RngStream(5, "s"))
+        a = sample_setup_params(RngStream(5, "s"))
+        b = sample_setup_params(RngStream(5, "s"))
         assert a.rotation_rad == b.rotation_rad and a.scale == b.scale
         assert np.array_equal(a.translation_m, b.translation_m)
 

@@ -15,7 +15,10 @@ The matrix: `simulate` on four scenes (one with type E and 32 boxes);
 scene; `cfc-check --no-aug`; `project` of every agent cloud at widths 512 and
 2048; `gate-stats` for the four sources at epsilon 1e-6 and 1e-3; and the
 error paths, among them `augment` and `cfc-check` on manifests whose group is
-invalid (two egos, a repeated id, a NaN translation with 2 and with 3 agents).
+invalid (two egos, a repeated id, a NaN translation with 2 and with 3 agents),
+on malformed manifests, on manifests whose cloud path or ego id leaves its
+directory, and on a pmf file that is a list; and `project` on clouds holding
+a NaN coordinate or an infinite intensity.
 """
 
 import contextlib
@@ -31,8 +34,14 @@ SOURCES = ("opv2v", "v2xset", "v2v4real", "dairv2x")
 SEEDS = (0, 1, 7)
 WIDTHS = (512, 2048)
 EPSILONS = ("1e-6", "1e-3")
-# Manifests whose group breaks one invariant on its second agent: (name, agents).
-BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-3", 3))
+# Manifests with one edit, most of them to the second agent: (name, agents).
+BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-3", 3),
+                 ("no-agents", 2), ("no-pose", 2), ("type-5", 2), ("agents-int", 2),
+                 ("boxes-str", 2), ("top-level-array", 2), ("cloud-outside", 2),
+                 ("escaped-id", 1))
+# Clouds of one non-finite record: (name, x, y, z, intensity).
+BAD_CLOUDS = (("nan-coordinate", float("nan"), 0.5, 0.0, 1.0),
+              ("inf-intensity", 10.0, 0.5, 0.0, float("inf")))
 
 
 def matrix(out: Path):
@@ -108,12 +117,19 @@ def matrix(out: Path):
         cmds.append((f"err-{name}-aug", ["augment", "--manifest", bad_manifest,
                                          "--out", out / f"err-{name}-aug"]))
         cmds.append((f"err-{name}-cfc", ["cfc-check", "--manifest", bad_manifest]))
+    cmds.append(("err-dist-file-list", ["augment", "--manifest", manifest,
+                                        "--source-dist", "file", "--dist-file",
+                                        bad / "list-pmf.json",
+                                        "--out", out / "err-dist-file-list"]))
+    for name, *_ in BAD_CLOUDS:
+        cmds.append((f"err-{name}", ["project", "--cloud", bad / f"{name}.pcv", "--type", "A",
+                                     "--out", out / f"err-{name}" / "range.pgm"]))
     return cmds
 
 
 def write_bad_manifest(root: Path, name: str, n_agents: int) -> None:
     """A manifest of type A agents 4 m apart, each with a one-point cloud,
-    then the edit `name` applied to the second agent."""
+    then the edit `name` applied."""
     root.mkdir()
     agents = []
     for k in range(n_agents):
@@ -126,9 +142,25 @@ def write_bad_manifest(root: Path, name: str, n_agents: int) -> None:
         agents[1]["is_ego"] = True
     elif name == "dup-ids":
         agents[1]["id"] = agents[0]["id"]
-    else:
+    elif name.startswith("nan-pose"):
         agents[1]["pose"]["translation"][0] = float("nan")
+    elif name == "no-pose":
+        del agents[1]["pose"]
+    elif name == "type-5":
+        agents[1]["type"] = 5
+    elif name == "cloud-outside":
+        agents[1]["cloud_path"] = "../outside/x.pcv"
+    elif name == "escaped-id":
+        agents[0]["id"] = "../escaped"
     doc = {"version": "1", "ground_z": 0.0, "boxes": [], "agents": agents}
+    if name == "no-agents":
+        del doc["agents"]
+    elif name == "agents-int":
+        doc["agents"] = [1]
+    elif name == "boxes-str":
+        doc["boxes"] = "x"
+    elif name == "top-level-array":
+        doc = [doc]
     (root / "manifest.json").write_text(json.dumps(doc))
 
 
@@ -173,6 +205,11 @@ def main(argv) -> int:
     (bad / "truncated.pcv").write_bytes(b"PCV1\x02\x00\x00\x00" + b"\x00" * 16)
     for name, n_agents in BAD_MANIFESTS:
         write_bad_manifest(bad / name, name, n_agents)
+    (bad / "outside").mkdir()
+    (bad / "outside" / "x.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, 5.0, 0.5, 0.0, 1.0))
+    (bad / "list-pmf.json").write_text("[0.5, 0.5]")
+    for name, *record in BAD_CLOUDS:
+        (bad / f"{name}.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, *record))
     total = hashlib.sha256()
     for label, cmd in matrix(out):
         code, digest = run(cli, label, cmd, out)
