@@ -1,16 +1,14 @@
 """Command-line interface: simulate, augment, gate-stats, project, cfc-check."""
 
 import argparse
-import json
 import sys
-from pathlib import Path
 
 import numpy as np
 
 from .errors import CoopaugError, IoFailure
-from .gate import (EPSILON, TABLE_DISTRIBUTIONS, comprehensive_from_tables,
-                   gate_responses, sample_gate_step)
-from .io import load_cloud, load_manifest, save_manifest, save_range_image_pgm
+from .gate import (TABLE_DISTRIBUTIONS, comprehensive_from_tables, gate_responses,
+                   sample_gate_step)
+from .io import _read_json, load_cloud, load_manifest, save_manifest, save_range_image_pgm
 from .model import AGENT_TYPES, CmagConfig, CountDistribution, RngStream
 from .pipeline import cmag, early_fuse, fuse_grids, occupancy, cfc_l1
 from .rangeview import AZIMUTH_BINS, project as project_cloud
@@ -32,10 +30,7 @@ def _load_source_dist(name: str, dist_file: str | None) -> CountDistribution:
     if name == "file":
         if not dist_file:
             raise _UsageError("--source-dist file requires --dist-file")
-        try:
-            doc = json.loads(Path(dist_file).read_text())
-        except OSError as exc:
-            raise IoFailure(str(exc)) from exc
+        doc = _read_json(dist_file)
         if not (isinstance(doc, dict)
                 and all(k.isdecimal() and type(v) in (int, float) for k, v in doc.items())):
             raise ValueError(f"{dist_file}: not an object of count: probability")
@@ -58,7 +53,7 @@ def _cmd_simulate(args) -> int:
     except KeyError as exc:
         raise _UsageError(f"unknown agent type {exc}") from exc
     rng = RngStream(args.seed, "simulate")
-    scene = make_scene(args.boxes, args.agents, types, rng.derive("scene"))
+    scene = make_scene(args.boxes, types, rng.derive("scene"))
     group = make_group(scene, ego_index=0, rng=rng.derive("lidar"))
     manifest = save_manifest(group, args.out, ground_z=scene.ground_z, boxes=scene.boxes)
     print(f"wrote {manifest} ({group.n} agents, {args.boxes} boxes)")
@@ -80,12 +75,12 @@ def _cmd_gate_stats(args) -> int:
     counts = sorted(set(phi_s.pmf) | set(phi_c.pmf))
     print("count  phi_s     phi_c     r_plus       r_minus      L_plus   L_keep   L_minus")
     for n in counts:
-        resp = gate_responses(phi_s, phi_c, n, args.epsilon)
+        resp = gate_responses(phi_s, phi_c, n)
         lp, lk, lm = resp.likelihoods
         print(f"{n:5d}  {phi_s.prob(n):.6f}  {phi_c.prob(n):.6f}  "
               f"{resp.r_plus:<11.5g}  {resp.r_minus:<11.5g}  "
               f"{lp:.4f}   {lk:.4f}   {lm:.4f}")
-    emp_pre, emp_post = sample_gate_step(phi_s, phi_c, args.epsilon, args.iterations,
+    emp_pre, emp_post = sample_gate_step(phi_s, phi_c, args.iterations,
                                          RngStream(args.seed, "gate-stats"))
     print(f"TV(pre, phi_c)  = {emp_pre.tv_distance(phi_c):.6f}")
     print(f"TV(post, phi_c) = {emp_post.tv_distance(phi_c):.6f}")
@@ -134,15 +129,12 @@ def _build_parser() -> _Parser:
     p = sub.add_parser("augment", parents=[source],
                        help="run the augmentation pipeline on a manifest")
     p.add_argument("--manifest", required=True)
-    p.add_argument("--jobs", type=int, default=1,
-                   help="reserved: must be >= 1; augment runs in one process")
     p.add_argument("--out", required=True)
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("gate-stats", parents=[source],
                        help="print gate responses and Monte-Carlo drift")
     p.add_argument("--iterations", type=int, default=100000)
-    p.add_argument("--epsilon", type=float, default=EPSILON)
     p.set_defaults(func=_cmd_gate_stats)
 
     p = sub.add_parser("project", help="write a range-image PGM for a cloud")
@@ -164,20 +156,15 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag, least in (("jobs", 1), ("iterations", 1), ("width", 1), ("boxes", 0)):
+        for flag, least in (("iterations", 1), ("width", 1), ("boxes", 0)):
             value = getattr(args, flag, least)
             if value < least:
                 raise _UsageError(f"--{flag} must be at least {least}, got {value}")
-        if not getattr(args, "epsilon", 1.0) > 0:
-            raise _UsageError(f"--epsilon must be positive, got {args.epsilon}")
         return args.func(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except IoFailure as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (CoopaugError, ValueError) as exc:
+    except (_UsageError, CoopaugError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

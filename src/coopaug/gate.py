@@ -68,7 +68,7 @@ def comprehensive_from_tables() -> CountDistribution:
 
 
 def gate_responses(phi_s: CountDistribution, phi_c: CountDistribution,
-                   n_s: int, epsilon: float) -> GateResponses:
+                   n_s: int) -> GateResponses:
     """Responses for moving the group size toward the comprehensive distribution.
 
     A neighbor count k that the source under-represents relative to the
@@ -78,8 +78,8 @@ def gate_responses(phi_s: CountDistribution, phi_c: CountDistribution,
     (phi_s(k) = 0) it is min(1, phi_c(k) / phi_s(n_s)): the share of the
     current count's source mass that would fill k, capped at the keep
     response, so a single step cannot overshoot into an empty count.
-    Epsilon (> 0) only guards division by zero, for source probabilities below
-    it (an unseen current count n_s included); it is not a response scale.
+    EPSILON only guards division by zero, for source probabilities below it
+    (an unseen current count n_s included); it is not a response scale.
     Probabilities at count 0 are 0 by definition.
     """
     if n_s < 1:
@@ -90,26 +90,29 @@ def gate_responses(phi_s: CountDistribution, phi_c: CountDistribution,
             return 0.0
         p_s = phi_s.prob(count)
         if p_s == 0.0:
-            return min(R_KEEP, phi_c.prob(count) / max(phi_s.prob(n_s), epsilon))
-        return max(0.0, (phi_c.prob(count) - p_s) / max(p_s, epsilon))
+            return min(R_KEEP, phi_c.prob(count) / max(phi_s.prob(n_s), EPSILON))
+        return max(0.0, (phi_c.prob(count) - p_s) / max(p_s, EPSILON))
 
     return GateResponses(r_plus=resp(n_s + 1), r_minus=resp(n_s - 1))
 
 
+def _steps(likelihoods: tuple[float, float, float], u):
+    """The categorical rule over (plus, keep, minus): the group-size step, +1,
+    0 or -1, for uniform draws u in [0, 1)."""
+    lp, lk, _ = likelihoods
+    return np.where(u < lp, 1, np.where(u < lp + lk, 0, -1))
+
+
+_CHOICES = {1: GateChoice.PLUS, 0: GateChoice.KEEP, -1: GateChoice.MINUS}
+
+
 def sample_gate(responses: GateResponses, rng: RngStream) -> GateChoice:
     """Categorical draw over (plus, keep, minus) with the normalized likelihoods."""
-    lp, lk, _ = responses.likelihoods
-    u = float(rng.uniform())
-    if u < lp:
-        return GateChoice.PLUS
-    if u < lp + lk:
-        return GateChoice.KEEP
-    return GateChoice.MINUS
+    return _CHOICES[int(_steps(responses.likelihoods, rng.uniform()))]
 
 
-def sample_gate_step(phi_s: CountDistribution, phi_c: CountDistribution, epsilon: float,
-                     iterations: int, rng: RngStream) -> tuple[CountDistribution,
-                                                                CountDistribution]:
+def sample_gate_step(phi_s: CountDistribution, phi_c: CountDistribution, iterations: int,
+                     rng: RngStream) -> tuple[CountDistribution, CountDistribution]:
     """Monte-Carlo of one gate step over group sizes drawn from phi_s.
 
     Draws `iterations` sizes from phi_s, then moves each by one decision drawn
@@ -120,10 +123,9 @@ def sample_gate_step(phi_s: CountDistribution, phi_c: CountDistribution, epsilon
     pre = support[np.searchsorted(cdf, rng.uniform(size=iterations), side="right")]
     post = pre.copy()
     for n in np.unique(pre):
-        lp, lk, _ = gate_responses(phi_s, phi_c, int(n), epsilon).likelihoods
         sel = pre == n
-        u = rng.uniform(size=int(sel.sum()))
-        post[sel] = n + np.where(u < lp, 1, np.where(u < lp + lk, 0, -1))
+        post[sel] = n + _steps(gate_responses(phi_s, phi_c, int(n)).likelihoods,
+                               rng.uniform(size=int(sel.sum())))
     return estimate_source_distribution(pre), estimate_source_distribution(post)
 
 

@@ -2,6 +2,7 @@
 
 import json
 import struct
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -128,10 +129,21 @@ def save_manifest(group: CooperativeGroup, out_dir, ground_z: float = 0.0,
     return manifest_path
 
 
+def _read_json(path):
+    """The JSON document in the file at `path`; ValueError naming it if not UTF-8 JSON."""
+    try:
+        return json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise IoFailure(str(exc)) from exc
+    except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
+        raise ValueError(f"{path}: {exc}") from exc
+
+
 def _numbers(values, n: int) -> bool:
-    """Whether `values` is a JSON list of n numbers."""
+    """Whether `values` is a JSON list of n finite numbers. JSON reads NaN,
+    Infinity and 1e400 as floats, and an integer can be too large for one."""
     return isinstance(values, list) and len(values) == n and all(
-        type(v) in (int, float) for v in values)
+        type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)
 
 
 def _shape_error(doc) -> str | None:
@@ -153,6 +165,7 @@ def _shape_error(doc) -> str | None:
                 and _numbers(pose.get("translation"), 3)
                 and (isinstance(kind, str) or isinstance(kind, dict)
                      and _numbers([kind.get(f) for f in ("beams", "range_m", "range_error_m")], 3)
+                     and float(kind["beams"]).is_integer()
                      and _numbers(kind.get("fov_deg"), 2)
                      and all(isinstance(kind.get(f, ""), str)
                              for f in ("name", "realism", "agent_class")))):
@@ -166,10 +179,7 @@ def _shape_error(doc) -> str | None:
 def load_manifest(path) -> tuple[CooperativeGroup, dict]:
     """Load a manifest and its referenced clouds; returns (group, scene metadata)."""
     path = Path(path)
-    try:
-        doc = json.loads(path.read_text())
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    doc = _read_json(path)
     problem = _shape_error(doc)
     if problem is not None:
         raise ValueError(f"{path}: {problem}")

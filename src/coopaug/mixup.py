@@ -83,14 +83,12 @@ def _fresh_id(group: CooperativeGroup) -> str:
 
 
 def make_mixup_agent(group: CooperativeGroup, rng: RngStream,
-                     pair: tuple[int, int] | None = None) -> Agent:
-    """Build the mixup agent from the nearest pair's half-plane combination.
+                     pair: tuple[int, int]) -> Agent:
+    """Build the mixup agent from the half-plane combination of the pair's members.
 
     Pose and sensor type are inherited from the pair member that contributed
     more points to the cut (ties go to the first member).
     """
-    if pair is None:
-        pair = nearest_pair(group)
     a1, a2 = group.agents[pair[0]], group.agents[pair[1]]
     rot = float(rng.uniform(-SPLIT_ROTATION_RAD, SPLIT_ROTATION_RAD))
     line = split_line(bev_center(a1), bev_center(a2), rot)

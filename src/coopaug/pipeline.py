@@ -5,7 +5,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .gate import EPSILON, apply_gate, gate_responses, sample_gate
+from .gate import apply_gate, gate_responses, sample_gate
 from .mixup import make_mixup_agent, nearest_pair
 from .model import (EGO_FRAME, CmagConfig, CooperativeGroup, CountDistribution,
                     PointCloud, RngStream)
@@ -62,5 +62,5 @@ def cmag(group: CooperativeGroup, phi_s: CountDistribution, phi_c: CountDistribu
     cloud = density_augment(mixup.cloud, mixup.agent_type, rng)
     cloud = apply_setup_aug(cloud, sample_setup_params(rng))
     mixup = replace(mixup, cloud=cloud)
-    responses = gate_responses(phi_s, phi_c, group.n, EPSILON)
+    responses = gate_responses(phi_s, phi_c, group.n)
     return apply_gate(group, mixup, pair, sample_gate(responses, rng))

@@ -24,14 +24,14 @@ class Scene:
     agent_placements: tuple[tuple[RigidTransform, AgentType], ...]
 
 
-def make_scene(n_boxes: int, n_agents: int, types, rng: RngStream) -> Scene:
-    """Random scene with car-sized boxes and well-separated agent placements."""
+def make_scene(n_boxes: int, types, rng: RngStream) -> Scene:
+    """Random scene with car-sized boxes and a well-separated placement per agent type."""
     types = list(types)
-    if n_agents < 1 or len(types) != n_agents:
+    if not types:
         raise ValueError("need one agent type per agent")
     positions: list[np.ndarray] = []
     placements = []
-    for i in range(n_agents):
+    for agent_type in types:
         for _ in range(_MAX_ATTEMPTS):
             xy = rng.uniform(-REGION_HALF_M, REGION_HALF_M, 2)
             if all(np.hypot(*(xy - p)) >= MIN_AGENT_SEPARATION_M for p in positions):
@@ -41,7 +41,7 @@ def make_scene(n_boxes: int, n_agents: int, types, rng: RngStream) -> Scene:
         positions.append(xy)
         yaw = float(rng.uniform(-math.pi, math.pi))
         pose = RigidTransform.from_ypr(yaw, translation=(xy[0], xy[1], SENSOR_HEIGHT_M))
-        placements.append((pose, types[i]))
+        placements.append((pose, agent_type))
 
     boxes = np.zeros((n_boxes, 6))
     for b in range(n_boxes):

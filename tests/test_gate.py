@@ -5,7 +5,7 @@ from coopaug import (AGENT_TYPES, Agent, CooperativeGroup, CountDistribution,
                      EmptyInput, GateChoice, InvalidPair, PointCloud,
                      RigidTransform, RngStream, TABLE_DISTRIBUTIONS, apply_gate,
                      comprehensive_distribution, comprehensive_from_tables,
-                     estimate_source_distribution, gate_responses, sample_gate,
+                     estimate_source_distribution, gate, gate_responses, sample_gate,
                      sample_gate_step, validate_group)
 
 
@@ -13,6 +13,15 @@ def agent(aid, is_ego=False, x=0.0):
     return Agent(id=aid, pose=RigidTransform.from_ypr(0.0, translation=(x, 0, 0)),
                  cloud=PointCloud.from_arrays([[x, 0.0, 0.0]]),
                  agent_type=AGENT_TYPES["A"], is_ego=is_ego)
+
+
+def responses_at(monkeypatch, epsilons, phi_s, phi_c, n_s):
+    """gate_responses(phi_s, phi_c, n_s) with gate.EPSILON set to each value."""
+    responses = []
+    for epsilon in epsilons:
+        monkeypatch.setattr(gate, "EPSILON", epsilon)
+        responses.append(gate_responses(phi_s, phi_c, n_s))
+    return responses
 
 
 class TestEstimateSourceDistribution:
@@ -56,28 +65,27 @@ class TestComprehensiveDistribution:
 
 class TestGateResponses:
     def test_opv2v_n2_hand_values(self):
-        resp = gate_responses(TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(),
-                              2, 1e-6)
+        resp = gate_responses(TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(), 2)
         assert resp.r_plus == 0.0
         assert resp.r_minus == pytest.approx((0.09905 - 0.0787) / 0.0787, abs=1e-9)
         lp, lk, lm = resp.likelihoods
         assert (lp, lk, lm) == pytest.approx((0.0, 0.7945, 0.2055), abs=1e-3)
 
-    def test_v2v4real_epsilon_path(self):
+    def test_v2v4real_epsilon_path(self, monkeypatch):
         # N=3 is outside v2v4real's support: the response is the share of
         # phi_s(2) that would fill phi_c(3), not a multiple of 1 / epsilon.
         phi_s, phi_c = TABLE_DISTRIBUTIONS["v2v4real"], comprehensive_from_tables()
-        resp = gate_responses(phi_s, phi_c, 2, 1e-6)
+        resp, resp_1e3 = responses_at(monkeypatch, (1e-6, 1e-3), phi_s, phi_c, 2)
         assert resp.r_plus == pytest.approx(0.1493 / 0.9020, rel=1e-9)
         assert 0.0 < resp.likelihoods[0] < 1.0
-        assert resp == gate_responses(phi_s, phi_c, 2, 1e-3)
+        assert resp == resp_1e3
 
-    def test_unseen_counts_bounded_and_epsilon_free(self):
+    def test_unseen_counts_bounded_and_epsilon_free(self, monkeypatch):
         phi_c = comprehensive_from_tables()
         for name in ("v2v4real", "dairv2x"):
             phi_s = TABLE_DISTRIBUTIONS[name]
             for n in range(1, 7):
-                a, b, c = (gate_responses(phi_s, phi_c, n, e) for e in (1e-9, 1e-6, 1e-3))
+                a, b, c = responses_at(monkeypatch, (1e-9, 1e-6, 1e-3), phi_s, phi_c, n)
                 assert a == b == c, (name, n)
                 for k, r in ((n + 1, b.r_plus), (n - 1, b.r_minus)):
                     if k >= 1 and phi_s.prob(k) == 0.0:
@@ -86,26 +94,24 @@ class TestGateResponses:
     def test_matched_source_never_perturbed(self):
         d = TABLE_DISTRIBUTIONS["opv2v"]
         for n in (1, 2, 3, 4, 5):
-            resp = gate_responses(d, d, n, 1e-6)
+            resp = gate_responses(d, d, n)
             assert resp.r_plus == 0.0 and resp.r_minus == 0.0
             assert resp.likelihoods == (0.0, 1.0, 0.0)
 
     def test_count_zero_is_zero(self):
-        resp = gate_responses(TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(),
-                              1, 1e-6)
+        resp = gate_responses(TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(), 1)
         assert resp.r_minus == 0.0
 
-    def test_epsilon_scale_only_matters_below_support(self):
+    def test_epsilon_scale_only_matters_below_support(self, monkeypatch):
         phi_s, phi_c = TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables()
         for n in (1, 2, 3, 4):
-            a = gate_responses(phi_s, phi_c, n, 1e-6)
-            b = gate_responses(phi_s, phi_c, n, 1e-5)
+            a, b = responses_at(monkeypatch, (1e-6, 1e-5), phi_s, phi_c, n)
             assert (a.r_plus, a.r_minus) == (b.r_plus, b.r_minus)
 
     def test_likelihoods_sum_and_keep_positive(self):
         phi_s, phi_c = TABLE_DISTRIBUTIONS["v2v4real"], comprehensive_from_tables()
         for n in (1, 2, 3):
-            like = gate_responses(phi_s, phi_c, n, 1e-6).likelihoods
+            like = gate_responses(phi_s, phi_c, n).likelihoods
             assert sum(like) == pytest.approx(1.0, abs=1e-12)
             assert like[1] > 0.0
 
@@ -124,8 +130,7 @@ class TestSampleGate:
         assert all(sample_gate(resp, rng) is GateChoice.KEEP for _ in range(100))
 
     def test_monte_carlo_minus_frequency(self):
-        resp = gate_responses(TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(),
-                              2, 1e-6)
+        resp = gate_responses(TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(), 2)
         lm = resp.likelihoods[2]
         rng = RngStream(123, "mc")
         n = 1_000_000
@@ -140,23 +145,22 @@ class TestSampleGateStep:
     PHI_C = comprehensive_from_tables()
 
     def test_matched_source_never_moves(self):
-        pre, post = sample_gate_step(self.PHI_C, self.PHI_C, 1e-6, 20_000,
-                                     RngStream(0, "step"))
+        pre, post = sample_gate_step(self.PHI_C, self.PHI_C, 20_000, RngStream(0, "step"))
         assert pre == post
         assert pre.tv_distance(self.PHI_C) < 0.02
 
     def test_single_count_follows_likelihoods(self):
         phi_s = CountDistribution({2: 1.0})
-        pre, post = sample_gate_step(phi_s, self.PHI_C, 1e-6, 50_000, RngStream(1, "step"))
-        lp, lk, lm = gate_responses(phi_s, self.PHI_C, 2, 1e-6).likelihoods
+        pre, post = sample_gate_step(phi_s, self.PHI_C, 50_000, RngStream(1, "step"))
+        lp, lk, lm = gate_responses(phi_s, self.PHI_C, 2).likelihoods
         assert pre.pmf == {2: 1.0}
         assert post.support == (1, 2, 3)
         assert post.pmf == pytest.approx({1: lm, 2: lk, 3: lp}, abs=0.01)
 
     def test_seeded_repeat(self):
         phi_s = TABLE_DISTRIBUTIONS["v2xset"]
-        a = sample_gate_step(phi_s, self.PHI_C, 1e-6, 5_000, RngStream(3, "step"))
-        b = sample_gate_step(phi_s, self.PHI_C, 1e-6, 5_000, RngStream(3, "step"))
+        a = sample_gate_step(phi_s, self.PHI_C, 5_000, RngStream(3, "step"))
+        b = sample_gate_step(phi_s, self.PHI_C, 5_000, RngStream(3, "step"))
         assert a == b
 
 

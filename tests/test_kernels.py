@@ -206,7 +206,7 @@ class TestRayCastBackends:
 
     def test_simulated_scene_rays(self):
         types = [AGENT_TYPES[t] for t in "AEC"]
-        scene = make_scene(32, 3, types, RngStream(11, "kernels"))
+        scene = make_scene(32, types, RngStream(11, "kernels"))
         pick = np.random.default_rng(6)
         for pose, agent_type in scene.agent_placements:
             dirs = _ray_directions(agent_type)

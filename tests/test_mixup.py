@@ -126,7 +126,7 @@ class TestMakeMixupAgent:
 
     def test_subset_bound(self):
         g = self.group()
-        mix = make_mixup_agent(g, RngStream(0, "m"))
+        mix = make_mixup_agent(g, RngStream(0, "m"), (0, 1))
         assert len(mix.cloud) <= len(g.agents[0].cloud) + len(g.agents[1].cloud)
         assert not mix.is_ego
         assert mix.id not in {a.id for a in g.agents}
@@ -134,19 +134,19 @@ class TestMakeMixupAgent:
     def test_too_small(self):
         g = CooperativeGroup((agent_at(0, 0, is_ego=True),))
         with pytest.raises(GroupTooSmall):
-            make_mixup_agent(g, RngStream(0, "m"))
+            make_mixup_agent(g, RngStream(0, "m"), nearest_pair(g))
 
     def test_membership_oracle(self):
         g = self.group(seed=9)
-        mix = make_mixup_agent(g, RngStream(4, "m"))
+        mix = make_mixup_agent(g, RngStream(4, "m"), (0, 1))
         pool = {tuple(r) for a in g.agents for r in a.cloud.xyz}
         for r in mix.cloud.xyz:
             assert tuple(r) in pool
 
     def test_bitwise_determinism(self):
         g = self.group(seed=2)
-        m1 = make_mixup_agent(g, RngStream(7, "m"))
-        m2 = make_mixup_agent(g, RngStream(7, "m"))
+        m1 = make_mixup_agent(g, RngStream(7, "m"), (0, 1))
+        m2 = make_mixup_agent(g, RngStream(7, "m"), (0, 1))
         assert np.array_equal(m1.cloud.xyz, m2.cloud.xyz)
         assert m1.id == m2.id and m1.agent_type == m2.agent_type
 
@@ -155,7 +155,7 @@ class TestMakeMixupAgent:
         # rotated half); verify metadata comes from the majority contributor
         g = self.group()
         monkeypatch.setattr(mixup, "SPLIT_ROTATION_RAD", 0.0)
-        mix = make_mixup_agent(g, RngStream(0, "m"))
+        mix = make_mixup_agent(g, RngStream(0, "m"), (0, 1))
         donor_ids = {tuple(p) for p in g.agents[0].cloud.xyz}
         from_a0 = sum(tuple(p) in donor_ids for p in mix.cloud.xyz)
         expect_a0 = from_a0 >= len(mix.cloud) - from_a0

@@ -13,28 +13,28 @@ QUIET = AgentType("Q", 8, 120.0, (-25.0, 5.0), 0.0, "Sim", "Vehicle")
 
 class TestMakeScene:
     def test_minimal_scene(self):
-        scene = make_scene(0, 1, [QUIET], RngStream(0, "s"))
+        scene = make_scene(0, [QUIET], RngStream(0, "s"))
         assert len(scene.agent_placements) == 1
         assert scene.boxes.shape == (0, 6)
         assert scene.ground_z == 0.0
 
     def test_determinism(self):
-        a = make_scene(5, 2, [QUIET, QUIET], RngStream(3, "s"))
-        b = make_scene(5, 2, [QUIET, QUIET], RngStream(3, "s"))
+        a = make_scene(5, [QUIET, QUIET], RngStream(3, "s"))
+        b = make_scene(5, [QUIET, QUIET], RngStream(3, "s"))
         assert np.array_equal(a.boxes, b.boxes)
         for (pa, _), (pb, _) in zip(a.agent_placements, b.agent_placements):
             assert np.array_equal(pa.translation, pb.translation)
             assert np.array_equal(pa.rotation, pb.rotation)
 
     def test_agent_separation(self):
-        scene = make_scene(0, 4, [QUIET] * 4, RngStream(1, "s"))
+        scene = make_scene(0, [QUIET] * 4, RngStream(1, "s"))
         pos = [p.translation[:2] for p, _ in scene.agent_placements]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert np.hypot(*(pos[i] - pos[j])) >= 5.0
 
     def test_box_dimensions(self):
-        scene = make_scene(20, 1, [QUIET], RngStream(2, "s"))
+        scene = make_scene(20, [QUIET], RngStream(2, "s"))
         hx, hy, hz = scene.boxes[:, 3], scene.boxes[:, 4], scene.boxes[:, 5]
         assert np.all((hx >= 1.8) & (hx <= 2.6))
         assert np.all((hy >= 0.8) & (hy <= 1.1))
@@ -67,14 +67,14 @@ class TestSimulateLidar:
         assert np.all(phi < -1e-9)  # only the -25 deg beam returns
 
     def test_noise_free_determinism(self):
-        scene = make_scene(6, 1, [QUIET], RngStream(5, "s"))
+        scene = make_scene(6, [QUIET], RngStream(5, "s"))
         a = simulate_lidar(scene, 0, RngStream(0, "l"))
         b = simulate_lidar(scene, 0, RngStream(99, "l"))  # no error -> rng unused
         assert np.array_equal(a.xyz, b.xyz)
 
     def test_range_and_fov_bounds(self):
         noisy = AgentType("N", 8, 40.0, (-25.0, 5.0), 0.05, "Sim", "Vehicle")
-        scene = make_scene(10, 1, [noisy], RngStream(7, "s"))
+        scene = make_scene(10, [noisy], RngStream(7, "s"))
         cloud = simulate_lidar(scene, 0, RngStream(7, "l"))
         ranges = np.linalg.norm(cloud.xyz, axis=1)
         assert ranges.max() <= 40.0 + 0.05 + 1e-9
@@ -140,7 +140,7 @@ class TestMakeGroup:
         # every ray of a C, E, A scene with 32 boxes: the sha256 of each agent's
         # xyz bytes as the ray cast testing every ray against every box gave
         # them. The rays pass through matmul, so a numpy/BLAS build may differ.
-        scene = make_scene(32, 3, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
+        scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
         group = make_group(scene, 0, RngStream(3, "golden-lidar"))
         assert [hashlib.sha256(a.cloud.xyz.tobytes()).hexdigest() for a in group.agents] == [
             "2a78d8434719c060b272d62057510741a0c248d4266d43530ace023370e91070",

@@ -13,12 +13,14 @@ two listings diff to the commands that changed.
 The matrix: `simulate` on four scenes (one with type E and 32 boxes);
 `augment` and `cfc-check` for the four table sources and three seeds on each
 scene; `cfc-check --no-aug`; `project` of every agent cloud at widths 512 and
-2048; `gate-stats` for the four sources at epsilon 1e-6 and 1e-3; and the
-error paths, among them `augment` and `cfc-check` on manifests whose group is
-invalid (two egos, a repeated id, a NaN translation with 2 and with 3 agents),
-on malformed manifests, on manifests whose cloud path or ego id leaves its
-directory, and on a pmf file that is a list; and `project` on clouds holding
-a NaN coordinate or an infinite intensity.
+2048; `gate-stats` for the four sources; and the error paths, among them
+`augment` and `cfc-check` on manifests whose group is invalid (two egos, a
+repeated id), on malformed manifests (a NaN translation with 2 and with 3
+agents, a NaN ground_z, an infinite box centre, a custom type with `beams`
+1e400 or 16.5, text that is not JSON, not UTF-8 or nested 100,000 deep), on
+manifests whose cloud path or ego id leaves its directory, and on a pmf file
+that is a list or not JSON; and `project` on clouds holding a NaN coordinate
+or an infinite intensity.
 """
 
 import contextlib
@@ -33,12 +35,13 @@ SCENES = (("A,B", 4, 0), ("A,B,C,D", 10, 1), ("C,E,A", 32, 2), ("E,D,B,A,C", 10,
 SOURCES = ("opv2v", "v2xset", "v2v4real", "dairv2x")
 SEEDS = (0, 1, 7)
 WIDTHS = (512, 2048)
-EPSILONS = ("1e-6", "1e-3")
 # Manifests with one edit, most of them to the second agent: (name, agents).
 BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-3", 3),
                  ("no-agents", 2), ("no-pose", 2), ("type-5", 2), ("agents-int", 2),
                  ("boxes-str", 2), ("top-level-array", 2), ("cloud-outside", 2),
-                 ("escaped-id", 1))
+                 ("escaped-id", 1), ("beams-1e400", 2), ("beams-fraction", 2),
+                 ("nan-ground-z", 2), ("inf-box", 2), ("not-json", 2), ("not-utf8", 2),
+                 ("deep-json", 2))
 # Clouds of one non-finite record: (name, x, y, z, intensity).
 BAD_CLOUDS = (("nan-coordinate", float("nan"), 0.5, 0.0, 1.0),
               ("inf-intensity", 10.0, 0.5, 0.0, float("inf")))
@@ -69,10 +72,8 @@ def matrix(out: Path):
                                      "--type", t, "--width", w,
                                      "--out", out / label / "range.pgm"]))
     for source in SOURCES:
-        for eps in EPSILONS:
-            cmds.append((f"gate-{source}-{eps}",
-                         ["gate-stats", "--source-dist", source, "--epsilon", eps,
-                          "--iterations", 20000, "--seed", 1]))
+        cmds.append((f"gate-{source}", ["gate-stats", "--source-dist", source,
+                                        "--iterations", 20000, "--seed", 1]))
     manifest = out / "sim0" / "manifest.json"
     bad = out / "bad"
     cmds += [
@@ -88,12 +89,8 @@ def matrix(out: Path):
         ("err-dist-file-missing", ["augment", "--manifest", manifest, "--source-dist", "file",
                                    "--dist-file", bad / "missing.json",
                                    "--out", out / "err-dist-file-missing"]),
-        ("err-jobs-0", ["augment", "--manifest", manifest, "--jobs", 0,
-                        "--out", out / "err-jobs-0"]),
         ("err-iterations-0", ["gate-stats", "--iterations", 0]),
         ("err-iterations-neg", ["gate-stats", "--iterations", -1]),
-        ("err-epsilon-0", ["gate-stats", "--epsilon", 0]),
-        ("err-epsilon-nan", ["gate-stats", "--epsilon", "nan"]),
         ("err-width-0", ["project", "--cloud", out / "sim0" / "agent-0.pcv", "--type", "A",
                          "--width", 0, "--out", out / "err-width-0" / "range.pgm"]),
         ("err-width-neg", ["project", "--cloud", out / "sim0" / "agent-0.pcv", "--type", "A",
@@ -117,10 +114,11 @@ def matrix(out: Path):
         cmds.append((f"err-{name}-aug", ["augment", "--manifest", bad_manifest,
                                          "--out", out / f"err-{name}-aug"]))
         cmds.append((f"err-{name}-cfc", ["cfc-check", "--manifest", bad_manifest]))
-    cmds.append(("err-dist-file-list", ["augment", "--manifest", manifest,
-                                        "--source-dist", "file", "--dist-file",
-                                        bad / "list-pmf.json",
-                                        "--out", out / "err-dist-file-list"]))
+    for name in ("list", "not-json"):
+        cmds.append((f"err-dist-file-{name}", ["augment", "--manifest", manifest,
+                                               "--source-dist", "file", "--dist-file",
+                                               bad / f"{name}-pmf.json",
+                                               "--out", out / f"err-dist-file-{name}"]))
     for name, *_ in BAD_CLOUDS:
         cmds.append((f"err-{name}", ["project", "--cloud", bad / f"{name}.pcv", "--type", "A",
                                      "--out", out / f"err-{name}" / "range.pgm"]))
@@ -152,6 +150,9 @@ def write_bad_manifest(root: Path, name: str, n_agents: int) -> None:
         agents[1]["cloud_path"] = "../outside/x.pcv"
     elif name == "escaped-id":
         agents[0]["id"] = "../escaped"
+    elif name.startswith("beams"):
+        agents[1]["type"] = {"name": "X", "beams": 16.5 if name == "beams-fraction" else 16,
+                             "range_m": 90.0, "fov_deg": [-20.0, 10.0], "range_error_m": 0.01}
     doc = {"version": "1", "ground_z": 0.0, "boxes": [], "agents": agents}
     if name == "no-agents":
         del doc["agents"]
@@ -161,7 +162,21 @@ def write_bad_manifest(root: Path, name: str, n_agents: int) -> None:
         doc["boxes"] = "x"
     elif name == "top-level-array":
         doc = [doc]
-    (root / "manifest.json").write_text(json.dumps(doc))
+    elif name == "nan-ground-z":
+        doc["ground_z"] = float("nan")
+    elif name == "inf-box":
+        doc["boxes"] = [{"center": [float("inf"), 0.0, 0.5], "half_extents": [2.0, 1.0, 0.5]}]
+    text = json.dumps(doc)
+    if name == "beams-1e400":
+        text = text.replace('"beams": 16', '"beams": 1e400')
+    elif name == "not-json":
+        text = "{not json"
+    elif name == "deep-json":
+        text = "[" * 100_000
+    data = text.encode()
+    if name == "not-utf8":
+        data = data.replace(b"agent-1", b"agent-\xff")
+    (root / "manifest.json").write_bytes(data)
 
 
 def run(cli, label, argv, out: Path) -> tuple[int | str, bytes]:
@@ -208,6 +223,7 @@ def main(argv) -> int:
     (bad / "outside").mkdir()
     (bad / "outside" / "x.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, 5.0, 0.5, 0.0, 1.0))
     (bad / "list-pmf.json").write_text("[0.5, 0.5]")
+    (bad / "not-json-pmf.json").write_text("{not json")
     for name, *record in BAD_CLOUDS:
         (bad / f"{name}.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, *record))
     total = hashlib.sha256()
