@@ -7,7 +7,7 @@ from .gate import (GateChoice, GateResponses, TABLE_DISTRIBUTIONS, apply_gate,
                    comprehensive_distribution, comprehensive_from_tables,
                    estimate_source_distribution, gate_responses, sample_gate,
                    sample_gate_step)
-from .io import (CLOUD_MAGIC, MANIFEST_VERSION, load_cloud, load_manifest,
+from .io import (CLOUD_MAGIC, MANIFEST_VERSION, load_cloud, load_manifest, load_pmf,
                  save_cloud, save_manifest, save_range_image_pgm)
 from .kernels import NUMBA_ENABLED, ray_cast, scatter_nearest
 from .mixup import (SplitLine, bev_center, cut_and_combine, make_mixup_agent,

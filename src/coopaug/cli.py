@@ -8,7 +8,7 @@ import numpy as np
 from .errors import CoopaugError, IoFailure
 from .gate import (TABLE_DISTRIBUTIONS, comprehensive_from_tables, gate_responses,
                    sample_gate_step)
-from .io import _read_json, load_cloud, load_manifest, save_manifest, save_range_image_pgm
+from .io import load_cloud, load_manifest, load_pmf, save_manifest, save_range_image_pgm
 from .model import AGENT_TYPES, CmagConfig, CountDistribution, RngStream
 from .pipeline import cmag, early_fuse, fuse_grids, occupancy, cfc_l1
 from .rangeview import AZIMUTH_BINS, project as project_cloud
@@ -30,11 +30,7 @@ def _load_source_dist(name: str, dist_file: str | None) -> CountDistribution:
     if name == "file":
         if not dist_file:
             raise _UsageError("--source-dist file requires --dist-file")
-        doc = _read_json(dist_file)
-        if not (isinstance(doc, dict)
-                and all(k.isdecimal() and type(v) in (int, float) for k, v in doc.items())):
-            raise ValueError(f"{dist_file}: not an object of count: probability")
-        return CountDistribution({int(k): float(v) for k, v in doc.items()})
+        return load_pmf(dist_file)
     raise _UsageError(f"unknown source distribution {name!r}")
 
 
@@ -72,6 +68,8 @@ def _cmd_augment(args) -> int:
 def _cmd_gate_stats(args) -> int:
     phi_s = _load_source_dist(args.source_dist, args.dist_file)
     phi_c = comprehensive_from_tables()
+    emp_pre, emp_post = sample_gate_step(phi_s, phi_c, args.iterations,
+                                         RngStream(args.seed, "gate-stats"))
     counts = sorted(set(phi_s.pmf) | set(phi_c.pmf))
     print("count  phi_s     phi_c     r_plus       r_minus      L_plus   L_keep   L_minus")
     for n in counts:
@@ -80,8 +78,6 @@ def _cmd_gate_stats(args) -> int:
         print(f"{n:5d}  {phi_s.prob(n):.6f}  {phi_c.prob(n):.6f}  "
               f"{resp.r_plus:<11.5g}  {resp.r_minus:<11.5g}  "
               f"{lp:.4f}   {lk:.4f}   {lm:.4f}")
-    emp_pre, emp_post = sample_gate_step(phi_s, phi_c, args.iterations,
-                                         RngStream(args.seed, "gate-stats"))
     print(f"TV(pre, phi_c)  = {emp_pre.tv_distance(phi_c):.6f}")
     print(f"TV(post, phi_c) = {emp_post.tv_distance(phi_c):.6f}")
     return 0
@@ -161,10 +157,10 @@ def main(argv=None) -> int:
             if value < least:
                 raise _UsageError(f"--{flag} must be at least {least}, got {value}")
         return args.func(args)
-    except IoFailure as exc:
+    except (IoFailure, OSError) as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, CoopaugError, ValueError) as exc:
+    except (_UsageError, CoopaugError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

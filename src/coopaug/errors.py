@@ -30,7 +30,7 @@ class PlacementFailure(CoopaugError):
 
 
 class IoFailure(CoopaugError):
-    pass
+    """A .pcv file that is not the format; failed reads and writes raise OSError."""
 
 
 class BadMagic(IoFailure):

@@ -1,4 +1,4 @@
-"""File formats: binary point clouds, PGM range images, JSON scene manifests."""
+"""File formats: binary point clouds, PGM range images, JSON scene manifests and pmfs."""
 
 import json
 import struct
@@ -7,9 +7,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, IoFailure, TruncatedFile
+from .errors import BadMagic, TruncatedFile
 from .model import (AGENT_TYPES, EGO_FRAME, Agent, AgentType, CooperativeGroup,
-                    PointCloud, RigidTransform)
+                    CountDistribution, PointCloud, RigidTransform)
 from .rangeview import RangeImage
 
 CLOUD_MAGIC = b"PCV1"
@@ -21,21 +21,15 @@ def save_cloud(cloud: PointCloud, path) -> None:
     records = np.empty((len(cloud), 4), dtype="<f4")
     records[:, :3] = cloud.xyz
     records[:, 3] = cloud.intensity
-    try:
-        with open(path, "wb") as fh:
-            fh.write(CLOUD_MAGIC)
-            fh.write(struct.pack("<I", len(cloud)))
-            fh.write(records.tobytes())
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    with open(path, "wb") as fh:
+        fh.write(CLOUD_MAGIC)
+        fh.write(struct.pack("<I", len(cloud)))
+        fh.write(records.tobytes())
 
 
 def load_cloud(path) -> PointCloud:
     """Read a cloud written by save_cloud, in the ego frame."""
-    try:
-        data = Path(path).read_bytes()
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    data = Path(path).read_bytes()
     if data[:4] != CLOUD_MAGIC:
         raise BadMagic(f"{path}: bad magic {data[:4]!r}")
     if len(data) < 8:
@@ -56,13 +50,10 @@ def save_range_image_pgm(img: RangeImage, path) -> None:
     mm = np.where(img.valid_mask(),
                   np.clip(np.rint(img.ranges * 1000.0), 1, 65535), 0).astype(">u2")
     path = Path(path)
-    try:
-        path.parent.mkdir(parents=True, exist_ok=True)
-        with open(path, "wb") as fh:
-            fh.write(f"P5\n{img.W} {img.H}\n65535\n".encode("ascii"))
-            fh.write(mm.tobytes())
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "wb") as fh:
+        fh.write(f"P5\n{img.W} {img.H}\n65535\n".encode("ascii"))
+        fh.write(mm.tobytes())
 
 
 def _agent_type_to_json(agent_type: AgentType):
@@ -79,27 +70,11 @@ def _agent_type_to_json(agent_type: AgentType):
     }
 
 
-def _agent_type_from_json(value) -> AgentType:
-    if isinstance(value, str):
-        if value not in AGENT_TYPES:
-            raise ValueError(f"unknown agent type {value!r}")
-        return AGENT_TYPES[value]
-    return AgentType(name=value.get("name", "custom"), beams=int(value["beams"]),
-                     range_m=float(value["range_m"]),
-                     fov_deg=tuple(value["fov_deg"]),
-                     range_error_m=float(value["range_error_m"]),
-                     realism=value.get("realism", "Sim"),
-                     agent_class=value.get("agent_class", "Vehicle"))
-
-
 def save_manifest(group: CooperativeGroup, out_dir, ground_z: float = 0.0,
                   boxes: np.ndarray | None = None) -> Path:
     """Write manifest.json plus one cloud file per agent into out_dir."""
     out_dir = Path(out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    out_dir.mkdir(parents=True, exist_ok=True)
     box_list = [] if boxes is None else [
         {"center": list(map(float, b[:3])), "half_extents": list(map(float, b[3:]))}
         for b in np.asarray(boxes).reshape(-1, 6)
@@ -122,10 +97,7 @@ def save_manifest(group: CooperativeGroup, out_dir, ground_z: float = 0.0,
     doc = {"version": MANIFEST_VERSION, "ground_z": float(ground_z),
            "boxes": box_list, "agents": agents}
     manifest_path = out_dir / "manifest.json"
-    try:
-        manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
+    manifest_path.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return manifest_path
 
 
@@ -133,8 +105,6 @@ def _read_json(path):
     """The JSON document in the file at `path`; ValueError naming it if not UTF-8 JSON."""
     try:
         return json.loads(Path(path).read_text(encoding="utf-8"))
-    except OSError as exc:
-        raise IoFailure(str(exc)) from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, not JSON, or nested too deep
         raise ValueError(f"{path}: {exc}") from exc
 
@@ -146,50 +116,66 @@ def _numbers(values, n: int) -> bool:
         type(v) in (int, float) and abs(v) <= sys.float_info.max for v in values)
 
 
-def _shape_error(doc) -> str | None:
-    """What is wrong with a manifest document's shape, or None. Agent ids must
-    be plain file names, and cloud paths stay inside the manifest directory."""
-    if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
-        return f"not a version {MANIFEST_VERSION} manifest object"
-    boxes = doc.get("boxes", [])
-    if not (_numbers([doc.get("ground_z", 0.0)], 1) and isinstance(doc.get("agents"), list)
-            and isinstance(boxes, list) and all(isinstance(b, dict) and _numbers(
-                b.get("center"), 3) and _numbers(b.get("half_extents"), 3) for b in boxes)):
-        return "needs a list of agents, a number ground_z and center/half_extents boxes"
-    for k, entry in enumerate(doc["agents"]):
-        entry = entry if isinstance(entry, dict) else {}
-        pose, kind = entry.get("pose"), entry.get("type")
-        if not (isinstance(entry.get("id"), str) and isinstance(entry.get("cloud_path"), str)
-                and type(entry.get("is_ego")) is bool and isinstance(pose, dict)
-                and _numbers(pose.get("yaw_pitch_roll_rad"), 3)
-                and _numbers(pose.get("translation"), 3)
-                and (isinstance(kind, str) or isinstance(kind, dict)
-                     and _numbers([kind.get(f) for f in ("beams", "range_m", "range_error_m")], 3)
-                     and float(kind["beams"]).is_integer()
-                     and _numbers(kind.get("fov_deg"), 2)
-                     and all(isinstance(kind.get(f, ""), str)
-                             for f in ("name", "realism", "agent_class")))):
-            return f"agent {k} needs an id, type, pose, cloud_path and is_ego"
-        cloud = Path(entry["cloud_path"])
-        if Path(entry["id"]).name != entry["id"] or cloud.is_absolute() or ".." in cloud.parts:
-            return f"agent {k}: id or cloud_path leaves the manifest directory"
-    return None
+def _agent_entry(entry, where: str):
+    """(id, pose, agent type, cloud_path, is_ego) of one manifest agent entry,
+    or a ValueError that starts with `where`. The id must be a plain file name
+    and the cloud path stay inside the manifest directory."""
+    entry = entry if isinstance(entry, dict) else {}
+    ident, kind, pose, cloud = (entry.get(f) for f in ("id", "type", "pose", "cloud_path"))
+    custom = isinstance(kind, dict)
+    if custom:
+        numbers = [kind.get(f) for f in ("beams", "range_m", "range_error_m")]
+        name, realism, agent_class = (kind.get(f, default) for f, default in (
+            ("name", "custom"), ("realism", "Sim"), ("agent_class", "Vehicle")))
+    if not (isinstance(ident, str) and isinstance(cloud, str)
+            and type(entry.get("is_ego")) is bool and isinstance(pose, dict)
+            and _numbers(pose.get("yaw_pitch_roll_rad"), 3)
+            and _numbers(pose.get("translation"), 3)
+            and (isinstance(kind, str) or custom and _numbers(numbers, 3)
+                 and float(numbers[0]).is_integer() and _numbers(kind.get("fov_deg"), 2)
+                 and all(isinstance(v, str) for v in (name, realism, agent_class)))):
+        raise ValueError(f"{where} needs an id, type, pose, cloud_path and is_ego")
+    if Path(ident).name != ident or Path(cloud).is_absolute() or ".." in Path(cloud).parts:
+        raise ValueError(f"{where}: id or cloud_path leaves the manifest directory")
+    if not custom and kind not in AGENT_TYPES:
+        raise ValueError(f"{where}: unknown agent type {kind!r}")
+    try:
+        agent_type = AGENT_TYPES[kind] if not custom else AgentType(
+            name, int(numbers[0]), float(numbers[1]), tuple(kind["fov_deg"]),
+            float(numbers[2]), realism, agent_class)
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
+    pose = RigidTransform.from_ypr(*pose["yaw_pitch_roll_rad"], translation=pose["translation"])
+    return ident, pose, agent_type, cloud, entry["is_ego"]
 
 
 def load_manifest(path) -> tuple[CooperativeGroup, dict]:
-    """Load a manifest and its referenced clouds; returns (group, scene metadata)."""
+    """Load a manifest and its referenced clouds; returns (group, scene metadata).
+    Every agent entry is checked before any cloud is read."""
     path = Path(path)
     doc = _read_json(path)
-    problem = _shape_error(doc)
-    if problem is not None:
-        raise ValueError(f"{path}: {problem}")
-    agents = []
-    for entry in doc["agents"]:
-        ypr = entry["pose"]["yaw_pitch_roll_rad"]
-        pose = RigidTransform.from_ypr(*ypr, translation=entry["pose"]["translation"])
-        cloud = load_cloud(path.parent / entry["cloud_path"])
-        agents.append(Agent(id=entry["id"], pose=pose, cloud=cloud,
-                            agent_type=_agent_type_from_json(entry["type"]),
-                            is_ego=entry["is_ego"]))
-    meta = {"ground_z": float(doc.get("ground_z", 0.0)), "boxes": doc.get("boxes", [])}
-    return CooperativeGroup(tuple(agents)), meta
+    if not isinstance(doc, dict) or doc.get("version") != MANIFEST_VERSION:
+        raise ValueError(f"{path}: not a version {MANIFEST_VERSION} manifest object")
+    ground_z, boxes, entries = doc.get("ground_z", 0.0), doc.get("boxes", []), doc.get("agents")
+    if not (_numbers([ground_z], 1) and isinstance(entries, list)
+            and isinstance(boxes, list) and all(isinstance(b, dict) and _numbers(
+                b.get("center"), 3) and _numbers(b.get("half_extents"), 3) for b in boxes)):
+        raise ValueError(f"{path}: needs a list of agents, a number ground_z "
+                         "and center/half_extents boxes")
+    parsed = [_agent_entry(entry, f"{path}: agent {k}") for k, entry in enumerate(entries)]
+    agents = tuple(Agent(ident, pose, load_cloud(path.parent / cloud), agent_type, is_ego)
+                   for ident, pose, agent_type, cloud, is_ego in parsed)
+    return CooperativeGroup(agents), {"ground_z": float(ground_z), "boxes": boxes}
+
+
+def load_pmf(path) -> CountDistribution:
+    """The count distribution in a JSON object of "count": probability. Counts
+    are ASCII digits below 2**63 - 1, so a gate step's count + 1 fits an int64."""
+    doc = _read_json(path)
+    if not (isinstance(doc, dict) and _numbers(list(doc.values()), len(doc)) and all(
+            k.isascii() and k.isdigit() and len(k) < 20 and int(k) < 2**63 - 1 for k in doc)):
+        raise ValueError(f"{path}: not an object of count: probability")
+    try:
+        return CountDistribution({int(k): float(v) for k, v in doc.items()})
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from exc

@@ -24,10 +24,11 @@ def occupancy(cloud: PointCloud) -> np.ndarray:
     nx = math.ceil((x_max - x_min) / GRID_CELL_M)
     ny = math.ceil((y_max - y_min) / GRID_CELL_M)
     cells = np.zeros((nx, ny), dtype=np.uint8)
-    ix = np.floor((cloud.xyz[:, 0] - x_min) / GRID_CELL_M).astype(np.int64)
-    iy = np.floor((cloud.xyz[:, 1] - y_min) / GRID_CELL_M).astype(np.int64)
+    # bound-check as floats: a far point's cell index need not fit an int64
+    ix = np.floor((cloud.xyz[:, 0] - x_min) / GRID_CELL_M)
+    iy = np.floor((cloud.xyz[:, 1] - y_min) / GRID_CELL_M)
     keep = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-    cells[ix[keep], iy[keep]] = 1
+    cells[ix[keep].astype(np.int64), iy[keep].astype(np.int64)] = 1
     return cells
 
 

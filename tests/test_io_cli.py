@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coopaug import (AGENT_TYPES, Agent, AgentType, BadMagic, CooperativeGroup,
-                     IoFailure, PointCloud, RangeImage, RigidTransform, TruncatedFile,
+                     PointCloud, RangeImage, RigidTransform, TruncatedFile,
                      load_cloud, load_manifest, save_cloud, save_manifest,
                      save_range_image_pgm)
 from coopaug.cli import main
@@ -30,6 +30,16 @@ def one_point_group(n_agents=2):
         Agent(f"agent-{k}", RigidTransform.from_ypr(0.0, translation=(4.0 * k, 0, 0)),
               PointCloud.from_arrays(np.array([[4.0 * k + 1.0, 0.5, 0.0]])),
               AGENT_TYPES["A"], k == 0) for k in range(n_agents)))
+
+
+# Bad pmf files for `--dist-file`, by test case.
+BAD_PMFS = {"dist-file-list": "[0.5, 0.5]", "dist-file-not-json": "{not json",
+            "dist-file-sum": '{"1": 0.5}', "dist-file-count-0": '{"0": 1.0}',
+            "dist-file-20-digits": '{"99999999999999999999": 1.0}',
+            "dist-file-huge-probability": '{"1": 1' + "0" * 400 + "}"}
+# A custom agent type; the tests edit its fields.
+CUSTOM_TYPE = {"name": "X", "beams": 16, "range_m": 90.0, "fov_deg": [-20.0, 10.0],
+               "range_error_m": 0.01}
 
 
 def edit_manifest(manifest, edit):
@@ -105,7 +115,7 @@ class TestPgm:
     def test_parent_that_is_a_file_is_io_failure(self, tmp_path):
         img = RangeImage(np.array([[2.0]]), np.zeros((1, 1)), (-25.0, 5.0), "ego")
         (tmp_path / "f").write_text("not a directory")
-        with pytest.raises(IoFailure):
+        with pytest.raises(OSError):
             save_range_image_pgm(img, tmp_path / "f" / "r.pgm")
 
 
@@ -218,11 +228,12 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["augment", "cfc-check"])
     @pytest.mark.parametrize("case", ["no-agents", "no-pose", "type-5", "agents-int",
-                                      "boxes-str", "top-level-array", "dist-file-list",
+                                      "boxes-str", "top-level-array",
                                       "cloud-path-outside", "escaped-id", "beams-1e400",
                                       "beams-fraction", "nan-ground-z", "inf-box",
                                       "not-json", "not-utf8", "deep-json",
-                                      "dist-file-not-json"])
+                                      "unknown-type-missing-cloud", "beams-0",
+                                      "fov-reversed", *BAD_PMFS])
     def test_malformed_input_exits_one(self, case, command, tmp_path, capsys):
         manifest = save_manifest(one_point_group(), tmp_path / "in")
         doc = json.loads(manifest.read_text())
@@ -240,9 +251,9 @@ class TestCli:
             doc["boxes"] = "x"
         elif case == "top-level-array":
             doc = [doc]
-        elif case.startswith("dist-file"):
+        elif case in BAD_PMFS:
             bad_file = tmp_path / "pmf.json"
-            bad_file.write_text("[0.5, 0.5]" if case == "dist-file-list" else "{not json")
+            bad_file.write_text(BAD_PMFS[case])
             extra = ["--source-dist", "file", "--dist-file", str(bad_file)]
         elif case == "cloud-path-outside":
             # a readable cloud outside the manifest directory
@@ -253,9 +264,14 @@ class TestCli:
             # a lone ego passes augment unchanged, so its id names the saved cloud
             doc["agents"] = [dict(agents[0], id="../escaped")]
         elif case.startswith("beams"):
-            agents[1]["type"] = {"name": "X", "beams": 16.5 if case == "beams-fraction" else 16,
-                                 "range_m": 90.0, "fov_deg": [-20.0, 10.0],
-                                 "range_error_m": 0.01}
+            beams = {"beams-fraction": 16.5, "beams-0": 0}.get(case, 16)
+            agents[1]["type"] = dict(CUSTOM_TYPE, beams=beams)
+        elif case == "fov-reversed":
+            agents[1]["type"] = dict(CUSTOM_TYPE, fov_deg=[10.0, -20.0])
+        elif case == "unknown-type-missing-cloud":
+            # the type is checked before any cloud is read, so this is not an i/o error
+            agents[1]["type"] = "Z"
+            (manifest.parent / agents[1]["cloud_path"]).unlink()
         elif case == "nan-ground-z":
             doc["ground_z"] = float("nan")
         elif case == "inf-box":
@@ -279,6 +295,40 @@ class TestCli:
         assert captured.out == "" and captured.err.startswith("error: ")
         assert str(bad_file) in captured.err and "Traceback" not in captured.err
         assert not out.exists() and not (tmp_path / "escaped.pcv").exists()
+
+    @pytest.mark.parametrize("case", list(BAD_PMFS))
+    def test_bad_pmf_gate_stats_exits_one(self, case, tmp_path, capsys):
+        pmf = tmp_path / "pmf.json"
+        pmf.write_text(BAD_PMFS[case])
+        rc = main(["gate-stats", "--source-dist", "file", "--dist-file", str(pmf),
+                   "--iterations", "100"])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith(f"error: {pmf}: ")
+
+    # Each asks numpy for more than 2**47 bytes, which the allocator refuses
+    # without touching memory.
+    @pytest.mark.parametrize("case", ["project-width", "gate-stats-iterations",
+                                      "augment-beams", "cfc-check-beams"])
+    def test_allocation_too_large_exits_one(self, case, tmp_path, capsys):
+        pcv = tmp_path / "c.pcv"
+        save_cloud(PointCloud.from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
+        manifest = save_manifest(one_point_group(), tmp_path / "in")
+        doc = json.loads(manifest.read_text())
+        for agent in doc["agents"]:  # whichever agent donates, its type is huge
+            agent["type"] = dict(CUSTOM_TYPE, beams=10**12)
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        argv = {"project-width": ["project", "--cloud", str(pcv), "--type", "A",
+                                  "--width", str(10**12), "--out", str(out)],
+                "gate-stats-iterations": ["gate-stats", "--iterations", str(10**14)],
+                "augment-beams": ["augment", "--manifest", str(manifest), "--out", str(out)],
+                "cfc-check-beams": ["cfc-check", "--manifest", str(manifest)]}[case]
+        rc = main(argv)
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("error: Unable to allocate")
+        assert not out.exists()
 
     @pytest.mark.parametrize("record", [[float("nan"), 0.5, 0.0, 1.0],
                                         [10.0, 0.5, 0.0, float("inf")]],
@@ -375,6 +425,17 @@ class TestCli:
                    "--type", "A", "--out", str(tmp_path / "o.pgm")])
         assert rc == 2
 
+    def test_out_under_a_file_exits_two(self, tmp_path, capsys):
+        pcv = tmp_path / "c.pcv"
+        save_cloud(PointCloud.from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
+        (tmp_path / "f").write_text("not a directory")
+        rc = main(["project", "--cloud", str(pcv), "--type", "A",
+                   "--out", str(tmp_path / "f" / "r.pgm")])
+        assert rc == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err.startswith("i/o error: ")
+        assert str(tmp_path / "f") in captured.err
+
     def test_missing_manifest_exit_two(self, tmp_path, capsys):
         rc = main(["cfc-check", "--manifest", str(tmp_path / "nope.json")])
         assert rc == 2
@@ -436,3 +497,32 @@ def test_mutated_manifest_exits_zero_one_or_two(data):
                     contextlib.redirect_stderr(io.StringIO()):
                 rc = main([str(a) for a in argv])
             assert rc == 1 if op in NON_FINITE else rc in (0, 1, 2)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_mutated_pmf_and_cloud_bytes_exit_zero_one_or_two(data):
+    """Replace, delete or insert one byte of a pmf file or of an agent's .pcv
+    file, or cut it short: augment and cfc-check still return 0, 1 or 2 and
+    never raise."""
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest = save_manifest(one_point_group(), Path(tmp) / "in")
+        pmf = Path(tmp) / "pmf.json"
+        pmf.write_text('{"1": 0.25, "2": 0.75}')
+        target = data.draw(st.sampled_from([pmf, manifest.parent / "agent-1.pcv"]))
+        raw = target.read_bytes()
+        target.unlink()  # rewriting a file in place can force a slow flush on ext4
+        at = data.draw(st.integers(0, len(raw)))
+        byte = bytes([data.draw(st.integers(0, 255))])
+        op = data.draw(st.sampled_from(["replace", "delete", "insert", "cut"]))
+        target.write_bytes({"replace": raw[:at] + byte + raw[at + 1:],
+                            "delete": raw[:at] + raw[at + 1:],
+                            "insert": raw[:at] + byte + raw[at:],
+                            "cut": raw[:at]}[op])
+        source = ["--source-dist", "file", "--dist-file", pmf]
+        for argv in (["augment", "--manifest", manifest, *source, "--out", Path(tmp) / "out"],
+                     ["cfc-check", "--manifest", manifest, *source]):
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                rc = main([str(a) for a in argv])
+            assert rc in (0, 1, 2)

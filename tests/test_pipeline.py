@@ -60,6 +60,12 @@ class TestOccupancy:
         grid = occupancy(PointCloud.from_arrays([[500.0, 0.0, 0.0]]))
         assert grid.sum() == 0
 
+    def test_far_point_ignored_without_warning(self):
+        # cell indices beyond the int64 range; pyproject turns warnings into errors
+        grid = occupancy(PointCloud.from_arrays([[1e300, 0.1, 0.0], [0.1, -1e30, 0.0],
+                                                 [0.1, 0.1, 0.0]]))
+        assert grid.sum() == 1
+
     def test_half_open_cells(self):
         x_min, x_max, y_min, y_max = pipeline.GRID_EXTENT
         grid = occupancy(PointCloud.from_arrays([[x_min, y_min, 0.0], [x_max, y_max, 0.0]]))

@@ -17,10 +17,13 @@ scene; `cfc-check --no-aug`; `project` of every agent cloud at widths 512 and
 `augment` and `cfc-check` on manifests whose group is invalid (two egos, a
 repeated id), on malformed manifests (a NaN translation with 2 and with 3
 agents, a NaN ground_z, an infinite box centre, a custom type with `beams`
-1e400 or 16.5, text that is not JSON, not UTF-8 or nested 100,000 deep), on
-manifests whose cloud path or ego id leaves its directory, and on a pmf file
-that is a list or not JSON; and `project` on clouds holding a NaN coordinate
-or an infinite intensity.
+1e400, 16.5, 0 or 10**12 or a reversed `fov_deg`, an unknown type name on an
+agent whose cloud is missing, text that is not JSON, not UTF-8 or nested
+100,000 deep), and on manifests whose cloud path or ego id leaves its
+directory; `augment` on pmf files that are a list, not JSON, sum to 0.5, hold
+count 0, a 20-digit count or a 401-digit probability, and `gate-stats` on the
+last four; `project` on clouds holding a NaN coordinate or an infinite
+intensity; and `project --width 10**12` and `gate-stats --iterations 10**14`.
 """
 
 import contextlib
@@ -41,7 +44,12 @@ BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-
                  ("boxes-str", 2), ("top-level-array", 2), ("cloud-outside", 2),
                  ("escaped-id", 1), ("beams-1e400", 2), ("beams-fraction", 2),
                  ("nan-ground-z", 2), ("inf-box", 2), ("not-json", 2), ("not-utf8", 2),
-                 ("deep-json", 2))
+                 ("deep-json", 2), ("unknown-type-missing-cloud", 2), ("beams-0", 2),
+                 ("fov-reversed", 2), ("beams-huge", 2))
+# pmf files for `--dist-file` that are not a count distribution: (name, text).
+BAD_PMFS = (("list", "[0.5, 0.5]"), ("not-json", "{not json"), ("sum", '{"1": 0.5}'),
+            ("count-0", '{"0": 1.0}'), ("20-digits", '{"99999999999999999999": 1.0}'),
+            ("huge-probability", '{"1": 1' + "0" * 400 + "}"))
 # Clouds of one non-finite record: (name, x, y, z, intensity).
 BAD_CLOUDS = (("nan-coordinate", float("nan"), 0.5, 0.0, 1.0),
               ("inf-intensity", 10.0, 0.5, 0.0, float("inf")))
@@ -114,11 +122,19 @@ def matrix(out: Path):
         cmds.append((f"err-{name}-aug", ["augment", "--manifest", bad_manifest,
                                          "--out", out / f"err-{name}-aug"]))
         cmds.append((f"err-{name}-cfc", ["cfc-check", "--manifest", bad_manifest]))
-    for name in ("list", "not-json"):
-        cmds.append((f"err-dist-file-{name}", ["augment", "--manifest", manifest,
-                                               "--source-dist", "file", "--dist-file",
-                                               bad / f"{name}-pmf.json",
+    for name, _ in BAD_PMFS:
+        pmf = ["--source-dist", "file", "--dist-file", bad / f"{name}-pmf.json"]
+        cmds.append((f"err-dist-file-{name}", ["augment", "--manifest", manifest, *pmf,
                                                "--out", out / f"err-dist-file-{name}"]))
+        if name not in ("list", "not-json"):
+            cmds.append((f"err-dist-file-{name}-gate", ["gate-stats", *pmf,
+                                                        "--iterations", 100]))
+    # each allocates more than 2**47 bytes, which the allocator refuses outright
+    cmds += [
+        ("err-width-huge", ["project", "--cloud", out / "sim0" / "agent-0.pcv", "--type", "A",
+                            "--width", 10**12, "--out", out / "err-width-huge" / "range.pgm"]),
+        ("err-iterations-huge", ["gate-stats", "--iterations", 10**14]),
+    ]
     for name, *_ in BAD_CLOUDS:
         cmds.append((f"err-{name}", ["project", "--cloud", bad / f"{name}.pcv", "--type", "A",
                                      "--out", out / f"err-{name}" / "range.pgm"]))
@@ -150,9 +166,18 @@ def write_bad_manifest(root: Path, name: str, n_agents: int) -> None:
         agents[1]["cloud_path"] = "../outside/x.pcv"
     elif name == "escaped-id":
         agents[0]["id"] = "../escaped"
-    elif name.startswith("beams"):
-        agents[1]["type"] = {"name": "X", "beams": 16.5 if name == "beams-fraction" else 16,
-                             "range_m": 90.0, "fov_deg": [-20.0, 10.0], "range_error_m": 0.01}
+    elif name == "unknown-type-missing-cloud":
+        agents[1]["type"] = "Z"
+        (root / "agent-1.pcv").unlink()
+    elif name == "beams-huge":
+        for agent in agents:
+            agent["type"] = {"name": "X", "beams": 10**12, "range_m": 90.0,
+                             "fov_deg": [-20.0, 10.0], "range_error_m": 0.01}
+    elif name.startswith("beams") or name == "fov-reversed":
+        beams = {"beams-fraction": 16.5, "beams-0": 0}.get(name, 16)
+        fov = [10.0, -20.0] if name == "fov-reversed" else [-20.0, 10.0]
+        agents[1]["type"] = {"name": "X", "beams": beams, "range_m": 90.0, "fov_deg": fov,
+                             "range_error_m": 0.01}
     doc = {"version": "1", "ground_z": 0.0, "boxes": [], "agents": agents}
     if name == "no-agents":
         del doc["agents"]
@@ -222,8 +247,8 @@ def main(argv) -> int:
         write_bad_manifest(bad / name, name, n_agents)
     (bad / "outside").mkdir()
     (bad / "outside" / "x.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, 5.0, 0.5, 0.0, 1.0))
-    (bad / "list-pmf.json").write_text("[0.5, 0.5]")
-    (bad / "not-json-pmf.json").write_text("{not json")
+    for name, text in BAD_PMFS:
+        (bad / f"{name}-pmf.json").write_text(text)
     for name, *record in BAD_CLOUDS:
         (bad / f"{name}.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, *record))
     total = hashlib.sha256()
