@@ -4,6 +4,8 @@ import numpy as np
 
 # Kept as a constant for callers that record the backend; there is only numpy.
 NUMBA_ENABLED = False
+# Azimuth buckets that order the rays: uint16 keys, which numpy radix-sorts.
+AZIMUTH_BUCKETS = 4096
 
 
 def ray_cast(origin, dirs, ground_z, boxes, max_range):
@@ -14,18 +16,19 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range):
     -1 where nothing is hit within max_range.
 
     Each box is slab-tested only against the rays whose bird's-eye-view
-    azimuth lies in the box's wedge (see `_wedge_slices`); every tested ray
-    does the same float operations as a test against all boxes would.
+    azimuth bucket overlaps the box's wedge (see `_wedge_slices`). The buckets
+    only cull: every tested ray does the same float operations as a test
+    against all boxes would, so a bucket never decides a hit.
     """
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     ground_z = float(ground_z)
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 6)
     n = dirs.shape[0]
-    azimuth = np.arctan2(dirs[:, 1], dirs[:, 0])
-    order = np.argsort(azimuth, kind="stable")
-    azimuth = azimuth[order]
-    # one row per axis, in azimuth order: a wedge of rays is a contiguous slice
+    keys = _azimuth_bucket(np.arctan2(dirs[:, 1], dirs[:, 0]))
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    # one row per axis, in bucket order: a wedge of rays is a contiguous slice
     dirs = dirs.T.take(order, axis=1)
     best = np.full(n, np.inf)
     if origin[2] > ground_z:
@@ -38,7 +41,7 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range):
         lo = boxes[b, :3] - boxes[b, 3:]
         hi = boxes[b, :3] + boxes[b, 3:]
         inside = ((origin >= lo) & (origin <= hi))[:, None]
-        for rays in _wedge_slices(azimuth, origin, lo, hi):
+        for rays in _wedge_slices(keys, origin, lo, hi):
             d = dirs[:, rays]
             with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
                 t1 = (lo - origin)[:, None] / d
@@ -58,14 +61,21 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range):
     return np.where(unsorted <= float(max_range), unsorted, -1.0)
 
 
-def _wedge_slices(azimuth, origin, lo, hi):
-    """Slices of the sorted ray azimuths that can reach the box [lo, hi].
+def _azimuth_bucket(azimuth):
+    """uint16 bucket of azimuths in [-pi, pi]; monotone, so wedges map to bucket ranges."""
+    scaled = np.floor((np.asarray(azimuth) + np.pi) * (AZIMUTH_BUCKETS / (2.0 * np.pi)))
+    return np.clip(scaled, 0, AZIMUTH_BUCKETS - 1).astype(np.uint16)
+
+
+def _wedge_slices(keys, origin, lo, hi):
+    """Slices of the sorted ray buckets that can reach the box [lo, hi].
 
     A ray that hits the box points into the angular wedge spanned, seen from
     the origin, by the four corners of the box's top-down footprint. The
     wedge is widened by 1e-9 rad, far above the rounding of `arctan2` and of
-    the slab test, and split in two where it crosses +-pi. With the origin
-    over the footprint, boundary included, any ray can hit: all are kept.
+    the slab test, split in two where it crosses +-pi, and each end mapped to
+    its bucket: a slice holds every ray of the wedge and maybe a few more.
+    With the origin over the footprint, boundary included, all rays are kept.
     """
     if lo[0] <= origin[0] <= hi[0] and lo[1] <= origin[1] <= hi[1]:
         return (slice(None),)
@@ -78,26 +88,33 @@ def _wedge_slices(azimuth, origin, lo, hi):
         corners = np.where(corners < 0.0, corners + 2.0 * np.pi, corners)
     start, stop = corners.min() - 1e-9, corners.max() + 1e-9
     spans = [(start, stop)] if stop <= np.pi else [(start, np.pi), (-np.pi, stop - 2.0 * np.pi)]
-    return tuple(slice(np.searchsorted(azimuth, a, "left"), np.searchsorted(azimuth, z, "right"))
-                 for a, z in spans)
+    ends = _azimuth_bucket(spans)
+    return tuple(slice(np.searchsorted(keys, a, "left"), np.searchsorted(keys, z, "right"))
+                 for a, z in ends)
 
 
 def scatter_nearest(rows, cols, ranges, intens, H, W):
     """Scatter ranges into an HxW grid keeping the smallest per pixel.
 
-    Zero is the no-return sentinel; valid input ranges must be positive.
-    Equal ranges in one pixel keep the earliest point.
-    Returns (range_image, intensity_image).
+    rows and cols must lie in the grid, and ranges be positive and not NaN.
+    Zero is the output's no-return sentinel; a pixel whose only ranges are
+    +inf keeps +inf. Equal ranges in one pixel keep the earliest point's
+    intensity. Returns (range_image, intensity_image).
     """
     rows = np.asarray(rows, dtype=np.int64)
     cols = np.asarray(cols, dtype=np.int64)
     ranges = np.asarray(ranges, dtype=np.float64)
     intens = np.asarray(intens, dtype=np.float64)
-    rimg = np.zeros((int(H), int(W)))
+    # (H, W), not (H*W,): numpy's MemoryError names the shape it could not allocate
+    rimg = np.full((int(H), int(W)), np.inf)
     iimg = np.zeros((int(H), int(W)))
-    # assign in decreasing range order so the nearest return lands last;
-    # among equal ranges the earliest point is assigned last
-    order = np.lexsort((-np.arange(ranges.shape[0]), -ranges))
-    rimg[rows[order], cols[order]] = ranges[order]
-    iimg[rows[order], cols[order]] = intens[order]
+    touched = np.zeros((int(H), int(W)), dtype=bool)
+    pixel = rows * int(W) + cols
+    np.minimum.at(rimg.reshape(-1), pixel, ranges)
+    touched.reshape(-1)[pixel] = True
+    # the points holding their pixel's minimum, assigned last to first, so the
+    # earliest of equal ranges is written last and wins
+    wins = np.flatnonzero(ranges == rimg.reshape(-1)[pixel])[::-1]
+    iimg.reshape(-1)[pixel[wins]] = intens[wins]
+    rimg[~touched] = 0.0
     return rimg, iimg

@@ -303,3 +303,176 @@ class TestScatterBackends:
         z = np.zeros(0)
         a = assert_scatter_matches(z.astype(np.int64), z.astype(np.int64), z, z, 4, 4)
         assert np.all(a[0] == 0.0) and np.all(a[1] == 0.0)
+
+
+class TestScatterContract:
+    """The scatter's contract at its edges: any positive, non-NaN range, +inf
+    included, and the earliest point winning ties."""
+
+    def test_huge_finite_range(self):
+        rows, cols = np.array([0, 0, 1, 1, 1]), np.array([2, 2, 3, 3, 3])
+        ranges = np.array([1e308, 1e308, np.finfo(np.float64).max, 1e308, 1.0])
+        a = assert_scatter_matches(rows, cols, ranges, np.arange(5.0), 2, 4)
+        assert a[0][0, 2] == 1e308 and a[1][0, 2] == 0.0
+        assert a[0][1, 3] == 1.0 and a[1][1, 3] == 4.0
+
+    def test_infinite_ranges(self):
+        # alone in a pixel +inf stays +inf, the first of them winning;
+        # with a finite range, before or after it, the finite range wins
+        rows = np.array([0, 0, 0, 0, 1, 1, 1, 1])
+        cols = np.array([1, 1, 2, 2, 0, 0, 0, 3])
+        ranges = np.array([np.inf, np.inf, np.inf, 4.0, 4.0, np.inf, 4.0, 9.0])
+        a = assert_scatter_matches(rows, cols, ranges, np.arange(8.0), 2, 4)
+        assert a[0][0, 1] == np.inf and a[1][0, 1] == 0.0
+        assert a[0][0, 2] == 4.0 and a[1][0, 2] == 3.0
+        assert a[0][1, 0] == 4.0 and a[1][1, 0] == 4.0
+        assert a[0][0, 0] == 0.0 and a[0][1, 3] == 9.0
+
+    def test_smallest_subnormal_range(self):
+        tiny = 5e-324
+        rows, cols = np.array([1, 1, 1, 0]), np.array([1, 1, 1, 0])
+        a = assert_scatter_matches(rows, cols, np.array([1.0, tiny, tiny, tiny]),
+                                   np.arange(4.0), 2, 2)
+        assert a[0][1, 1] == tiny and a[1][1, 1] == 1.0 and a[0][0, 0] == tiny
+
+    def test_many_shuffled_points_on_one_pixel(self):
+        rng = np.random.default_rng(12)
+        n = 20_000
+        ranges = rng.permutation(np.repeat([0.75, 1.5, 3.0, 6.0], n // 4))
+        intens = rng.permutation(n) / n
+        pixel = np.full(n, 2)
+        a = assert_scatter_matches(pixel, pixel + 3, ranges, intens, 4, 8)
+        first = np.flatnonzero(ranges == 0.75)[0]
+        assert a[0][2, 5] == 0.75 and a[1][2, 5] == intens[first]
+        assert np.count_nonzero(a[0]) == 1
+
+    def test_last_pixel(self):
+        H, W = 3, 5
+        rows = np.array([H - 1, H - 1, 0, H - 1, 0, H - 1])
+        cols = np.array([W - 1, W - 1, W - 1, 0, 0, W - 1])
+        ranges = np.array([2.0, 1.0, 5.0, 6.0, 7.0, 1.0])
+        a = assert_scatter_matches(rows, cols, ranges, np.arange(6.0), H, W)
+        assert a[0][H - 1, W - 1] == 1.0 and a[1][H - 1, W - 1] == 1.0
+
+
+BUCKETS = 4096
+
+
+def bucket(azimuth):
+    """The ray cast's 4,096 azimuth buckets, the same monotone map."""
+    return np.floor((np.asarray(azimuth) + np.pi) * (BUCKETS / (2.0 * np.pi)))
+
+
+def one_turn_down(azimuth):
+    """A wedge end past +pi, one turn lower, where the ray cast looks it up."""
+    return azimuth - 2.0 * np.pi if azimuth > np.pi else azimuth
+
+
+def boundary_pair(b):
+    """Two horizontal directions, nearly unit, on either side of the start of
+    bucket b: the first in bucket b - 1, the second in bucket b. Bisects the
+    offset along the tangent until the two offsets are neighbouring doubles."""
+    az = -np.pi + b * (2.0 * np.pi / BUCKETS)
+    c, s = np.cos(az), np.sin(az)
+
+    def direction(t):
+        return np.array([c - t * s, s + t * c, 0.0])
+
+    lo, hi = -1e-12, 1e-12
+    assert bucket(np.arctan2(*direction(lo)[1::-1])) == b - 1
+    assert bucket(np.arctan2(*direction(hi)[1::-1])) == b
+    while np.nextafter(lo, hi) != hi:
+        mid = 0.5 * (lo + hi)
+        if bucket(np.arctan2(*direction(mid)[1::-1])) < b:
+            lo = mid
+        else:
+            hi = mid
+    return direction(lo), direction(hi)
+
+
+class TestAzimuthBuckets:
+    """`ray_cast` orders the rays by a 4,096-bucket key of their azimuth and
+    slab-tests a box against the buckets its wedge overlaps; these cases sit
+    on bucket boundaries, and inside one bucket."""
+
+    BOUNDARIES = (1, 511, 1023, 1024, 1025, 2047, 2048, 2049, 2600, 3072, 4095)
+
+    @staticmethod
+    def around(dirs):
+        """Each ray and the two neighbouring doubles of every component."""
+        return np.vstack([dirs, np.nextafter(dirs, np.inf), np.nextafter(dirs, -np.inf)])
+
+    def test_rays_on_bucket_boundaries(self):
+        pairs = np.array([boundary_pair(b) for b in self.BOUNDARIES])
+        scaled = (np.arctan2(pairs[:, 1, 1], pairs[:, 1, 0]) + np.pi) * (BUCKETS / (2 * np.pi))
+        # most first-of-bucket azimuths map to the boundary itself, not past it
+        assert np.count_nonzero(scaled == self.BOUNDARIES) >= len(self.BOUNDARIES) // 2
+        flat = self.around(pairs.reshape(-1, 3))
+        dirs = np.vstack([flat] + [flat + [0.0, 0.0, dz] for dz in (-0.05, 0.05)])
+        # a box across each boundary 15 m out, and a 2 mm wide one 30 m out
+        centres = 15.0 * pairs[:, 1]
+        boxes = np.vstack([np.hstack([centres + [0.0, 0.0, 1.0], np.full((len(centres), 3), 0.5)]),
+                           np.hstack([30.0 * pairs[:, 1] + [0.0, 0.0, 1.0],
+                                      np.tile([1e-3, 1e-3, 1.0], (len(centres), 1))])])
+        for origin in ([0.0, 0.0, 1.0], [0.0, 0.0, 1.6]):
+            out = assert_ray_cast_matches(origin, dirs, 0.0, boxes, 100.0)
+            assert np.count_nonzero((out > 14.0) & (out < 15.0)) >= len(flat)
+
+    def test_box_wedge_ends_on_bucket_boundaries(self):
+        # footprints whose extreme corner azimuths sit 1e-9 rad (the wedge
+        # margin) inside two bucket boundaries, give or take a few doubles, so
+        # each widened wedge end falls on one side or the other of a boundary;
+        # (b0, b1, r0, r1): the boundaries, and the corners' distances
+        w = 2.0 * np.pi / BUCKETS
+        origin = np.array([0.0, 0.0, 1.0])
+        families = ((2248, 2288, 30.0, 28.0), (3000, 3010, 28.0, 30.0),
+                    (3500, 3590, 30.0, 28.0), (300, 330, 30.0, 28.0), (1100, 1150, 30.0, 28.0))
+        for b0, b1, r0, r1 in families:
+            boxes, starts, stops, aims = [], [], [], []
+            for j in range(-8, 9):
+                s = -np.pi + b0 * w + 1e-9 + j * 2e-16
+                e = -np.pi + b1 * w - 1e-9 - j * 2e-16
+                p = r0 * np.array([np.cos(s), np.sin(s)])
+                q = r1 * np.array([np.cos(e), np.sin(e)])
+                lo, hi = np.minimum(p, q), np.maximum(p, q)
+                box = np.array([*(lo + hi) / 2, 1.0, *(hi - lo) / 2, 1.0])
+                boxes.append(box)
+                x = box[0] + np.array([-1, 1, -1, 1]) * box[3]
+                y = box[1] + np.array([-1, -1, 1, 1]) * box[4]
+                corners = np.arctan2(y, x)
+                # a footprint behind the origin, seen as the ray cast sees it
+                wrapped = np.where(corners < 0.0, corners + 2.0 * np.pi, corners)
+                ends = wrapped if box[0] + box[3] < 0.0 else corners
+                starts.append(one_turn_down(ends.min() - 1e-9))
+                stops.append(one_turn_down(ends.max() + 1e-9))
+                # just inside the box at its two wedge-end corners, and just outside
+                for k in (np.argmin(ends), np.argmax(ends)):
+                    inward = np.sign(box[:2] - [x[k], y[k]]) * 1e-7
+                    aims += [[x[k] + dx, y[k] + dy, 1.0] for dx, dy in (inward, -inward)]
+            assert set(bucket(starts)) == {b0 - 1, b0}
+            assert set(bucket(stops)) == {b1 - 1, b1}
+            dirs = np.vstack([self.around(unit(np.array(aims) - origin)),
+                              self.around(np.array([boundary_pair(b0), boundary_pair(b1)])
+                                          .reshape(-1, 3))])
+            for box in boxes:
+                out = assert_ray_cast_matches(origin, dirs, -1.0, box, 100.0)
+                assert np.any(out > 0.0)
+
+    def test_far_small_box_inside_one_bucket(self):
+        w = 2.0 * np.pi / BUCKETS
+        origin = np.array([0.0, 0.0, 1.5])
+        rng = np.random.default_rng(13)
+        for b in (5, 1024, 2048, 3333, 4094):
+            az = -np.pi + (b + 0.5) * w
+            centre = np.array([100.0 * np.cos(az), 100.0 * np.sin(az), 1.0])
+            box = np.array([*centre, 0.02, 0.02, 1.0])
+            x = centre[0] + np.array([-1, 1, -1, 1]) * 0.02
+            y = centre[1] + np.array([-1, -1, 1, 1]) * 0.02
+            assert set(bucket(np.arctan2(y, x))) == {b}
+            corners = np.array([[xi, yi, z] for xi, yi in zip(x, y) for z in (0.0, 2.0)])
+            fan_az = az + rng.uniform(-1.5 * w, 1.5 * w, 300)
+            fan = np.column_stack([np.cos(fan_az), np.sin(fan_az), rng.uniform(-0.02, 0.01, 300)])
+            dirs = np.vstack([self.around(unit(np.vstack([corners, centre]) - origin)),
+                              unit(fan)])
+            out = assert_ray_cast_matches(origin, dirs, 0.0, box, 200.0)
+            assert np.any((out > 99.0) & (out < 101.0))

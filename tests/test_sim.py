@@ -5,8 +5,9 @@ import numpy as np
 import pytest
 
 from coopaug import (AGENT_TYPES, AgentType, PlacementFailure, RigidTransform,
-                     RngStream, Scene, make_group, make_scene, simulate_lidar,
-                     validate_group)
+                     RngStream, Scene, density_augment, make_group, make_scene, project,
+                     simulate_lidar, validate_group)
+from coopaug.rangeview import AZIMUTH_BINS
 
 QUIET = AgentType("Q", 8, 120.0, (-25.0, 5.0), 0.0, "Sim", "Vehicle")
 
@@ -146,3 +147,27 @@ class TestMakeGroup:
             "2a78d8434719c060b272d62057510741a0c248d4266d43530ace023370e91070",
             "1d0f9b93ad551aeeaf05dbf730b21b74b6309b0dde13aa9705ecf477f37fee5f",
             "15fc42f233f07b1a9b3d62ab77295da1e708fdb8725db188f74c6c7e7b2d0865"]
+
+    def test_full_scene_rangeview_golden_digest(self):
+        # the same scene through the range view: each agent's cloud projected
+        # at its own type and, but for type E itself, at type E's 300 beams,
+        # which crowds several points into many pixels; then one density
+        # augmentation of the type E cloud. Recorded with the scatter that
+        # sorted every point by range.
+        scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
+        group = make_group(scene, 0, RngStream(3, "golden-lidar"))
+        digests = []
+        for agent in group.agents:
+            for t in dict.fromkeys((agent.agent_type, AGENT_TYPES["E"])):
+                img = project(agent.cloud, t.fov_deg, t.beams, AZIMUTH_BINS)
+                digests.append(hashlib.sha256(img.ranges.tobytes()
+                                              + img.intensities.tobytes()).hexdigest())
+        out = density_augment(group.agents[1].cloud, AGENT_TYPES["E"], RngStream(3, "golden-pa"))
+        digests.append(hashlib.sha256(out.xyz.tobytes() + out.intensity.tobytes()).hexdigest())
+        assert digests == [
+            "56950d0122c36100c64a43fdd4ef928f602a70751c74e594061295d8d258b052",
+            "ee81a3c7308dbd97cce5bcae388ccf7abb98a00e1bf32fe2f02afbee5ff8fa75",
+            "08ca4d91c70f6ec71aa72ec612ff193b6b0865fd6abafbf3e6c2d57b7f3c1e2f",
+            "a7d4b49afec40c51bde0a773467ad5422d3d10a2cb9bcd7f69696221229d2d2d",
+            "d0d42eaf6b9b4459db47e696f2dcff89de4eeb89ed4b99522e944d92e1d65976",
+            "2e40d305a5289da85be7f54ec32189c54f2c3ca482aca9a60d30461133180977"]

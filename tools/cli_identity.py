@@ -13,7 +13,10 @@ two listings diff to the commands that changed.
 The matrix: `simulate` on four scenes (one with type E and 32 boxes);
 `augment` and `cfc-check` for the four table sources and three seeds on each
 scene; `cfc-check --no-aug`; `project` of every agent cloud at widths 512 and
-2048; `gate-stats` for the four sources; and the error paths, among them
+2048, at its own type and, for type E and type A clouds, also as the other
+of the two, so pixel collisions reach the output directly (exact equal-range
+ties do not occur in these clouds; the oracle tests cover them); `gate-stats`
+for the four sources; and the error paths, among them
 `augment` and `cfc-check` on manifests whose group is invalid (two egos, a
 repeated id), on malformed manifests (a NaN translation with 2 and with 3
 agents, a NaN ground_z, an infinite box centre, a custom type with `beams`
@@ -38,6 +41,8 @@ SCENES = (("A,B", 4, 0), ("A,B,C,D", 10, 1), ("C,E,A", 32, 2), ("E,D,B,A,C", 10,
 SOURCES = ("opv2v", "v2xset", "v2v4real", "dairv2x")
 SEEDS = (0, 1, 7)
 WIDTHS = (512, 2048)
+# Types each agent type's cloud is also projected as, beside its own.
+CROSS_TYPES = {"E": ("A",), "A": ("E",)}
 # Manifests with one edit, most of them to the second agent: (name, agents).
 BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-3", 3),
                  ("no-agents", 2), ("no-pose", 2), ("type-5", 2), ("agents-int", 2),
@@ -74,11 +79,14 @@ def matrix(out: Path):
                               "--seed", s]))
         cmds.append((f"cfc{k}-no-aug", ["cfc-check", "--manifest", manifest, "--no-aug"]))
         for i, t in enumerate(types.split(",")):
-            for w in WIDTHS:
-                label = f"proj{k}-{i}-{w}"
-                cmds.append((label, ["project", "--cloud", scene / f"agent-{i}.pcv",
-                                     "--type", t, "--width", w,
-                                     "--out", out / label / "range.pgm"]))
+            # each cloud at its own type; type E clouds also as type A, and
+            # type A clouds as type E, whose 300 beams crowd pixels with points
+            for as_type in (t, *CROSS_TYPES.get(t, ())):
+                for w in WIDTHS:
+                    label = f"proj{k}-{i}-{w}" if as_type == t else f"proj{k}-{i}-as-{as_type}-{w}"
+                    cmds.append((label, ["project", "--cloud", scene / f"agent-{i}.pcv",
+                                         "--type", as_type, "--width", w,
+                                         "--out", out / label / "range.pgm"]))
     for source in SOURCES:
         cmds.append((f"gate-{source}", ["gate-stats", "--source-dist", source,
                                         "--iterations", 20000, "--seed", 1]))
