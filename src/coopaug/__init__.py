@@ -1,8 +1,5 @@
 """Deterministic cooperative-mixup augmentation for multi-agent LiDAR clouds."""
 
-from .errors import (BadMagic, BadTarget, CoopaugError, DegenerateCenters,
-                     EmptyInput, GroupTooSmall, InvalidPair, IoFailure,
-                     PlacementFailure, TruncatedFile)
 from .gate import (GateChoice, GateResponses, TABLE_DISTRIBUTIONS, apply_gate,
                    comprehensive_distribution, comprehensive_from_tables,
                    estimate_source_distribution, gate_responses, sample_gate,

@@ -5,7 +5,6 @@ import sys
 
 import numpy as np
 
-from .errors import CoopaugError, IoFailure
 from .gate import (TABLE_DISTRIBUTIONS, comprehensive_from_tables, gate_responses,
                    sample_gate_step)
 from .io import load_cloud, load_manifest, load_pmf, save_manifest, save_range_image_pgm
@@ -15,23 +14,21 @@ from .rangeview import AZIMUTH_BINS, project as project_cloud
 from .sim import make_group, make_scene
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
-        raise _UsageError(message)
+        raise ValueError(message)
 
 
 def _load_source_dist(name: str, dist_file: str | None) -> CountDistribution:
     if name in TABLE_DISTRIBUTIONS:
+        if dist_file is not None:
+            raise ValueError(f"--dist-file is read only with --source-dist file, not {name}")
         return TABLE_DISTRIBUTIONS[name]
     if name == "file":
         if not dist_file:
-            raise _UsageError("--source-dist file requires --dist-file")
+            raise ValueError("--source-dist file requires --dist-file")
         return load_pmf(dist_file)
-    raise _UsageError(f"unknown source distribution {name!r}")
+    raise ValueError(f"unknown source distribution {name!r}")
 
 
 def _augment(group, phi_s, args):
@@ -43,11 +40,11 @@ def _augment(group, phi_s, args):
 def _cmd_simulate(args) -> int:
     type_names = [t.strip().upper() for t in args.types.split(",") if t.strip()]
     if len(type_names) != args.agents:
-        raise _UsageError(f"--types lists {len(type_names)} types for {args.agents} agents")
+        raise ValueError(f"--types lists {len(type_names)} types for {args.agents} agents")
     try:
         types = [AGENT_TYPES[t] for t in type_names]
     except KeyError as exc:
-        raise _UsageError(f"unknown agent type {exc}") from exc
+        raise ValueError(f"unknown agent type {exc}") from exc
     rng = RngStream(args.seed, "simulate")
     scene = make_scene(args.boxes, types, rng.derive("scene"))
     group = make_group(scene, ego_index=0, rng=rng.derive("lidar"))
@@ -86,7 +83,7 @@ def _cmd_gate_stats(args) -> int:
 def _cmd_project(args) -> int:
     type_name = args.type.strip().upper()
     if type_name not in AGENT_TYPES:
-        raise _UsageError(f"unknown agent type {args.type!r}")
+        raise ValueError(f"unknown agent type {args.type!r}")
     agent_type = AGENT_TYPES[type_name]
     cloud = load_cloud(args.cloud)
     img = project_cloud(cloud, agent_type.fov_deg, agent_type.beams, args.width)
@@ -155,12 +152,12 @@ def main(argv=None) -> int:
         for flag, least in (("iterations", 1), ("width", 1), ("boxes", 0)):
             value = getattr(args, flag, least)
             if value < least:
-                raise _UsageError(f"--{flag} must be at least {least}, got {value}")
+                raise ValueError(f"--{flag} must be at least {least}, got {value}")
         return args.func(args)
-    except (IoFailure, OSError) as exc:
+    except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return 2
-    except (_UsageError, CoopaugError, ValueError, MemoryError) as exc:
+    except (ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -5,7 +5,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import EmptyInput, InvalidPair
 from .model import Agent, CooperativeGroup, CountDistribution, RngStream
 
 # Guards the responses against division by zero; not a response scale.
@@ -47,7 +46,7 @@ def estimate_source_distribution(counts) -> CountDistribution:
     if not isinstance(counts, np.ndarray):
         counts = np.array(list(counts))
     if counts.size == 0:
-        raise EmptyInput("no counts to estimate from")
+        raise ValueError("no counts to estimate from")
     values, freq = np.unique(counts, return_counts=True)
     return CountDistribution({int(k): int(c) / counts.size for k, c in zip(values, freq)})
 
@@ -56,7 +55,7 @@ def comprehensive_distribution(dists) -> CountDistribution:
     """Cross-dataset mean pmf, renormalized."""
     dists = list(dists)
     if not dists:
-        raise EmptyInput("no distributions to combine")
+        raise ValueError("no distributions to combine")
     keys = sorted(set().union(*(d.pmf for d in dists)))
     pmf = {k: sum(d.prob(k) for d in dists) / len(dists) for k in keys}
     norm = sum(pmf.values())
@@ -139,9 +138,9 @@ def apply_gate(group: CooperativeGroup, mixup: Agent, pair: tuple[int, int],
     """
     i, j = pair
     if i == j or not (0 <= i < group.n and 0 <= j < group.n):
-        raise InvalidPair(f"bad pair ({i}, {j}) for group of {group.n}")
+        raise ValueError(f"bad pair ({i}, {j}) for group of {group.n}")
     if mixup.is_ego:
-        raise InvalidPair("mixup agent must not be pre-marked as ego")
+        raise ValueError("mixup agent must not be pre-marked as ego")
 
     if decision is GateChoice.PLUS:
         return CooperativeGroup(group.agents + (mixup,))

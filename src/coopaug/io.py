@@ -7,7 +7,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import BadMagic, TruncatedFile
 from .model import (AGENT_TYPES, EGO_FRAME, Agent, AgentType, CooperativeGroup,
                     CountDistribution, PointCloud, RigidTransform)
 from .rangeview import RangeImage
@@ -28,17 +27,18 @@ def save_cloud(cloud: PointCloud, path) -> None:
 
 
 def load_cloud(path) -> PointCloud:
-    """Read a cloud written by save_cloud, in the ego frame."""
+    """Read a cloud written by save_cloud, in the ego frame. Bytes not in that
+    format (a bad magic, or a length other than the count's) raise OSError."""
     data = Path(path).read_bytes()
     if data[:4] != CLOUD_MAGIC:
-        raise BadMagic(f"{path}: bad magic {data[:4]!r}")
+        raise OSError(f"{path}: bad magic {data[:4]!r}")
     if len(data) < 8:
-        raise TruncatedFile(f"{path}: missing point count")
+        raise OSError(f"{path}: missing point count")
     (count,) = struct.unpack("<I", data[4:8])
     expected = 8 + 16 * count
-    if len(data) < expected:
-        raise TruncatedFile(f"{path}: expected {expected} bytes, got {len(data)}")
-    records = np.frombuffer(data[8:expected], dtype="<f4").reshape(count, 4)
+    if len(data) != expected:
+        raise OSError(f"{path}: expected {expected} bytes, got {len(data)}")
+    records = np.frombuffer(data[8:], dtype="<f4").reshape(count, 4)
     if not np.isfinite(records).all():
         raise ValueError(f"{path}: non-finite point record")
     return PointCloud(records[:, :3].astype(np.float64),

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCenters, GroupTooSmall
 from .model import EGO_FRAME, Agent, CooperativeGroup, PointCloud, RngStream
 
 # The split line turns by up to this much either way: the cut varies, yet
@@ -33,18 +32,19 @@ def bev_center(agent: Agent) -> np.ndarray:
 
 
 def nearest_pair(group: CooperativeGroup) -> tuple[int, int]:
-    """Index pair with minimum BEV distance; lexicographic tie-break."""
+    """Index pair with minimum BEV distance; lexicographic tie-break. Distances
+    that overflow to inf tie, so if all do the pair is (0, 1)."""
     if group.n < 2:
-        raise GroupTooSmall(f"need at least 2 agents, got {group.n}")
+        raise ValueError(f"need at least 2 agents, got {group.n}")
     centers = [bev_center(a) for a in group.agents]
-    best = None
-    best_d = math.inf
-    for i in range(group.n):
-        for j in range(i + 1, group.n):
-            d = float(np.hypot(*(centers[i] - centers[j])))
-            if d < best_d - 1e-15:
-                best_d = d
-                best = (i, j)
+    best, best_d = (0, 1), math.inf
+    with np.errstate(over="ignore"):
+        for i in range(group.n):
+            for j in range(i + 1, group.n):
+                d = float(np.hypot(*(centers[i] - centers[j])))
+                if d < best_d - 1e-15:
+                    best_d = d
+                    best = (i, j)
     return best
 
 
@@ -52,10 +52,13 @@ def split_line(c1: np.ndarray, c2: np.ndarray, rotation_rad: float) -> SplitLine
     """Perpendicular bisector of (c1, c2) rotated by rotation_rad in the plane."""
     c1 = np.asarray(c1, dtype=np.float64)
     c2 = np.asarray(c2, dtype=np.float64)
-    delta = c2 - c1
+    with np.errstate(over="ignore"):
+        delta = c2 - c1
     norm = float(np.hypot(*delta))
+    if not math.isfinite(norm):
+        raise ValueError("split centers too far apart: their distance overflows")
     if norm < 1e-9:
-        raise DegenerateCenters("split centers coincide")
+        raise ValueError("split centers coincide")
     # base direction: +90 degree rotation of the center-to-center direction
     base = np.array([-delta[1], delta[0]]) / norm
     c, s = math.cos(rotation_rad), math.sin(rotation_rad)

@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BadTarget
 from .kernels import scatter_nearest
 from .model import AgentType, PointCloud, RngStream
 
@@ -81,7 +80,7 @@ def unproject(img: RangeImage) -> PointCloud:
 def resample_beams(img: RangeImage, target_H: int) -> RangeImage:
     """Change the beam (row) count: strided selection down, linear ranges up."""
     if target_H < 1:
-        raise BadTarget(f"target beam count {target_H} < 1")
+        raise ValueError(f"target beam count {target_H} < 1")
     H = img.H
     if target_H <= H:
         rows = (np.arange(target_H) * H) // target_H

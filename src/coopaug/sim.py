@@ -5,7 +5,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import PlacementFailure
 from .kernels import ray_cast
 from .model import (EGO_FRAME, Agent, AgentType, CooperativeGroup, PointCloud,
                     RigidTransform, RngStream, transform_cloud)
@@ -37,7 +36,7 @@ def make_scene(n_boxes: int, types, rng: RngStream) -> Scene:
             if all(np.hypot(*(xy - p)) >= MIN_AGENT_SEPARATION_M for p in positions):
                 break
         else:
-            raise PlacementFailure("could not separate agents")
+            raise ValueError("could not separate agents")
         positions.append(xy)
         yaw = float(rng.uniform(-math.pi, math.pi))
         pose = RigidTransform.from_ypr(yaw, translation=(xy[0], xy[1], SENSOR_HEIGHT_M))
@@ -55,7 +54,7 @@ def make_scene(n_boxes: int, types, rng: RngStream) -> Scene:
                 boxes[b] = (cxy[0], cxy[1], hz, hx, hy, hz)  # resting on the ground
                 break
         else:
-            raise PlacementFailure("could not place boxes clear of agents")
+            raise ValueError("could not place boxes clear of agents")
     return Scene(ground_z=0.0, boxes=boxes, agent_placements=tuple(placements))
 
 

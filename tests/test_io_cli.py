@@ -11,10 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopaug import (AGENT_TYPES, Agent, AgentType, BadMagic, CooperativeGroup,
-                     PointCloud, RangeImage, RigidTransform, TruncatedFile,
-                     load_cloud, load_manifest, save_cloud, save_manifest,
-                     save_range_image_pgm)
+from coopaug import (AGENT_TYPES, Agent, AgentType, CooperativeGroup, PointCloud,
+                     RangeImage, RigidTransform, load_cloud, load_manifest, save_cloud,
+                     save_manifest, save_range_image_pgm)
 from coopaug.cli import main
 
 
@@ -87,13 +86,20 @@ class TestCloudFormat:
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.pcv"
         path.write_bytes(b"NOPE\x00\x00\x00\x00")
-        with pytest.raises(BadMagic):
+        with pytest.raises(OSError, match="bad magic"):
             load_cloud(path)
 
     def test_truncated(self, tmp_path):
         path = tmp_path / "t.pcv"
         path.write_bytes(b"PCV1\x02\x00\x00\x00" + b"\x00" * 16)  # claims 2, holds 1
-        with pytest.raises(TruncatedFile):
+        with pytest.raises(OSError, match="expected 40 bytes, got 24"):
+            load_cloud(path)
+
+    def test_trailing_bytes(self, tmp_path):
+        path = tmp_path / "t.pcv"
+        save_cloud(PointCloud.from_arrays(np.ones((2, 3))), path)
+        path.write_bytes(path.read_bytes() + b"\x00" * 9)  # 2 records, then 9 more bytes
+        with pytest.raises(OSError, match="expected 40 bytes, got 49"):
             load_cloud(path)
 
 
@@ -398,8 +404,9 @@ class TestCli:
         assert out.read_bytes().startswith(b"P5\n512 32\n65535\n")
 
     @pytest.mark.parametrize("data", [b"NOPE\x00\x00\x00\x00",
-                                      b"PCV1\x02\x00\x00\x00" + b"\x00" * 16],
-                             ids=["bad-magic", "truncated"])
+                                      b"PCV1\x02\x00\x00\x00" + b"\x00" * 16,
+                                      b"PCV1\x01\x00\x00\x00" + b"\x00" * 25],
+                             ids=["bad-magic", "truncated", "trailing-bytes"])
     def test_corrupt_cloud_exit_two(self, data, tmp_path, capsys):
         pcv = tmp_path / "c.pcv"
         pcv.write_bytes(data)
@@ -409,6 +416,37 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("i/o error: ")
         assert str(pcv) in captured.err
+
+    @pytest.mark.parametrize("command", ["augment", "cfc-check"])
+    def test_overflowing_pair_distance_exits_one(self, command, tmp_path, capsys):
+        # finite translations whose distance overflows to inf
+        manifest = save_manifest(one_point_group(), tmp_path / "in")
+        doc = json.loads(manifest.read_text())
+        for agent, x in zip(doc["agents"], (1.7e308, -1.7e308)):
+            agent["pose"]["translation"][0] = x
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main([command, "--manifest", str(manifest),
+                   *(["--out", str(out)] if command == "augment" else [])])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: split centers too far apart: their distance overflows\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["augment", "cfc-check", "gate-stats"])
+    def test_dist_file_with_table_source_exits_one(self, command, tmp_path, capsys):
+        manifest = save_manifest(one_point_group(), tmp_path / "in")
+        out = tmp_path / "out"
+        args = {"augment": ["--manifest", str(manifest), "--out", str(out)],
+                "cfc-check": ["--manifest", str(manifest)], "gate-stats": []}[command]
+        rc = main([command, *args, "--source-dist", "opv2v",
+                   "--dist-file", str(tmp_path / "missing.json")])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: --dist-file") and "opv2v" in captured.err
+        assert not out.exists()
 
     def test_usage_error_exit_one(self, capsys):
         rc = main(["gate-stats", "--source-dist", "bogus"])

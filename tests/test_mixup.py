@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from coopaug import (AGENT_TYPES, Agent, CooperativeGroup, DegenerateCenters,
-                     GroupTooSmall, PointCloud, RigidTransform, RngStream,
-                     bev_center, cut_and_combine, make_mixup_agent, mixup,
-                     nearest_pair, split_line)
+from coopaug import (AGENT_TYPES, Agent, CooperativeGroup, PointCloud,
+                     RigidTransform, RngStream, bev_center, cut_and_combine,
+                     make_mixup_agent, mixup, nearest_pair, split_line)
 
 EMPTY = PointCloud.from_arrays(np.zeros((0, 3)))
 
@@ -43,8 +42,18 @@ class TestNearestPair:
 
     def test_too_small(self):
         g = CooperativeGroup((agent_at(0, 0, is_ego=True),))
-        with pytest.raises(GroupTooSmall):
+        with pytest.raises(ValueError, match="need at least 2 agents"):
             nearest_pair(g)
+
+    def test_overflowing_distances_tie(self):
+        # every distance overflows to inf, so the first pair wins the tie;
+        # then one distance is finite, and it wins
+        g = CooperativeGroup((agent_at(1.7e308, 0, is_ego=True), agent_at(-1.7e308, 0),
+                              agent_at(0, 1.7e308)))
+        assert nearest_pair(g) == (0, 1)
+        g = CooperativeGroup((agent_at(1.7e308, 0, is_ego=True), agent_at(-1.7e308, 0),
+                              agent_at(-1.7e308, 5.0)))
+        assert nearest_pair(g) == (1, 2)
 
 
 class TestSplitLine:
@@ -58,8 +67,12 @@ class TestSplitLine:
         assert np.allclose(line.direction, [-1.0, 0.0], atol=1e-12)
 
     def test_degenerate_centers(self):
-        with pytest.raises(DegenerateCenters):
+        with pytest.raises(ValueError, match="split centers coincide"):
             split_line(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.0)
+
+    def test_overflowing_distance(self):
+        with pytest.raises(ValueError, match="distance overflows"):
+            split_line(np.array([1.7e308, 0.0]), np.array([-1.7e308, 0.0]), 0.0)
 
 
 class TestCutAndCombine:
@@ -133,7 +146,7 @@ class TestMakeMixupAgent:
 
     def test_too_small(self):
         g = CooperativeGroup((agent_at(0, 0, is_ego=True),))
-        with pytest.raises(GroupTooSmall):
+        with pytest.raises(ValueError, match="need at least 2 agents"):
             make_mixup_agent(g, RngStream(0, "m"), nearest_pair(g))
 
     def test_membership_oracle(self):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from coopaug import (AGENT_TYPES, BadTarget, PointCloud, RngStream, density_augment,
+from coopaug import (AGENT_TYPES, PointCloud, RngStream, density_augment,
                      project, rangeview, resample_beams, unproject)
 
 FOV = (-25.0, 5.0)
@@ -142,7 +142,7 @@ class TestResampleBeams:
         assert set(out.ranges[:, 0]) <= {0.0, 10.0}
 
     def test_bad_target(self):
-        with pytest.raises(BadTarget):
+        with pytest.raises(ValueError, match="target beam count 0"):
             resample_beams(self.grid(), 0)
 
     def test_downsample_never_adds_returns(self):

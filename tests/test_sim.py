@@ -4,9 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from coopaug import (AGENT_TYPES, AgentType, PlacementFailure, RigidTransform,
-                     RngStream, Scene, density_augment, make_group, make_scene, project,
-                     simulate_lidar, validate_group)
+from coopaug import (AGENT_TYPES, AgentType, RigidTransform, RngStream, Scene,
+                     density_augment, make_group, make_scene, project, simulate_lidar,
+                     validate_group)
 from coopaug.rangeview import AZIMUTH_BINS
 
 QUIET = AgentType("Q", 8, 120.0, (-25.0, 5.0), 0.0, "Sim", "Vehicle")

@@ -19,14 +19,17 @@ ties do not occur in these clouds; the oracle tests cover them); `gate-stats`
 for the four sources; and the error paths, among them
 `augment` and `cfc-check` on manifests whose group is invalid (two egos, a
 repeated id), on malformed manifests (a NaN translation with 2 and with 3
-agents, a NaN ground_z, an infinite box centre, a custom type with `beams`
-1e400, 16.5, 0 or 10**12 or a reversed `fov_deg`, an unknown type name on an
-agent whose cloud is missing, text that is not JSON, not UTF-8 or nested
-100,000 deep), and on manifests whose cloud path or ego id leaves its
-directory; `augment` on pmf files that are a list, not JSON, sum to 0.5, hold
-count 0, a 20-digit count or a 401-digit probability, and `gate-stats` on the
-last four; `project` on clouds holding a NaN coordinate or an infinite
-intensity; and `project --width 10**12` and `gate-stats --iterations 10**14`.
+agents, finite translations whose distance overflows, a NaN ground_z, an
+infinite box centre, a custom type with `beams` 1e400, 16.5, 0 or 10**12 or a
+reversed `fov_deg`, an unknown type name on an agent whose cloud is missing,
+text that is not JSON, not UTF-8 or nested 100,000 deep), and on manifests
+whose cloud path or ego id leaves its directory; `augment` on pmf files that
+are a list, not JSON, sum to 0.5, hold count 0, a 20-digit count or a
+401-digit probability, and `gate-stats` on the last four; `gate-stats
+--dist-file` with a table source; `project` on clouds with bad magic, cut
+short, with bytes after their records, or holding a NaN coordinate or an
+infinite intensity; and `project --width 10**12` and `gate-stats --iterations
+10**14`.
 """
 
 import contextlib
@@ -50,7 +53,7 @@ BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-
                  ("escaped-id", 1), ("beams-1e400", 2), ("beams-fraction", 2),
                  ("nan-ground-z", 2), ("inf-box", 2), ("not-json", 2), ("not-utf8", 2),
                  ("deep-json", 2), ("unknown-type-missing-cloud", 2), ("beams-0", 2),
-                 ("fov-reversed", 2), ("beams-huge", 2))
+                 ("fov-reversed", 2), ("beams-huge", 2), ("overflowing-poses", 2))
 # pmf files for `--dist-file` that are not a count distribution: (name, text).
 BAD_PMFS = (("list", "[0.5, 0.5]"), ("not-json", "{not json"), ("sum", '{"1": 0.5}'),
             ("count-0", '{"0": 1.0}'), ("20-digits", '{"99999999999999999999": 1.0}'),
@@ -105,6 +108,8 @@ def matrix(out: Path):
         ("err-dist-file-missing", ["augment", "--manifest", manifest, "--source-dist", "file",
                                    "--dist-file", bad / "missing.json",
                                    "--out", out / "err-dist-file-missing"]),
+        ("err-dist-file-table", ["gate-stats", "--source-dist", "opv2v",
+                                 "--dist-file", bad / "missing.json"]),
         ("err-iterations-0", ["gate-stats", "--iterations", 0]),
         ("err-iterations-neg", ["gate-stats", "--iterations", -1]),
         ("err-width-0", ["project", "--cloud", out / "sim0" / "agent-0.pcv", "--type", "A",
@@ -119,6 +124,8 @@ def matrix(out: Path):
                            "--out", out / "err-bad-magic" / "range.pgm"]),
         ("err-truncated", ["project", "--cloud", bad / "truncated.pcv", "--type", "A",
                            "--out", out / "err-truncated" / "range.pgm"]),
+        ("err-trailing-bytes", ["project", "--cloud", bad / "trailing.pcv", "--type", "A",
+                                "--out", out / "err-trailing-bytes" / "range.pgm"]),
         ("err-missing-manifest", ["cfc-check", "--manifest", bad / "missing.json"]),
         ("err-no-aug-source", ["cfc-check", "--manifest", manifest, "--no-aug",
                                "--source-dist", "bogus"]),
@@ -166,6 +173,9 @@ def write_bad_manifest(root: Path, name: str, n_agents: int) -> None:
         agents[1]["id"] = agents[0]["id"]
     elif name.startswith("nan-pose"):
         agents[1]["pose"]["translation"][0] = float("nan")
+    elif name == "overflowing-poses":
+        agents[0]["pose"]["translation"][0] = 1.7e308
+        agents[1]["pose"]["translation"][0] = -1.7e308
     elif name == "no-pose":
         del agents[1]["pose"]
     elif name == "type-5":
@@ -251,6 +261,7 @@ def main(argv) -> int:
     bad.mkdir()
     (bad / "magic.pcv").write_bytes(b"NOPE\x00\x00\x00\x00")
     (bad / "truncated.pcv").write_bytes(b"PCV1\x02\x00\x00\x00" + b"\x00" * 16)
+    (bad / "trailing.pcv").write_bytes(b"PCV1\x01\x00\x00\x00" + b"\x00" * 25)
     for name, n_agents in BAD_MANIFESTS:
         write_bad_manifest(bad / name, name, n_agents)
     (bad / "outside").mkdir()
