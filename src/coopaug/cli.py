@@ -47,7 +47,7 @@ def _cmd_simulate(args) -> int:
         raise ValueError(f"unknown agent type {exc}") from exc
     rng = RngStream(args.seed, "simulate")
     scene = make_scene(args.boxes, types, rng.derive("scene"))
-    group = make_group(scene, ego_index=0, rng=rng.derive("lidar"))
+    group = make_group(scene, rng=rng.derive("lidar"))
     manifest = save_manifest(group, args.out, ground_z=scene.ground_z, boxes=scene.boxes)
     print(f"wrote {manifest} ({group.n} agents, {args.boxes} boxes)")
     return 0

@@ -10,6 +10,9 @@ from .model import EGO_FRAME, Agent, CooperativeGroup, PointCloud, RngStream
 # The split line turns by up to this much either way: the cut varies, yet
 # both source agents keep contributing points.
 SPLIT_ROTATION_RAD = math.pi / 4
+# BEV centres closer than this have no split line between them, so such a
+# pair is never mixed.
+MIN_SPLIT_DISTANCE_M = 1e-9
 
 
 @dataclass(frozen=True)
@@ -31,18 +34,18 @@ def bev_center(agent: Agent) -> np.ndarray:
     return agent.pose.translation[:2].copy()
 
 
-def nearest_pair(group: CooperativeGroup) -> tuple[int, int]:
-    """Index pair with minimum BEV distance; lexicographic tie-break. Distances
-    that overflow to inf tie, so if all do the pair is (0, 1)."""
-    if group.n < 2:
-        raise ValueError(f"need at least 2 agents, got {group.n}")
+def nearest_pair(group: CooperativeGroup) -> tuple[int, int] | None:
+    """Index pair with minimum BEV distance of those at least
+    MIN_SPLIT_DISTANCE_M apart; lexicographic tie-break. Distances that
+    overflow to inf tie, so if all do the pair is the first that qualifies.
+    None when no pair qualifies: one agent, or all at one spot."""
     centers = [bev_center(a) for a in group.agents]
-    best, best_d = (0, 1), math.inf
+    best, best_d = None, math.inf
     with np.errstate(over="ignore"):
         for i in range(group.n):
             for j in range(i + 1, group.n):
                 d = float(np.hypot(*(centers[i] - centers[j])))
-                if d < best_d - 1e-15:
+                if d >= MIN_SPLIT_DISTANCE_M and (best is None or d < best_d - 1e-15):
                     best_d = d
                     best = (i, j)
     return best
@@ -57,13 +60,13 @@ def split_line(c1: np.ndarray, c2: np.ndarray, rotation_rad: float) -> SplitLine
     norm = float(np.hypot(*delta))
     if not math.isfinite(norm):
         raise ValueError("split centers too far apart: their distance overflows")
-    if norm < 1e-9:
+    if norm < MIN_SPLIT_DISTANCE_M:
         raise ValueError("split centers coincide")
     # base direction: +90 degree rotation of the center-to-center direction
     base = np.array([-delta[1], delta[0]]) / norm
     c, s = math.cos(rotation_rad), math.sin(rotation_rad)
     direction = np.array([c * base[0] - s * base[1], s * base[0] + c * base[1]])
-    return SplitLine((c1 + c2) / 2.0, direction)
+    return SplitLine(c1 / 2.0 + c2 / 2.0, direction)
 
 
 def cut_and_combine(p1: PointCloud, p2: PointCloud,

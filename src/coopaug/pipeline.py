@@ -53,12 +53,12 @@ def cmag(group: CooperativeGroup, phi_s: CountDistribution, phi_c: CountDistribu
          cfg: CmagConfig, rng: RngStream) -> CooperativeGroup:
     """One augmentation step: mixup agent, point augmentation, gate application.
 
-    Single-agent groups pass through unchanged (no pair to mix). The gate
-    decision is the last draw from `rng`. `cfg` is not read.
+    A group with no pair to mix (`nearest_pair` gives None) passes through
+    unchanged. The gate decision is the last draw from `rng`. `cfg` is not read.
     """
-    if group.n < 2:
-        return group
     pair = nearest_pair(group)
+    if pair is None:
+        return group
     mixup = make_mixup_agent(group, rng, pair=pair)
     cloud = density_augment(mixup.cloud, mixup.agent_type, rng)
     cloud = apply_setup_aug(cloud, sample_setup_params(rng))

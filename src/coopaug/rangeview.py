@@ -74,7 +74,7 @@ def unproject(img: RangeImage) -> PointCloud:
     xyz = np.stack([r * cos_phi * np.cos(theta),
                     r * cos_phi * np.sin(theta),
                     r * np.sin(phi)], axis=1)
-    return PointCloud(xyz, img.intensities[rows, cols].copy(), img.frame)
+    return PointCloud(xyz, img.intensities[rows, cols], img.frame)
 
 
 def resample_beams(img: RangeImage, target_H: int) -> RangeImage:
@@ -84,8 +84,7 @@ def resample_beams(img: RangeImage, target_H: int) -> RangeImage:
     H = img.H
     if target_H <= H:
         rows = (np.arange(target_H) * H) // target_H
-        return RangeImage(img.ranges[rows].copy(), img.intensities[rows].copy(),
-                          img.fov_deg, img.frame)
+        return RangeImage(img.ranges[rows], img.intensities[rows], img.fov_deg, img.frame)
     # upsampling: interpolate ranges between valid neighbor rows per column
     s = np.arange(target_H) * H / target_H
     lo = np.minimum(np.floor(s).astype(np.int64), H - 1)

@@ -91,17 +91,15 @@ def simulate_lidar(scene: Scene, placement_index: int, rng: RngStream) -> PointC
     return PointCloud(xyz, np.ones(len(xyz)), frame=f"agent-{placement_index}")
 
 
-def make_group(scene: Scene, ego_index: int, rng: RngStream) -> CooperativeGroup:
-    """Simulate every placement and project all clouds into the ego frame."""
-    if not (0 <= ego_index < len(scene.agent_placements)):
-        raise IndexError(f"ego index {ego_index} out of bounds")
-    ego_pose = scene.agent_placements[ego_index][0]
-    ego_inv = ego_pose.inverse()
+def make_group(scene: Scene, rng: RngStream) -> CooperativeGroup:
+    """Simulate every placement and project all clouds into the frame of
+    placement 0, the ego."""
+    ego_inv = scene.agent_placements[0][0].inverse()
     agents = []
     for i, (pose, agent_type) in enumerate(scene.agent_placements):
         cloud = simulate_lidar(scene, i, rng)
-        to_ego = RigidTransform.identity() if i == ego_index else ego_inv.compose(pose)
+        to_ego = RigidTransform.identity() if i == 0 else ego_inv.compose(pose)
         agents.append(Agent(id=f"agent-{i}", pose=to_ego,
                             cloud=transform_cloud(cloud, to_ego, EGO_FRAME),
-                            agent_type=agent_type, is_ego=(i == ego_index)))
+                            agent_type=agent_type, is_ego=(i == 0)))
     return CooperativeGroup(tuple(agents))

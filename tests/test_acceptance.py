@@ -99,7 +99,7 @@ def test_criterion_3_mixup_invariants():
     violations = 0
     for trial in range(1000):
         scene = make_scene(2, [CHEAP] * 3, RngStream(trial, "c3-scene"))
-        group = make_group(scene, 0, RngStream(trial, "c3-lidar"))
+        group = make_group(scene, RngStream(trial, "c3-lidar"))
         pair = nearest_pair(group)
         a1, a2 = group.agents[pair[0]], group.agents[pair[1]]
         mirror = RngStream(trial, "c3-mix")
@@ -251,7 +251,7 @@ def test_criterion_6_consistency_identity_and_sensitivity():
     sensitive = 0
     for trial in range(100):
         scene = inbounds_scene(2 + trial % 3, RngStream(trial, "c6-scene"))
-        group = make_group(scene, 0, RngStream(trial, "c6-lidar"))
+        group = make_group(scene, RngStream(trial, "c6-lidar"))
         base = occupancy(early_fuse(group))
         fused = fuse_grids([occupancy(a.cloud) for a in group.agents])
         if cfc_l1(fused, base) != 0.0:

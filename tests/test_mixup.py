@@ -41,9 +41,30 @@ class TestNearestPair:
         assert nearest_pair(g) == (0, 1)
 
     def test_too_small(self):
-        g = CooperativeGroup((agent_at(0, 0, is_ego=True),))
-        with pytest.raises(ValueError, match="need at least 2 agents"):
-            nearest_pair(g)
+        # one agent, or agents all at one BEV spot (heights may differ): no pair
+        assert nearest_pair(CooperativeGroup((agent_at(0, 0, is_ego=True),))) is None
+        g = CooperativeGroup((agent_at(2, 3, is_ego=True), agent_at(2, 3, 1.0, aid="b"),
+                              agent_at(2, 3, -4.0, aid="c")))
+        assert nearest_pair(g) is None
+
+    def test_skips_coincident_pair(self):
+        # (0, 1) stand 1e-10 m apart, so the next nearest pair is picked
+        g = CooperativeGroup((agent_at(0, 0, is_ego=True), agent_at(1e-10, 0),
+                              agent_at(4, 0)))
+        assert nearest_pair(g) == (1, 2)
+        # (0, 2) coincide; (0, 3) and (2, 3) tie at 3 m, and (0, 3) comes first
+        g = CooperativeGroup((agent_at(0, 0, is_ego=True), agent_at(7, 0),
+                              agent_at(0, 0, 2.0, aid="b"), agent_at(0, 3)))
+        assert nearest_pair(g) == (0, 3)
+
+    def test_pair_at_the_threshold(self):
+        g = CooperativeGroup((agent_at(0, 0, is_ego=True),
+                              agent_at(mixup.MIN_SPLIT_DISTANCE_M, 0), agent_at(9, 0)))
+        assert nearest_pair(g) == (0, 1)
+        g = CooperativeGroup((agent_at(0, 0, is_ego=True),
+                              agent_at(math.nextafter(mixup.MIN_SPLIT_DISTANCE_M, 0), 0),
+                              agent_at(9, 0)))
+        assert nearest_pair(g) == (1, 2)
 
     def test_overflowing_distances_tie(self):
         # every distance overflows to inf, so the first pair wins the tie;
@@ -73,6 +94,13 @@ class TestSplitLine:
     def test_overflowing_distance(self):
         with pytest.raises(ValueError, match="distance overflows"):
             split_line(np.array([1.7e308, 0.0]), np.array([-1.7e308, 0.0]), 0.0)
+
+    def test_anchor_near_the_largest_double(self):
+        # the midpoint of two centres near 1.7e308 is finite, with no overflow
+        # warning (which pytest turns into an error)
+        line = split_line(np.array([1.7e308, 0.0]), np.array([1.7e308, 3.0]), 0.0)
+        assert np.array_equal(line.anchor, [1.7e308, 1.5])
+        assert np.allclose(line.direction, [-1.0, 0.0], atol=1e-12)
 
 
 class TestCutAndCombine:
@@ -145,9 +173,11 @@ class TestMakeMixupAgent:
         assert mix.id not in {a.id for a in g.agents}
 
     def test_too_small(self):
-        g = CooperativeGroup((agent_at(0, 0, is_ego=True),))
-        with pytest.raises(ValueError, match="need at least 2 agents"):
-            make_mixup_agent(g, RngStream(0, "m"), nearest_pair(g))
+        # two agents at one spot give no pair; forcing one still fails the split
+        g = CooperativeGroup((agent_at(0, 0, is_ego=True), agent_at(0, 0, 1.0, aid="b")))
+        assert nearest_pair(g) is None
+        with pytest.raises(ValueError, match="split centers coincide"):
+            make_mixup_agent(g, RngStream(0, "m"), (0, 1))
 
     def test_membership_oracle(self):
         g = self.group(seed=9)

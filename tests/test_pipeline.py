@@ -4,8 +4,8 @@ import pytest
 from coopaug import (AGENT_TYPES, Agent, CmagConfig, CooperativeGroup,
                      GateChoice, PointCloud, RigidTransform,
                      RngStream, TABLE_DISTRIBUTIONS, cfc_l1, cmag,
-                     comprehensive_from_tables, early_fuse, fuse_grids,
-                     nearest_pair, occupancy, pipeline, validate_group)
+                     comprehensive_from_tables, early_fuse, fuse_grids, make_group,
+                     make_scene, nearest_pair, occupancy, pipeline, validate_group)
 
 EMPTY = PointCloud.from_arrays(np.zeros((0, 3)))
 
@@ -127,6 +127,29 @@ class TestCmag:
     def test_single_agent_passthrough(self):
         g = CooperativeGroup((agent("e", is_ego=True),))
         assert self.run(g) is g
+
+    def test_coincident_group_passthrough(self):
+        # every agent at one BEV spot: no pair can be split, nothing is drawn
+        g = CooperativeGroup(tuple(agent(f"a{i}", x=2.0, is_ego=(i == 0), seed=i)
+                                   for i in range(3)))
+        assert self.run(g) is g
+
+    def test_augments_its_own_output(self):
+        # a mixup agent stands at its donor's pose; augmenting the result again
+        # mixes another pair, and CFC scores both results
+        scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
+        g = make_group(scene, RngStream(3, "golden-lidar"))
+        phi_s = TABLE_DISTRIBUTIONS["v2v4real"]
+        for seed in range(4):
+            once = cmag(g, phi_s, comprehensive_from_tables(), CmagConfig(),
+                        RngStream(seed, "aug"))
+            assert "mixup-0" in [a.id for a in once.agents]
+            twice = cmag(once, phi_s, comprehensive_from_tables(), CmagConfig(),
+                         RngStream(seed, "again"))
+            assert twice is not once and validate_group(twice) is None
+            for src, out in ((g, once), (once, twice)):
+                fused = fuse_grids([occupancy(a.cloud) for a in out.agents])
+                assert cfc_l1(fused, occupancy(early_fuse(src))) >= 0.0
 
     def test_forced_keep_preserves_count(self, monkeypatch):
         g = group(3)

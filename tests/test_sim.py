@@ -2,7 +2,6 @@ import hashlib
 import math
 
 import numpy as np
-import pytest
 
 from coopaug import (AGENT_TYPES, AgentType, RigidTransform, RngStream, Scene,
                      density_augment, make_group, make_scene, project, simulate_lidar,
@@ -96,7 +95,7 @@ class TestSimulateLidar:
 class TestMakeGroup:
     def test_single_placement_identity(self):
         scene = self.two_agent_scene(n=1)
-        g = make_group(scene, 0, RngStream(0, "g"))
+        g = make_group(scene, RngStream(0, "g"))
         assert g.n == 1 and g.agents[0].is_ego
         assert g.agents[0].pose.is_valid()
         assert np.array_equal(g.agents[0].pose.rotation, np.eye(3))
@@ -111,14 +110,14 @@ class TestMakeGroup:
         return Scene(0.0, box, tuple(placements))
 
     def test_valid_group(self):
-        g = make_group(self.two_agent_scene(), 0, RngStream(1, "g"))
+        g = make_group(self.two_agent_scene(), RngStream(1, "g"))
         assert validate_group(g) is None
         assert g.n == 2
 
     def test_cross_agent_box_consistency(self):
         # box surface points seen by both agents lie on the real box (world frame)
         scene = self.two_agent_scene()
-        g = make_group(scene, 0, RngStream(2, "g"))
+        g = make_group(scene, RngStream(2, "g"))
         ego_pose = scene.agent_placements[0][0]
         box = scene.boxes[0]
         for agent in g.agents:
@@ -133,16 +132,12 @@ class TestMakeGroup:
                       & (np.abs(pts[:, 2] - box[2]) <= box[5] + tol))
             assert inside.all()
 
-    def test_ego_out_of_bounds(self):
-        with pytest.raises(IndexError):
-            make_group(self.two_agent_scene(), 5, RngStream(0, "g"))
-
     def test_full_scene_golden_digest(self):
         # every ray of a C, E, A scene with 32 boxes: the sha256 of each agent's
         # xyz bytes as the ray cast testing every ray against every box gave
         # them. The rays pass through matmul, so a numpy/BLAS build may differ.
         scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
-        group = make_group(scene, 0, RngStream(3, "golden-lidar"))
+        group = make_group(scene, RngStream(3, "golden-lidar"))
         assert [hashlib.sha256(a.cloud.xyz.tobytes()).hexdigest() for a in group.agents] == [
             "2a78d8434719c060b272d62057510741a0c248d4266d43530ace023370e91070",
             "1d0f9b93ad551aeeaf05dbf730b21b74b6309b0dde13aa9705ecf477f37fee5f",
@@ -155,7 +150,7 @@ class TestMakeGroup:
         # augmentation of the type E cloud. Recorded with the scatter that
         # sorted every point by range.
         scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
-        group = make_group(scene, 0, RngStream(3, "golden-lidar"))
+        group = make_group(scene, RngStream(3, "golden-lidar"))
         digests = []
         for agent in group.agents:
             for t in dict.fromkeys((agent.agent_type, AGENT_TYPES["E"])):

@@ -12,7 +12,9 @@ two listings diff to the commands that changed.
 
 The matrix: `simulate` on four scenes (one with type E and 32 boxes);
 `augment` and `cfc-check` for the four table sources and three seeds on each
-scene; `cfc-check --no-aug`; `project` of every agent cloud at widths 512 and
+scene, then `cfc-check --seed 0` and `augment --seed 3` with the same source on
+each `augment` output, whose mixup agent stands at its donor's pose;
+`cfc-check --no-aug`; `project` of every agent cloud at widths 512 and
 2048, at its own type and, for type E and type A clouds, also as the other
 of the two, so pixel collisions reach the output directly (exact equal-range
 ties do not occur in these clouds; the oracle tests cover them); `gate-stats`
@@ -28,8 +30,12 @@ are a list, not JSON, sum to 0.5, hold count 0, a 20-digit count or a
 401-digit probability, and `gate-stats` on the last four; `gate-stats
 --dist-file` with a table source; `project` on clouds with bad magic, cut
 short, with bytes after their records, or holding a NaN coordinate or an
-infinite intensity; and `project --width 10**12` and `gate-stats --iterations
-10**14`.
+infinite intensity; `project --width 10**12` and `gate-stats --iterations
+10**14`. Last, valid inputs the scenes do not reach: `simulate`, `augment` and
+`cfc-check` on one agent, which `cmag` passes through; `augment` and
+`cfc-check` on a manifest whose ego has a custom type, then `cfc-check` on the
+`augment` output, which saves that type in full; and the same on two agents
+3 m apart near x = 1.7e308, whose midpoint must not overflow.
 """
 
 import contextlib
@@ -54,6 +60,8 @@ BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-
                  ("nan-ground-z", 2), ("inf-box", 2), ("not-json", 2), ("not-utf8", 2),
                  ("deep-json", 2), ("unknown-type-missing-cloud", 2), ("beams-0", 2),
                  ("fov-reversed", 2), ("beams-huge", 2), ("overflowing-poses", 2))
+# Valid manifests built by the same edits: (name, agents).
+GOOD_MANIFESTS = (("custom-ego", 2), ("far-pair", 2))
 # pmf files for `--dist-file` that are not a count distribution: (name, text).
 BAD_PMFS = (("list", "[0.5, 0.5]"), ("not-json", "{not json"), ("sum", '{"1": 0.5}'),
             ("count-0", '{"0": 1.0}'), ("20-digits", '{"99999999999999999999": 1.0}'),
@@ -80,6 +88,13 @@ def matrix(out: Path):
                 cmds.append((f"cfc{k}-{source}-{s}",
                              ["cfc-check", "--manifest", manifest, "--source-dist", source,
                               "--seed", s]))
+                augmented = out / f"aug{k}-{source}-{s}" / "manifest.json"
+                cmds.append((f"cfc{k}-{source}-{s}-again",
+                             ["cfc-check", "--manifest", augmented, "--source-dist", source,
+                              "--seed", 0]))
+                cmds.append((f"aug{k}-{source}-{s}-again",
+                             ["augment", "--manifest", augmented, "--source-dist", source,
+                              "--seed", 3, "--out", out / f"aug{k}-{source}-{s}-again"]))
         cmds.append((f"cfc{k}-no-aug", ["cfc-check", "--manifest", manifest, "--no-aug"]))
         for i, t in enumerate(types.split(",")):
             # each cloud at its own type; type E clouds also as type A, and
@@ -153,10 +168,25 @@ def matrix(out: Path):
     for name, *_ in BAD_CLOUDS:
         cmds.append((f"err-{name}", ["project", "--cloud", bad / f"{name}.pcv", "--type", "A",
                                      "--out", out / f"err-{name}" / "range.pgm"]))
+    single = out / "sim-single" / "manifest.json"
+    cmds += [
+        ("sim-single", ["simulate", "--agents", 1, "--types", "A", "--boxes", 4, "--seed", 5,
+                        "--out", out / "sim-single"]),
+        ("aug-single", ["augment", "--manifest", single, "--out", out / "aug-single"]),
+        ("cfc-single", ["cfc-check", "--manifest", single]),
+    ]
+    for name, _ in GOOD_MANIFESTS:
+        good_manifest = out / "good" / name / "manifest.json"
+        cmds += [
+            (f"{name}-aug", ["augment", "--manifest", good_manifest, "--out", out / f"{name}-aug"]),
+            (f"{name}-cfc", ["cfc-check", "--manifest", good_manifest]),
+            (f"{name}-aug-cfc", ["cfc-check", "--manifest",
+                                 out / f"{name}-aug" / "manifest.json"]),
+        ]
     return cmds
 
 
-def write_bad_manifest(root: Path, name: str, n_agents: int) -> None:
+def write_manifest(root: Path, name: str, n_agents: int) -> None:
     """A manifest of type A agents 4 m apart, each with a one-point cloud,
     then the edit `name` applied."""
     root.mkdir()
@@ -176,6 +206,12 @@ def write_bad_manifest(root: Path, name: str, n_agents: int) -> None:
     elif name == "overflowing-poses":
         agents[0]["pose"]["translation"][0] = 1.7e308
         agents[1]["pose"]["translation"][0] = -1.7e308
+    elif name == "far-pair":
+        agents[0]["pose"]["translation"] = [1.7e308, 0.0, 0.0]
+        agents[1]["pose"]["translation"] = [1.7e308, 3.0, 0.0]
+    elif name == "custom-ego":
+        agents[0]["type"] = {"name": "X", "beams": 16, "range_m": 90.0,
+                             "fov_deg": [-20.0, 10.0], "range_error_m": 0.01}
     elif name == "no-pose":
         del agents[1]["pose"]
     elif name == "type-5":
@@ -263,7 +299,10 @@ def main(argv) -> int:
     (bad / "truncated.pcv").write_bytes(b"PCV1\x02\x00\x00\x00" + b"\x00" * 16)
     (bad / "trailing.pcv").write_bytes(b"PCV1\x01\x00\x00\x00" + b"\x00" * 25)
     for name, n_agents in BAD_MANIFESTS:
-        write_bad_manifest(bad / name, name, n_agents)
+        write_manifest(bad / name, name, n_agents)
+    (out / "good").mkdir()
+    for name, n_agents in GOOD_MANIFESTS:
+        write_manifest(out / "good" / name, name, n_agents)
     (bad / "outside").mkdir()
     (bad / "outside" / "x.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, 5.0, 0.5, 0.0, 1.0))
     for name, text in BAD_PMFS:
