@@ -12,7 +12,7 @@ from .mixup import (SplitLine, bev_center, cut_and_combine, make_mixup_agent,
 from .model import (AGENT_TYPES, EGO_FRAME, Agent, AgentType, CmagConfig,
                     CooperativeGroup, CountDistribution, PointCloud,
                     RigidTransform, RngStream, transform_cloud, validate_group)
-from .pipeline import cfc_l1, cmag, early_fuse, fuse_grids, occupancy
+from .pipeline import cfc_l1, cfc_score, cmag, early_fuse, fuse_grids, occupancy
 from .rangeview import (NO_RETURN, RangeImage, density_augment, project,
                         resample_beams, unproject)
 from .setupaug import SetupAugParams, apply_setup_aug, sample_setup_params

@@ -9,7 +9,7 @@ from .gate import (TABLE_DISTRIBUTIONS, comprehensive_from_tables, gate_response
                    sample_gate_step)
 from .io import load_cloud, load_manifest, load_pmf, save_manifest, save_range_image_pgm
 from .model import AGENT_TYPES, CmagConfig, CountDistribution, RngStream
-from .pipeline import cmag, early_fuse, fuse_grids, occupancy, cfc_l1
+from .pipeline import cfc_score, cmag
 from .rangeview import AZIMUTH_BINS, project as project_cloud
 from .sim import make_group, make_scene
 
@@ -95,10 +95,8 @@ def _cmd_project(args) -> int:
 def _cmd_cfc_check(args) -> int:
     group, _ = load_manifest(args.manifest)
     phi_s = _load_source_dist(args.source_dist, args.dist_file)  # checked with --no-aug too
-    early_grid = occupancy(early_fuse(group))
     generalized = group if args.no_aug else _augment(group, phi_s, args)
-    fused = fuse_grids([occupancy(a.cloud) for a in generalized.agents])
-    print(f"{cfc_l1(fused, early_grid):.1f}")
+    print(f"{cfc_score(group, generalized):.1f}")
     return 0
 
 

@@ -24,9 +24,10 @@ class SplitLine:
     direction: np.ndarray  # (2,), unit norm
 
     def side(self, xy: np.ndarray) -> np.ndarray:
-        """Signed side of BEV points (N, 2): cross(direction, p - anchor)."""
-        rel = xy - self.anchor
-        return self.direction[0] * rel[:, 1] - self.direction[1] * rel[:, 0]
+        """Signed side of points whose first two columns are BEV x, y:
+        cross(direction, p - anchor), one column at a time."""
+        return (self.direction[0] * (xy[:, 1] - self.anchor[1])
+                - self.direction[1] * (xy[:, 0] - self.anchor[0]))
 
 
 def bev_center(agent: Agent) -> np.ndarray:
@@ -73,11 +74,16 @@ def cut_and_combine(p1: PointCloud, p2: PointCloud,
                     line: SplitLine) -> tuple[PointCloud, int, int]:
     """p1's points with side >= 0, then p2's with side < 0, in input order,
     with the number of points kept from each."""
-    keep1 = line.side(p1.xyz[:, :2]) >= 0.0
-    keep2 = line.side(p2.xyz[:, :2]) < 0.0
-    xyz = np.concatenate([p1.xyz[keep1], p2.xyz[keep2]])
-    intensity = np.concatenate([p1.intensity[keep1], p2.intensity[keep2]])
-    return PointCloud(xyz, intensity, EGO_FRAME), int(keep1.sum()), int(keep2.sum())
+    kept1 = np.flatnonzero(line.side(p1.xyz) >= 0.0)
+    kept2 = np.flatnonzero(line.side(p2.xyz) < 0.0)
+    n1, n = len(kept1), len(kept1) + len(kept2)
+    xyz, intensity = np.empty((n, 3)), np.empty(n)
+    # gathered straight into the output; mode "clip" writes to `out` directly,
+    # where "raise" would buffer a copy first, and every index is in range
+    for cloud, kept, part in ((p1, kept1, slice(0, n1)), (p2, kept2, slice(n1, n))):
+        cloud.xyz.take(kept, axis=0, out=xyz[part], mode="clip")
+        cloud.intensity.take(kept, out=intensity[part], mode="clip")
+    return PointCloud(xyz, intensity, EGO_FRAME), n1, n - n1
 
 
 def _fresh_id(group: CooperativeGroup) -> str:

@@ -9,7 +9,7 @@ from .gate import apply_gate, gate_responses, sample_gate
 from .mixup import make_mixup_agent, nearest_pair
 from .model import (EGO_FRAME, CmagConfig, CooperativeGroup, CountDistribution,
                     PointCloud, RngStream)
-from .rangeview import density_augment
+from .rangeview import BLOCK_POINTS, density_augment
 from .setupaug import apply_setup_aug, sample_setup_params
 
 # The one BEV occupancy grid, around the ego: x_min, x_max, y_min, y_max in
@@ -24,11 +24,15 @@ def occupancy(cloud: PointCloud) -> np.ndarray:
     nx = math.ceil((x_max - x_min) / GRID_CELL_M)
     ny = math.ceil((y_max - y_min) / GRID_CELL_M)
     cells = np.zeros((nx, ny), dtype=np.uint8)
-    # bound-check as floats: a far point's cell index need not fit an int64
-    ix = np.floor((cloud.xyz[:, 0] - x_min) / GRID_CELL_M)
-    iy = np.floor((cloud.xyz[:, 1] - y_min) / GRID_CELL_M)
-    keep = (ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny)
-    cells[ix[keep].astype(np.int64), iy[keep].astype(np.int64)] = 1
+    for start in range(0, len(cloud), BLOCK_POINTS):
+        x, y = cloud.xyz[start:start + BLOCK_POINTS, :2].T
+        ix, iy = (x - x_min) / GRID_CELL_M, (y - y_min) / GRID_CELL_M
+        # bound-check as floats: a far point's cell index need not fit an int64.
+        # floor(v) >= 0 and floor(v) < n hold exactly when v >= 0 and v < n do,
+        # and on the kept, non-negative values truncation is floor.
+        kept = np.flatnonzero((ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny))
+        flat = ix.take(kept).astype(np.int64) * ny + iy.take(kept).astype(np.int64)
+        cells.reshape(-1)[flat] = 1
     return cells
 
 
@@ -40,6 +44,20 @@ def fuse_grids(grids) -> np.ndarray:
 def cfc_l1(fused_generalized: np.ndarray, fused_early: np.ndarray) -> float:
     """L1 distance of the binary fused generalized and early-fused grids."""
     return float(np.count_nonzero(fused_generalized != fused_early))
+
+
+def cfc_score(group: CooperativeGroup, generalized: CooperativeGroup) -> float:
+    """CFC L1 of the augmented group `generalized` against the early fusion of
+    its source `group`.
+
+    The early-fused grid is the fusion of the per-agent grids, as each grid
+    marks the cells of the same points. Each input cloud is binned once, and
+    an output agent holding an input agent's cloud reuses that grid.
+    """
+    grids = {id(a.cloud): occupancy(a.cloud) for a in group.agents}
+    fused = fuse_grids([grids[id(a.cloud)] if id(a.cloud) in grids else occupancy(a.cloud)
+                        for a in generalized.agents])
+    return cfc_l1(fused, fuse_grids(grids.values()))
 
 
 def early_fuse(group: CooperativeGroup) -> PointCloud:

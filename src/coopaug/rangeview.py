@@ -13,6 +13,10 @@ NO_RETURN = 0.0
 AZIMUTH_BINS = 2048
 # Beam counts density augmentation re-beams to: common LiDAR beam counts.
 DENSITY_TARGETS = (16, 32, 40, 64, 128)
+# Points per block in the per-point passes of `project` and `pipeline.occupancy`.
+# A block's temporaries stay in cache and their memory is reused, where those
+# of a whole 450k-point cloud come from fresh pages that fault on first touch.
+BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -47,17 +51,26 @@ def project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int) -> 
     f_min = math.radians(fov_deg[0])
     f_max = math.radians(fov_deg[1])
     f = f_max - f_min
-    x, y, z = cloud.xyz[:, 0], cloud.xyz[:, 1], cloud.xyz[:, 2]
-    horiz = np.hypot(x, y)
-    theta = np.arctan2(y, x)
-    phi = np.arctan2(z, horiz)
-    rng = np.sqrt(x * x + y * y + z * z)
-    keep = (phi >= f_min) & (phi <= f_max) & (rng > 0)
-    rx = 0.5 * (1.0 - theta[keep] / math.pi) * W
-    ry = (f_max - phi[keep]) / f * H
-    cols = np.floor(rx).astype(np.int64) % W
-    rows = np.clip(np.floor(ry).astype(np.int64), 0, H - 1)
-    rimg, iimg = scatter_nearest(rows, cols, rng[keep], cloud.intensity[keep], H, W)
+    n = len(cloud)
+    rows, cols = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
+    ranges, intens = np.empty(n), np.empty(n)
+    m = 0  # points kept so far
+    for start in range(0, n, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        x, y, z = cloud.xyz[block].T
+        phi = np.arctan2(z, np.hypot(x, y))
+        rng = np.sqrt(x * x + y * y + z * z)
+        kept = np.flatnonzero((phi >= f_min) & (phi <= f_max) & (rng > 0))
+        out = slice(m, m + len(kept))
+        m += len(kept)
+        rx = 0.5 * (1.0 - np.arctan2(y.take(kept), x.take(kept)) / math.pi) * W
+        ry = (f_max - phi.take(kept)) / f * H
+        np.remainder(np.floor(rx).astype(np.int64), W, out=cols[out])
+        np.clip(np.floor(ry).astype(np.int64), 0, H - 1, out=rows[out])
+        # mode "clip" writes to `out` directly, where "raise" would buffer a copy
+        rng.take(kept, out=ranges[out], mode="clip")
+        cloud.intensity[block].take(kept, out=intens[out], mode="clip")
+    rimg, iimg = scatter_nearest(rows[:m], cols[:m], ranges[:m], intens[:m], H, W)
     return RangeImage(rimg, iimg, fov_deg, cloud.frame)
 
 
@@ -66,15 +79,19 @@ def unproject(img: RangeImage) -> PointCloud:
     f_min = math.radians(img.fov_deg[0])
     f_max = math.radians(img.fov_deg[1])
     f = f_max - f_min
-    rows, cols = np.nonzero(img.valid_mask())
-    theta = math.pi * (1.0 - 2.0 * (cols + 0.5) / img.W)
-    phi = f_max - f * (rows + 0.5) / img.H
-    r = img.ranges[rows, cols]
-    cos_phi = np.cos(phi)
-    xyz = np.stack([r * cos_phi * np.cos(theta),
-                    r * cos_phi * np.sin(theta),
-                    r * np.sin(phi)], axis=1)
-    return PointCloud(xyz, img.intensities[rows, cols], img.frame)
+    valid = img.valid_mask()
+    rows, cols = np.nonzero(valid)
+    # the angles depend only on the row or the column: cos and sin come from
+    # tables H and W long
+    theta = math.pi * (1.0 - 2.0 * (np.arange(img.W) + 0.5) / img.W)
+    phi = f_max - f * (np.arange(img.H) + 0.5) / img.H
+    r = img.ranges[valid]
+    r_cos_phi = r * np.cos(phi).take(rows)
+    xyz = np.empty((len(r), 3))
+    np.multiply(r_cos_phi, np.cos(theta).take(cols), out=xyz[:, 0])
+    np.multiply(r_cos_phi, np.sin(theta).take(cols), out=xyz[:, 1])
+    np.multiply(r, np.sin(phi).take(rows), out=xyz[:, 2])
+    return PointCloud(xyz, img.intensities[valid], img.frame)
 
 
 def resample_beams(img: RangeImage, target_H: int) -> RangeImage:

@@ -44,12 +44,13 @@ def apply_setup_aug(cloud: PointCloud, params: SetupAugParams) -> PointCloud:
     if len(cloud) == 0 or (params.rotation_rad == 0.0 and params.scale == 1.0
                            and not params.translation_m.any()):
         return PointCloud(cloud.xyz.copy(), cloud.intensity.copy(), cloud.frame)
-    center = cloud.xyz.mean(axis=0)  # BEV centroid in x, y; mean z for scaling
+    # One row per axis. Summing each row in order gives mean(axis=0)'s centre
+    # bit for bit; a 1-D .sum() sums pairwise and can differ in the last bit.
+    rel = np.cumsum(cloud.xyz.T, axis=1)
+    center = rel[:, -1:] / len(cloud)  # BEV centroid in x, y; mean z for scaling
+    np.subtract(cloud.xyz.T, center, out=rel)
     c, s = math.cos(params.rotation_rad), math.sin(params.rotation_rad)
-    rel = cloud.xyz - center
-    rot = np.empty_like(rel)
-    rot[:, 0] = c * rel[:, 0] - s * rel[:, 1]
-    rot[:, 1] = s * rel[:, 0] + c * rel[:, 1]
-    rot[:, 2] = rel[:, 2]
-    xyz = rot * params.scale + center + params.translation_m
-    return PointCloud(xyz, cloud.intensity.copy(), cloud.frame)
+    x, y, _ = rel
+    rel[0], rel[1] = c * x - s * y, s * x + c * y
+    xyz = rel * params.scale + center + params.translation_m[:, None]
+    return PointCloud(np.ascontiguousarray(xyz.T), cloud.intensity.copy(), cloud.frame)

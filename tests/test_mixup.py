@@ -156,6 +156,36 @@ class TestCutAndCombine:
         assert np.array_equal(np.sort(a.xyz.round(12), axis=0),
                               np.sort(b.xyz.round(12), axis=0))
 
+    def test_matches_per_point_oracle(self):
+        # a rotated line and a quarter-turned one, with points exactly on each
+        # (side == 0 stays with p1), against the side evaluated point by point
+        rng = np.random.default_rng(8)
+        for rot in (0.3, math.pi / 2):
+            line = split_line(np.array([0.25, -1.0]), np.array([2.0, 0.5]), rot)
+            on = line.anchor + np.outer(rng.uniform(-4, 4, 30), line.direction)
+            on = on[line.side(on) == 0.0]
+            assert len(on) > 0
+            clouds = []
+            for n in (300, 250):
+                xy = np.concatenate([rng.uniform(-6, 6, (n, 2)), on])
+                xyz = np.column_stack([xy, rng.uniform(-2, 2, len(xy))])
+                clouds.append(PointCloud.from_arrays(xyz, rng.uniform(0, 1, len(xy))))
+            a0, a1 = line.anchor.tolist()
+            d0, d1 = line.direction.tolist()
+            rows, kept = [], []
+            for cloud, keep in zip(clouds, (lambda v: v >= 0.0, lambda v: v < 0.0)):
+                count = 0
+                for p, i in zip(cloud.xyz.tolist(), cloud.intensity.tolist()):
+                    if keep(d0 * (p[1] - a1) - d1 * (p[0] - a0)):
+                        rows.append(p + [i])
+                        count += 1
+                kept.append(count)
+            out, kept1, kept2 = cut_and_combine(*clouds, line)
+            assert [kept1, kept2] == kept
+            expected = np.array(rows)
+            assert out.xyz.tobytes() == np.ascontiguousarray(expected[:, :3]).tobytes()
+            assert out.intensity.tobytes() == np.ascontiguousarray(expected[:, 3]).tobytes()
+
 
 class TestMakeMixupAgent:
     def group(self, n1=100, n2=100, seed=0):

@@ -1,9 +1,12 @@
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 from coopaug import (AGENT_TYPES, Agent, CmagConfig, CooperativeGroup,
                      GateChoice, PointCloud, RigidTransform,
-                     RngStream, TABLE_DISTRIBUTIONS, cfc_l1, cmag,
+                     RngStream, TABLE_DISTRIBUTIONS, cfc_l1, cfc_score, cmag,
                      comprehensive_from_tables, early_fuse, fuse_grids, make_group,
                      make_scene, nearest_pair, occupancy, pipeline, validate_group)
 
@@ -71,6 +74,32 @@ class TestOccupancy:
         grid = occupancy(PointCloud.from_arrays([[x_min, y_min, 0.0], [x_max, y_max, 0.0]]))
         assert grid[0, 0] == 1 and grid.sum() == 1
 
+    def test_matches_scalar_floor_oracle(self):
+        # points exactly on cell edges and on the grid bounds, one ulp either
+        # side of them, random points around the grid and points far outside,
+        # against a point-by-point math.floor loop
+        x_min, x_max, y_min, y_max = pipeline.GRID_EXTENT
+        cell = pipeline.GRID_CELL_M
+        nx, ny = math.ceil((x_max - x_min) / cell), math.ceil((y_max - y_min) / cell)
+        edges_x = x_min + cell * np.arange(-2, nx + 3)
+        edges_y = y_min + cell * np.arange(-2, ny + 3)
+        xs = np.concatenate([edges_x, np.nextafter(edges_x, -np.inf),
+                             np.nextafter(edges_x, np.inf), [x_min, x_max, -1e300, 1e300]])
+        ys = np.concatenate([edges_y, np.nextafter(edges_y, -np.inf),
+                             np.nextafter(edges_y, np.inf), [y_min, y_max, -1e30, 1e30]])
+        rng = np.random.default_rng(4)
+        pts = [np.column_stack([xs, rng.choice(ys, len(xs))]),
+               np.column_stack([rng.choice(xs, len(ys)), ys]),
+               rng.uniform(-90.0, 90.0, (5000, 2))]
+        xy = np.concatenate(pts)
+        xyz = np.column_stack([xy, rng.uniform(-3.0, 3.0, len(xy))])
+        expected = np.zeros((nx, ny), dtype=np.uint8)
+        for x, y in xy.tolist():
+            ix, iy = math.floor((x - x_min) / cell), math.floor((y - y_min) / cell)
+            if 0 <= ix < nx and 0 <= iy < ny:
+                expected[ix, iy] = 1
+        assert np.array_equal(occupancy(PointCloud.from_arrays(xyz)), expected)
+
 
 class TestFuseGrids:
     def test_zero_is_identity(self):
@@ -103,6 +132,32 @@ class TestCfcL1:
         per_agent = fuse_grids([occupancy(a.cloud) for a in g.agents])
         early = occupancy(early_fuse(g))
         assert cfc_l1(per_agent, early) == 0.0
+
+
+class TestCfcScore:
+    def test_equals_l1_against_early_fusion(self):
+        g = group(3)
+        for seed in range(6):
+            out = cmag(g, TABLE_DISTRIBUTIONS["v2v4real"], comprehensive_from_tables(),
+                       CmagConfig(), RngStream(seed, "score"))
+            fused = fuse_grids([occupancy(a.cloud) for a in out.agents])
+            assert cfc_score(g, out) == cfc_l1(fused, occupancy(early_fuse(g)))
+        assert cfc_score(g, g) == 0.0
+
+    def test_each_cloud_binned_once(self, monkeypatch):
+        # an output agent holding an input agent's cloud reuses its grid
+        g = group(3)
+        binned = []
+        bin_cloud = pipeline.occupancy
+        monkeypatch.setattr(pipeline, "occupancy", lambda c: binned.append(c) or bin_cloud(c))
+        cfc_score(g, g)
+        assert [id(c) for c in binned] == [id(a.cloud) for a in g.agents]
+        binned.clear()
+        force_gate(monkeypatch, GateChoice.PLUS)
+        out = cmag(g, TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(),
+                   CmagConfig(), RngStream(0, "score"))
+        cfc_score(g, out)
+        assert len(binned) == g.n + 1 and binned[-1] is out.agents[-1].cloud
 
 
 def force_gate(monkeypatch, decision):
@@ -150,6 +205,34 @@ class TestCmag:
             for src, out in ((g, once), (once, twice)):
                 fused = fuse_grids([occupancy(a.cloud) for a in out.agents])
                 assert cfc_l1(fused, occupancy(early_fuse(src))) >= 0.0
+
+    def test_golden_digest_float64(self):
+        # the C, E, A golden scene through cmag for each table source and
+        # seeds 0-3: per source, one sha256 over every output agent's float64
+        # xyz and intensity bytes and the CFC L1 against the input's early
+        # fusion. Covers the cut, the re-beaming, the setup jitter and the
+        # occupancy grid bit for bit, which the float32 .pcv files of the CLI
+        # digest do not.
+        scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
+        g = make_group(scene, RngStream(3, "golden-lidar"))
+        early = occupancy(early_fuse(g))
+        digests = {}
+        for source in sorted(TABLE_DISTRIBUTIONS):
+            h = hashlib.sha256()
+            for seed in range(4):
+                out = cmag(g, TABLE_DISTRIBUTIONS[source], comprehensive_from_tables(),
+                           CmagConfig(), RngStream(seed, "golden-cmag"))
+                for a in out.agents:
+                    h.update(a.cloud.xyz.tobytes() + a.cloud.intensity.tobytes())
+                l1 = cfc_l1(fuse_grids([occupancy(a.cloud) for a in out.agents]), early)
+                h.update(repr(l1).encode())
+            digests[source] = h.hexdigest()
+        # the two pairs of sources draw the same gate decisions from a 3-agent group
+        assert digests == {
+            "dairv2x": "da9eed3b435f814c5cd17e406c2aa6b2e2bc74b41c030edc529fa8c420dae928",
+            "opv2v": "5fff236ca928b4b69616a162be3f3b410530efadbfcd7bb9d038cdb857f9783f",
+            "v2v4real": "da9eed3b435f814c5cd17e406c2aa6b2e2bc74b41c030edc529fa8c420dae928",
+            "v2xset": "5fff236ca928b4b69616a162be3f3b410530efadbfcd7bb9d038cdb857f9783f"}
 
     def test_forced_keep_preserves_count(self, monkeypatch):
         g = group(3)

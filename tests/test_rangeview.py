@@ -99,6 +99,30 @@ class TestUnproject:
             assert dt <= math.pi / 2048 + 1e-12
             assert dp <= math.radians(30.0) / 64 / 2 + 1e-12
 
+    def test_matches_per_pixel_oracle(self):
+        # each valid pixel, row-major, along its pixel-centre ray with the
+        # angles' cos and sin taken per pixel; pixels with no return give none
+        rng = np.random.default_rng(6)
+        H, W = 24, 96
+        ranges = rng.uniform(1.0, 80.0, (H, W))
+        ranges[rng.uniform(size=(H, W)) < 0.4] = rangeview.NO_RETURN
+        img = rangeview.RangeImage(ranges, rng.uniform(0, 1, (H, W)), FOV, "ego")
+        f_min, f_max = math.radians(FOV[0]), math.radians(FOV[1])
+        xyz, intens = [], []
+        for row in range(H):
+            for col in range(W):
+                r = ranges[row, col]
+                if r > rangeview.NO_RETURN:
+                    theta = math.pi * (1.0 - 2.0 * (col + 0.5) / W)
+                    phi = f_max - (f_max - f_min) * (row + 0.5) / H
+                    cos_phi = np.cos(phi)
+                    xyz.append([r * cos_phi * np.cos(theta), r * cos_phi * np.sin(theta),
+                                r * np.sin(phi)])
+                    intens.append(img.intensities[row, col])
+        out = unproject(img)
+        assert out.xyz.tobytes() == np.array(xyz).tobytes()
+        assert out.intensity.tobytes() == np.array(intens).tobytes()
+
 
 class TestResampleBeams:
     def grid(self, H=64, W=8, fill=20.0):

@@ -1,5 +1,9 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coopaug import (PointCloud, RngStream, SetupAugParams, apply_setup_aug,
                      sample_setup_params, setupaug)
@@ -80,3 +84,39 @@ class TestApplySetupAug:
     def test_bad_scale_rejected(self):
         with pytest.raises(ValueError):
             SetupAugParams(0.0, 0.0, np.zeros(3))
+
+
+def setup_aug_oracle(xyz, params):
+    """apply_setup_aug point by point in Python floats; the centre sums the
+    rows in order, one `s += v` at a time, then divides by the count."""
+    n = len(xyz)
+    center = [float(v) for v in xyz[0]]
+    for row in xyz[1:]:
+        for k in range(3):
+            center[k] += float(row[k])
+    center = [v / n for v in center]
+    c, s = math.cos(params.rotation_rad), math.sin(params.rotation_rad)
+    t = [float(v) for v in params.translation_m]
+    out = []
+    for x, y, z in xyz.tolist():
+        rel = (x - center[0], y - center[1], z - center[2])
+        rot = (c * rel[0] - s * rel[1], s * rel[0] + c * rel[1], rel[2])
+        out.append([rot[k] * params.scale + center[k] + t[k] for k in range(3)])
+    return np.array(out).reshape(-1, 3)
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_setup_aug_matches_sequential_oracle(data):
+    """Bitwise equal to the per-point oracle on random clouds: a centre taken
+    with a pairwise sum, as a 1-D `.sum()` does, fails this test."""
+    n = data.draw(st.integers(1, 300))
+    scale_m = data.draw(st.sampled_from([1.0, 50.0, 1e4]))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    xyz = rng.normal(0.0, scale_m, (n, 3)) + rng.uniform(-1e3, 1e3, 3)
+    params = sample_setup_params(RngStream(seed, "oracle"))
+    cloud = PointCloud.from_arrays(xyz, rng.uniform(0, 1, n))
+    out = apply_setup_aug(cloud, params)
+    assert out.xyz.tobytes() == setup_aug_oracle(xyz, params).tobytes()
+    assert out.intensity.tobytes() == cloud.intensity.tobytes()

@@ -8,7 +8,8 @@ must not exist yet), and prints one sha256 over the output files, stdout,
 stderr and exit code of every command, with OUT replaced by a placeholder.
 Two checkouts whose CLI behaves the same print the same digest. `--list`
 first prints one line per command: its label, exit code and own sha256, so
-two listings diff to the commands that changed.
+two listings diff to the commands that changed. Every command shows each
+warning it raises, by category and message, as if it ran alone.
 
 The matrix: `simulate` on four scenes (one with type E and 32 boxes);
 `augment` and `cfc-check` for the four table sources and three seeds on each
@@ -44,6 +45,7 @@ import io
 import json
 import struct
 import sys
+import warnings
 from pathlib import Path
 
 SCENES = (("A,B", 4, 0), ("A,B,C,D", 10, 1), ("C,E,A", 32, 2), ("E,D,B,A,C", 10, 3))
@@ -263,16 +265,20 @@ def run(cli, label, argv, out: Path) -> tuple[int | str, bytes]:
     main) and its sha256 over that, the streams and the files under out/label."""
     (out / label).mkdir(exist_ok=True)  # project-new-dir writes one level below it
     stdout, stderr = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")  # each command shows every warning it raises
         try:
             code = cli.main([str(a) for a in argv])
         except Exception as exc:  # a traceback out of main is an outcome to compare too
             code = f"raised-{type(exc).__name__}"
             print(exc, file=sys.stderr)
+    # a warning's category and message, not its source file and line, which
+    # differ between checkouts
+    err = stderr.getvalue() + "".join(f"{w.category.__name__}: {w.message}\n" for w in caught)
     h = hashlib.sha256()
     root = str(out)
-    for part in (label, " ".join(map(str, argv)), str(code),
-                 stdout.getvalue(), stderr.getvalue()):
+    for part in (label, " ".join(map(str, argv)), str(code), stdout.getvalue(), err):
         h.update(part.replace(root, "OUT").encode() + b"\0")
     target = out / label
     for path in sorted(p for p in target.rglob("*") if p.is_file()):
