@@ -4,61 +4,57 @@ import numpy as np
 
 # Kept as a constant for callers that record the backend; there is only numpy.
 NUMBA_ENABLED = False
-# Azimuth buckets that order the rays: uint16 keys, which numpy radix-sorts.
+# Azimuth buckets that cull the ray cast, sensor column by sensor column.
 AZIMUTH_BUCKETS = 4096
 
 
-def ray_cast(origin, dirs, ground_z, boxes, max_range):
+def ray_cast(origin, dirs, ground_z, boxes, max_range, width):
     """Nearest hit distance per ray against ground plane and boxes.
 
-    origin: (3,) ray origin shared by all rays. dirs: (N, 3) unit directions.
-    boxes: (B, 6) rows of (cx, cy, cz, hx, hy, hz). Returns (N,) distances,
-    -1 where nothing is hit within max_range.
+    origin: (3,) ray origin shared by all rays. dirs: (N, 3) unit directions,
+    rows of `width` rays, ray k of a row in sensor column k (ValueError unless
+    width >= 1 divides N). boxes: (B, 6) rows of (cx, cy, cz, hx, hy, hz).
+    Returns (N,) distances, -1 where nothing is hit within max_range.
 
-    Each box is slab-tested only against the rays whose bird's-eye-view
-    azimuth bucket overlaps the box's wedge (see `_wedge_slices`). The buckets
-    only cull: every tested ray does the same float operations as a test
-    against all boxes would, so a bucket never decides a hit.
+    Each box is slab-tested, with no sort, only against the runs of columns
+    holding a ray of its azimuth wedge (`_column_runs`). Culling never decides
+    a hit: a tested ray does the float operations of an unculled test.
     """
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
-    ground_z = float(ground_z)
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 6)
-    n = dirs.shape[0]
-    keys = _azimuth_bucket(np.arctan2(dirs[:, 1], dirs[:, 0]))
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    # one row per axis, in bucket order: a wedge of rays is a contiguous slice
-    dirs = dirs.T.take(order, axis=1)
-    best = np.full(n, np.inf)
-    if origin[2] > ground_z:
-        dz = dirs[2]
-        down = dz < 0.0
-        with np.errstate(over="ignore"):  # a subnormal dz overflows to +inf: a miss
-            t = np.where(down, (ground_z - origin[2]) / np.where(down, dz, -1.0), np.inf)
-        best = np.where((t > 0) & (t < best), t, best)
-    for b in range(boxes.shape[0]):
-        lo = boxes[b, :3] - boxes[b, 3:]
-        hi = boxes[b, :3] + boxes[b, 3:]
-        inside = ((origin >= lo) & (origin <= hi))[:, None]
-        for rays in _wedge_slices(keys, origin, lo, hi):
-            d = dirs[:, rays]
-            with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-                t1 = (lo - origin)[:, None] / d
-                t2 = (hi - origin)[:, None] / d
+    if width < 1 or len(dirs) % width:
+        raise ValueError(f"{len(dirs)} rays do not fill rows of width {width}")
+    # one contiguous (rows, width) plane per axis: a run of columns is a 2-D slice
+    planes = np.ascontiguousarray(dirs.T).reshape(3, -1, width)
+    # the bucket map is monotone, so a column's least and greatest buckets are
+    # those of its least and greatest azimuth; they differ on a tilted sensor
+    azimuth = np.arctan2(planes[1], planes[0])
+    kmin, kmax = _azimuth_bucket([azimuth.min(0, initial=np.pi), azimuth.max(0, initial=-np.pi)])
+    lo, hi = boxes[:, :3] - boxes[:, 3:], boxes[:, :3] + boxes[:, 3:]
+    inside = ((origin >= lo) & (origin <= hi))[:, :, None, None]
+    runs = _column_runs(kmin, kmax, origin, lo, hi)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        # only rays pointing down reach the ground from above it: a dz of +0
+        # gives -inf, -0 or a subnormal dz +inf, NaN stays NaN; all miss
+        best = (float(ground_z) - origin[2]) / planes[2]
+        np.copyto(best, np.inf, where=~((best > 0.0) & (best < np.inf) & (origin[2] > ground_z)))
+        for b, first, end in runs:
+            d = planes[:, :, first:end]
+            t1 = (lo[b] - origin)[:, None, None] / d
+            t2 = (hi[b] - origin)[:, None, None] / d
             near = np.minimum(t1, t2)
-            far = np.maximum(t1, t2)
+            far = np.maximum(t1, t2, out=t1)
             # axes with zero direction: inside slab -> (-inf, inf), outside -> miss
             zero = d == 0.0
-            near = np.where(zero & inside, -np.inf, near)
-            far = np.where(zero, np.where(inside, np.inf, -np.inf), far)
+            np.copyto(near, -np.inf, where=zero & inside[b])
+            np.copyto(far, np.where(inside[b], np.inf, -np.inf), where=zero)
             tmin = np.maximum(near.max(axis=0), 0.0)
             tmax = far.min(axis=0)
-            hit = (tmin <= tmax) & (tmin > 0.0)
-            best[rays] = np.where(hit & (tmin < best[rays]), tmin, best[rays])
-    unsorted = np.empty(n)
-    unsorted[order] = best
-    return np.where(unsorted <= float(max_range), unsorted, -1.0)
+            nearest = best[:, first:end]
+            np.copyto(nearest, tmin, where=(tmin <= tmax) & (tmin > 0.0) & (tmin < nearest))
+    np.copyto(best, -1.0, where=~(best <= float(max_range)))
+    return best.reshape(-1)
 
 
 def _azimuth_bucket(azimuth):
@@ -67,30 +63,32 @@ def _azimuth_bucket(azimuth):
     return np.clip(scaled, 0, AZIMUTH_BUCKETS - 1).astype(np.uint16)
 
 
-def _wedge_slices(keys, origin, lo, hi):
-    """Slices of the sorted ray buckets that can reach the box [lo, hi].
+def _column_runs(kmin, kmax, origin, lo, hi):
+    """(box, first column, end column) of each run of columns, box by box,
+    that can reach the boxes with (B, 3) corners lo and hi.
 
-    A ray that hits the box points into the angular wedge spanned, seen from
+    A ray that hits a box points into the angular wedge spanned, seen from
     the origin, by the four corners of the box's top-down footprint. The
     wedge is widened by 1e-9 rad, far above the rounding of `arctan2` and of
     the slab test, split in two where it crosses +-pi, and each end mapped to
-    its bucket: a slice holds every ray of the wedge and maybe a few more.
-    With the origin over the footprint, boundary included, all rays are kept.
+    its bucket. A column is kept when its buckets [kmin, kmax] meet one of
+    those ranges, or when the origin is over the footprint, boundary included.
     """
-    if lo[0] <= origin[0] <= hi[0] and lo[1] <= origin[1] <= hi[1]:
-        return (slice(None),)
-    x = np.array([lo[0], hi[0], lo[0], hi[0]]) - origin[0]
-    y = np.array([lo[1], lo[1], hi[1], hi[1]]) - origin[1]
+    x = np.stack([lo[:, 0], hi[:, 0], lo[:, 0], hi[:, 0]], axis=1) - origin[0]
+    y = np.stack([lo[:, 1], lo[:, 1], hi[:, 1], hi[:, 1]], axis=1) - origin[1]
     corners = np.arctan2(y, x)
     # only a footprint wholly behind the origin can span +-pi; any other one not
     # under the origin lies wholly ahead of it in x, or to one side of it in y
-    if hi[0] < origin[0]:
-        corners = np.where(corners < 0.0, corners + 2.0 * np.pi, corners)
-    start, stop = corners.min() - 1e-9, corners.max() + 1e-9
-    spans = [(start, stop)] if stop <= np.pi else [(start, np.pi), (-np.pi, stop - 2.0 * np.pi)]
-    ends = _azimuth_bucket(spans)
-    return tuple(slice(np.searchsorted(keys, a, "left"), np.searchsorted(keys, z, "right"))
-                 for a, z in ends)
+    corners[(hi[:, :1] < origin[0]) & (corners < 0.0)] += 2.0 * np.pi
+    start, stop = corners.min(axis=1) - 1e-9, corners.max(axis=1) + 1e-9
+    meets = ((kmax >= _azimuth_bucket(start)[:, None])
+             & (kmin <= _azimuth_bucket(np.minimum(stop, np.pi))[:, None]))
+    # past +pi the wedge goes on from -pi, one turn lower
+    meets |= (stop > np.pi)[:, None] & (kmin <= _azimuth_bucket(stop - 2.0 * np.pi)[:, None])
+    meets[((lo[:, :2] <= origin[:2]) & (origin[:2] <= hi[:, :2])).all(axis=1)] = True
+    edges = np.flatnonzero(np.diff(meets, axis=1, prepend=False, append=False))
+    box, edge = np.divmod(edges, len(kmin) + 1)  # flat: a 2-D np.nonzero is much slower
+    return zip(box[::2].tolist(), edge[::2].tolist(), edge[1::2].tolist())
 
 
 def scatter_nearest(rows, cols, ranges, intens, H, W):

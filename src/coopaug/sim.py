@@ -69,8 +69,8 @@ def _ray_directions(agent_type: AgentType) -> np.ndarray:
     azim = math.pi * (1.0 - (2.0 * np.arange(AZIMUTH_BINS) + 1.0) / AZIMUTH_BINS)
     cos_e = np.cos(elev)[:, None]
     dirs = np.empty((agent_type.beams, AZIMUTH_BINS, 3))
-    dirs[:, :, 0] = cos_e * np.cos(azim)[None, :]
-    dirs[:, :, 1] = cos_e * np.sin(azim)[None, :]
+    np.multiply(cos_e, np.cos(azim), out=dirs[:, :, 0])
+    np.multiply(cos_e, np.sin(azim), out=dirs[:, :, 1])
     dirs[:, :, 2] = np.sin(elev)[:, None]
     return dirs.reshape(-1, 3)
 
@@ -79,15 +79,15 @@ def simulate_lidar(scene: Scene, placement_index: int, rng: RngStream) -> PointC
     """Cast all rays of one placement; returns the cloud in the agent frame."""
     pose, agent_type = scene.agent_placements[placement_index]
     dirs_sensor = _ray_directions(agent_type)
-    dirs_world = dirs_sensor @ pose.rotation.T
-    dist = ray_cast(pose.translation, dirs_world, scene.ground_z, scene.boxes,
-                    agent_type.range_m)
+    dist = ray_cast(pose.translation, dirs_sensor @ pose.rotation.T, scene.ground_z,
+                    scene.boxes, agent_type.range_m, AZIMUTH_BINS)
     hit = dist > 0.0
     ranges = dist[hit]
     if agent_type.range_error_m > 0.0:
         ranges = ranges + rng.uniform(-agent_type.range_error_m,
                                       agent_type.range_error_m, ranges.shape[0])
-    xyz = dirs_sensor[hit] * ranges[:, None]
+    xyz = dirs_sensor.compress(hit, axis=0)
+    xyz *= ranges[:, None]
     return PointCloud(xyz, np.ones(len(xyz)), frame=f"agent-{placement_index}")
 
 

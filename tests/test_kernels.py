@@ -5,9 +5,11 @@ explicit branch for zero direction components, and a first-wins scatter.
 """
 
 import numpy as np
+import pytest
 
-from coopaug import AGENT_TYPES, RngStream, make_scene
+from coopaug import AGENT_TYPES, RigidTransform, RngStream, make_scene
 from coopaug.kernels import ray_cast, scatter_nearest
+from coopaug.rangeview import AZIMUTH_BINS
 from coopaug.sim import _ray_directions
 
 
@@ -68,8 +70,10 @@ def scatter_nearest_oracle(rows, cols, ranges, intens, H, W):
     return rimg, iimg
 
 
-def assert_ray_cast_matches(origin, dirs, ground_z, boxes, max_range):
-    got = ray_cast(origin, dirs, ground_z, boxes, max_range)
+def assert_ray_cast_matches(origin, dirs, ground_z, boxes, max_range, width=None):
+    """One row of one ray per column, unless a row width is given."""
+    width = len(dirs) if width is None else width
+    got = ray_cast(origin, dirs, ground_z, boxes, max_range, width)
     want = ray_cast_oracle(origin, dirs, ground_z, boxes, max_range)
     assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
     return got
@@ -391,9 +395,10 @@ def boundary_pair(b):
 
 
 class TestAzimuthBuckets:
-    """`ray_cast` orders the rays by a 4,096-bucket key of their azimuth and
-    slab-tests a box against the buckets its wedge overlaps; these cases sit
-    on bucket boundaries, and inside one bucket."""
+    """`ray_cast` keys each ray by a 4,096-bucket key of its azimuth and
+    slab-tests a box against the columns whose keys meet its wedge; with one
+    ray per column, as here, these cases sit on bucket boundaries, and inside
+    one bucket."""
 
     BOUNDARIES = (1, 511, 1023, 1024, 1025, 2047, 2048, 2049, 2600, 3072, 4095)
 
@@ -476,3 +481,82 @@ class TestAzimuthBuckets:
                               unit(fan)])
             out = assert_ray_cast_matches(origin, dirs, 0.0, box, 200.0)
             assert np.any((out > 99.0) & (out < 101.0))
+
+
+def column_at(azimuth, yaw):
+    """The sensor column whose centre a yaw-only pose turns to this azimuth."""
+    k = AZIMUTH_BINS / 2 * (1.0 - (azimuth - yaw) / np.pi) - 0.5
+    return int(round(k)) % AZIMUTH_BINS
+
+
+def grid_block(agent_type, pose, first, n):
+    """All beams of n neighbouring columns of the sensor grid, from column
+    `first` on and wrapping past the last, turned by the pose: rows of n rays,
+    as `simulate_lidar` lays out the full grid."""
+    grid = _ray_directions(agent_type).reshape(agent_type.beams, AZIMUTH_BINS, 3)
+    return np.roll(grid, -first, axis=1)[:, :n].reshape(-1, 3) @ pose.rotation.T
+
+
+class TestColumnCulling:
+    """`ray_cast` on blocks of a real sensor grid, many rays per column: a
+    column is culled as a whole, on the least and greatest key of its rays."""
+
+    @staticmethod
+    def assert_hits_boxes(origin, dirs, boxes, width):
+        out = assert_ray_cast_matches(origin, dirs, 0.0, boxes, 150.0, width)
+        assert np.any(out != ray_cast_oracle(origin, dirs, 0.0, np.zeros((0, 6)), 150.0))
+
+    def test_block_around_a_box(self):
+        # a box inside the block, one across its edge, one behind the origin
+        boxes = np.array([[15.0, 3.0, 0.75, 2.2, 0.9, 0.75], [7.0, 6.0, 0.75, 1.0, 2.0, 0.75],
+                          [-20.0, 0.0, 0.75, 2.0, 1.0, 0.75]])
+        for yaw in (0.0, 0.4, -2.0):
+            pose = RigidTransform.from_ypr(yaw, translation=(1.0, -2.0, 2.0))
+            first = column_at(np.arctan2(5.0, 14.0), yaw) - 64
+            self.assert_hits_boxes(pose.translation, grid_block(AGENT_TYPES["B"], pose, first, 128),
+                                   boxes, 128)
+
+    def test_block_across_the_seam(self):
+        # a box behind the origin whose wedge crosses +-pi; at yaw 0 the
+        # block wraps from the sensor's last column to its first
+        boxes = np.array([[-14.0, 0.2, 0.75, 2.2, 0.9, 0.75], [-9.0, -3.0, 0.75, 1.0, 1.0, 0.75]])
+        for yaw in (0.0, 1.0, -2.5):
+            pose = RigidTransform.from_ypr(yaw, translation=(0.0, 0.0, 2.0))
+            first = column_at(np.pi, yaw) - 64
+            self.assert_hits_boxes(pose.translation, grid_block(AGENT_TYPES["B"], pose, first, 128),
+                                   boxes, 128)
+
+    def test_origin_over_a_footprint(self):
+        # every column is kept for the box under the origin, not for the other
+        boxes = np.vstack([BOX, [[20.0, 1.0, 0.75, 2.0, 1.0, 0.75]]])
+        for yaw in (0.7, 3.0):
+            pose = RigidTransform.from_ypr(yaw, translation=(10.0, 0.0, 2.3))
+            for toward in (0.0, np.pi / 2, np.pi):
+                first = column_at(toward, yaw) - 32
+                self.assert_hits_boxes(pose.translation,
+                                       grid_block(AGENT_TYPES["A"], pose, first, 64), boxes, 64)
+
+    def test_pitched_and_rolled_grid(self):
+        # a tilted sensor spreads one column's rays over several buckets, so a
+        # column is kept on any of its rows' keys, not on its first row's
+        agent_type = AGENT_TYPES["C"]
+        pose = RigidTransform.from_ypr(0.3, pitch=0.25, roll=-0.35, translation=(0.0, 0.0, 2.0))
+        dirs = grid_block(agent_type, pose, column_at(0.3, 0.3) - 80, 160)
+        keys = bucket(np.arctan2(dirs[:, 1], dirs[:, 0])).reshape(agent_type.beams, 160)
+        assert np.all(keys.min(axis=0) < keys.max(axis=0))
+        ahead = np.array([np.cos(0.3), np.sin(0.3)])
+        side = np.array([-ahead[1], ahead[0]])
+        boxes = np.array([[*(r * ahead + s * side), 0.75, 0.4, 0.4, 0.75]
+                          for r in (6.0, 9.0, 13.0) for s in (-3.0, -1.0, 1.0, 3.0)])
+        self.assert_hits_boxes(pose.translation, dirs, boxes, 160)
+
+
+class TestRayCastContract:
+    def test_width_must_divide_the_rays(self):
+        with pytest.raises(ValueError, match="width 3"):
+            ray_cast([0.0, 0.0, 1.0], AXIS_DIRS[:4], 0.0, BOX, 100.0, 3)
+
+    def test_width_below_one(self):
+        for width in (0, -1):
+            with pytest.raises(ValueError, match=f"width {width}"):
+                ray_cast([0.0, 0.0, 1.0], AXIS_DIRS, 0.0, BOX, 100.0, width)

@@ -35,8 +35,10 @@ infinite intensity; `project --width 10**12` and `gate-stats --iterations
 10**14`. Last, valid inputs the scenes do not reach: `simulate`, `augment` and
 `cfc-check` on one agent, which `cmag` passes through; `augment` and
 `cfc-check` on a manifest whose ego has a custom type, then `cfc-check` on the
-`augment` output, which saves that type in full; and the same on two agents
-3 m apart near x = 1.7e308, whose midpoint must not overflow.
+`augment` output, which saves that type in full; the same on two agents
+3 m apart near x = 1.7e308, whose midpoint must not overflow; and `simulate`
+of all five types with 32 boxes at two more seeds, so the ray cast's column
+culling meets many more box wedges and the +-pi seam.
 """
 
 import contextlib
@@ -49,6 +51,8 @@ import warnings
 from pathlib import Path
 
 SCENES = (("A,B", 4, 0), ("A,B,C,D", 10, 1), ("C,E,A", 32, 2), ("E,D,B,A,C", 10, 3))
+# Scenes only simulated: (types, seed), each with 32 boxes.
+SIMULATE_ONLY = (("A,B,C,D,E", 11), ("E,D,C,B,A", 12))
 SOURCES = ("opv2v", "v2xset", "v2v4real", "dairv2x")
 SEEDS = (0, 1, 7)
 WIDTHS = (512, 2048)
@@ -185,6 +189,10 @@ def matrix(out: Path):
             (f"{name}-aug-cfc", ["cfc-check", "--manifest",
                                  out / f"{name}-aug" / "manifest.json"]),
         ]
+    for types, seed in SIMULATE_ONLY:
+        cmds.append((f"sim-all-{seed}", ["simulate", "--agents", len(types.split(",")),
+                                         "--types", types, "--boxes", 32, "--seed", seed,
+                                         "--out", out / f"sim-all-{seed}"]))
     return cmds
 
 
