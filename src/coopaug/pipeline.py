@@ -7,9 +7,9 @@ import numpy as np
 
 from .gate import apply_gate, gate_responses, sample_gate
 from .mixup import make_mixup_agent, nearest_pair
-from .model import (EGO_FRAME, CmagConfig, CooperativeGroup, CountDistribution,
-                    PointCloud, RngStream)
-from .rangeview import BLOCK_POINTS, density_augment
+from .model import (BLOCK_POINTS, EGO_FRAME, CmagConfig, CooperativeGroup,
+                    CountDistribution, PointCloud, RngStream)
+from .rangeview import density_augment
 from .setupaug import apply_setup_aug, sample_setup_params
 
 # The one BEV occupancy grid, around the ego: x_min, x_max, y_min, y_max in

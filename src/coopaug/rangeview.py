@@ -6,17 +6,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import scatter_nearest
-from .model import AgentType, PointCloud, RngStream
+from .model import BLOCK_POINTS, AgentType, PointCloud, RngStream
 
 NO_RETURN = 0.0
 # Azimuth columns of the simulated ray grid and of augmentation range images.
 AZIMUTH_BINS = 2048
 # Beam counts density augmentation re-beams to: common LiDAR beam counts.
 DENSITY_TARGETS = (16, 32, 40, 64, 128)
-# Points per block in the per-point passes of `project` and `pipeline.occupancy`.
-# A block's temporaries stay in cache and their memory is reused, where those
-# of a whole 450k-point cloud come from fresh pages that fault on first touch.
-BLOCK_POINTS = 16384
 
 
 @dataclass(frozen=True)
@@ -48,9 +44,21 @@ def project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int) -> 
     outside the vertical FOV are dropped; pixel collisions keep the nearest
     return (first-return behavior).
     """
+    return _project(cloud, fov_deg, H, W)
+
+
+def _project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int,
+             kept_rows: np.ndarray | None = None) -> RangeImage:
+    """`project`, or with `kept_rows` (increasing rows of H) only those rows of
+    its image: the points of every other row are dropped before their azimuth
+    is taken, and the rest scatter straight into a len(kept_rows)-row image."""
     f_min = math.radians(fov_deg[0])
     f_max = math.radians(fov_deg[1])
     f = f_max - f_min
+    if kept_rows is not None:
+        # each row's index among the kept rows plus one, 0 for a dropped row
+        row_map = np.zeros(H, dtype=np.int64)
+        row_map[kept_rows] = np.arange(1, len(kept_rows) + 1)
     n = len(cloud)
     rows, cols = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     ranges, intens = np.empty(n), np.empty(n)
@@ -61,16 +69,23 @@ def project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int) -> 
         phi = np.arctan2(z, np.hypot(x, y))
         rng = np.sqrt(x * x + y * y + z * z)
         kept = np.flatnonzero((phi >= f_min) & (phi <= f_max) & (rng > 0))
+        # f_max - phi >= 0 on the kept points, so rows only need clipping at H - 1
+        row = np.minimum(np.floor((f_max - phi.take(kept)) / f * H).astype(np.int64), H - 1)
+        if kept_rows is not None:
+            row = row_map.take(row)
+            in_kept = np.flatnonzero(row)
+            kept = kept.take(in_kept)
+            row = row.take(in_kept) - 1
         out = slice(m, m + len(kept))
         m += len(kept)
+        rows[out] = row
         rx = 0.5 * (1.0 - np.arctan2(y.take(kept), x.take(kept)) / math.pi) * W
-        ry = (f_max - phi.take(kept)) / f * H
         np.remainder(np.floor(rx).astype(np.int64), W, out=cols[out])
-        np.clip(np.floor(ry).astype(np.int64), 0, H - 1, out=rows[out])
         # mode "clip" writes to `out` directly, where "raise" would buffer a copy
         rng.take(kept, out=ranges[out], mode="clip")
         cloud.intensity[block].take(kept, out=intens[out], mode="clip")
-    rimg, iimg = scatter_nearest(rows[:m], cols[:m], ranges[:m], intens[:m], H, W)
+    H_out = H if kept_rows is None else len(kept_rows)
+    rimg, iimg = scatter_nearest(rows[:m], cols[:m], ranges[:m], intens[:m], H_out, W)
     return RangeImage(rimg, iimg, fov_deg, cloud.frame)
 
 
@@ -94,13 +109,18 @@ def unproject(img: RangeImage) -> PointCloud:
     return PointCloud(xyz, img.intensities[valid], img.frame)
 
 
+def _kept_rows(H: int, target_H: int) -> np.ndarray:
+    """The rows of H that downsampling to target_H <= H rows keeps, in order."""
+    return (np.arange(target_H) * H) // target_H
+
+
 def resample_beams(img: RangeImage, target_H: int) -> RangeImage:
     """Change the beam (row) count: strided selection down, linear ranges up."""
     if target_H < 1:
         raise ValueError(f"target beam count {target_H} < 1")
     H = img.H
     if target_H <= H:
-        rows = (np.arange(target_H) * H) // target_H
+        rows = _kept_rows(H, target_H)
         return RangeImage(img.ranges[rows], img.intensities[rows], img.fov_deg, img.frame)
     # upsampling: interpolate ranges between valid neighbor rows per column
     s = np.arange(target_H) * H / target_H
@@ -124,7 +144,13 @@ def density_augment(cloud: PointCloud, agent_type: AgentType, rng: RngStream) ->
 
     Always goes through the range image, so the azimuth/elevation quantization
     is applied uniformly even when the target equals the native beam count.
+    Downsampling projects only the points of the rows `resample_beams` keeps:
+    a pixel's points all lie in its row, so the image is the same.
     """
     target = int(rng.choice(DENSITY_TARGETS))
-    img = project(cloud, agent_type.fov_deg, agent_type.beams, AZIMUTH_BINS)
-    return unproject(resample_beams(img, target))
+    H = agent_type.beams
+    if target > H:
+        img = project(cloud, agent_type.fov_deg, H, AZIMUTH_BINS)
+        return unproject(resample_beams(img, target))
+    return unproject(_project(cloud, agent_type.fov_deg, H, AZIMUTH_BINS,
+                              _kept_rows(H, target)))

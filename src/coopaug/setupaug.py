@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import PointCloud, RngStream
+from .model import BLOCK_POINTS, PointCloud, RngStream
 
 # Perturbation bounds at the scale of typical sensor calibration error:
 # about 1 degree of yaw, 2% of scale and 5 cm of offset per axis.
@@ -44,13 +44,27 @@ def apply_setup_aug(cloud: PointCloud, params: SetupAugParams) -> PointCloud:
     if len(cloud) == 0 or (params.rotation_rad == 0.0 and params.scale == 1.0
                            and not params.translation_m.any()):
         return PointCloud(cloud.xyz.copy(), cloud.intensity.copy(), cloud.frame)
-    # One row per axis. Summing each row in order gives mean(axis=0)'s centre
-    # bit for bit; a 1-D .sum() sums pairwise and can differ in the last bit.
-    rel = np.cumsum(cloud.xyz.T, axis=1)
-    center = rel[:, -1:] / len(cloud)  # BEV centroid in x, y; mean z for scaling
-    np.subtract(cloud.xyz.T, center, out=rel)
+    n = len(cloud)
+    xyz = np.empty_like(cloud.xyz)
+    # The centre sums each axis in point order, as one cumsum over the whole
+    # cloud does; a pairwise 1-D .sum() can differ in the last bit. Each block
+    # is summed after the running total in row 0 of a small buffer.
+    sums = np.empty((BLOCK_POINTS + 1, 3))
+    sums[0] = cloud.xyz[0]
+    for start in range(1, n, BLOCK_POINTS):
+        block = cloud.xyz[start:start + BLOCK_POINTS]
+        run = sums[:len(block) + 1]
+        run[1:] = block
+        np.cumsum(run, axis=0, out=run)
+        sums[0] = run[-1]
+    center = sums[0] / n  # BEV centroid in x, y; mean z for scaling
     c, s = math.cos(params.rotation_rad), math.sin(params.rotation_rad)
-    x, y, _ = rel
-    rel[0], rel[1] = c * x - s * y, s * x + c * y
-    xyz = rel * params.scale + center + params.translation_m[:, None]
-    return PointCloud(np.ascontiguousarray(xyz.T), cloud.intensity.copy(), cloud.frame)
+    for start in range(0, n, BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        x, y, z = (cloud.xyz[block, k] - center[k] for k in range(3))
+        for k, v in enumerate((c * x - s * y, s * x + c * y, z)):
+            v *= params.scale
+            v += center[k]
+            v += params.translation_m[k]
+            xyz[block, k] = v
+    return PointCloud(xyz, cloud.intensity.copy(), cloud.frame)

@@ -312,8 +312,12 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith(f"error: {pmf}: ")
 
-    # Each asks numpy for more than 2**47 bytes, which the allocator refuses
-    # without touching memory.
+    # `project --width` and `gate-stats --iterations` ask numpy for more than
+    # 2**47 bytes, which the allocator refuses without touching memory. The
+    # 10**12-beam donor of `augment` and `cfc-check` is refused at the (H,)
+    # int64 row table of density augmentation's downsampling path, 8 TB: more
+    # than the machine's memory, which the kernel's default (heuristic)
+    # overcommit refuses, also without touching memory.
     @pytest.mark.parametrize("case", ["project-width", "gate-stats-iterations",
                                       "augment-beams", "cfc-check-beams"])
     def test_allocation_too_large_exits_one(self, case, tmp_path, capsys):

@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from coopaug import (AGENT_TYPES, PointCloud, RngStream, density_augment,
-                     project, rangeview, resample_beams, unproject)
+from coopaug import (AGENT_TYPES, PointCloud, RngStream, density_augment, make_group,
+                     make_scene, project, rangeview, resample_beams, unproject)
+from coopaug.model import BLOCK_POINTS
 
 FOV = (-25.0, 5.0)
 
@@ -210,3 +211,98 @@ class TestDensityAugment:
         out = density_augment(self.dense_cloud(), AGENT_TYPES["A"], RngStream(3, "d"))
         phi = np.degrees(np.arctan2(out.xyz[:, 2], np.hypot(out.xyz[:, 0], out.xyz[:, 1])))
         assert phi.min() >= FOV[0] - 1e-9 and phi.max() <= FOV[1] + 1e-9
+
+
+def image_key(xyz, fov_deg, H):
+    """The row `project` gives each point of an H-row image: -1 above the FOV
+    and H below it."""
+    f_min, f_max = math.radians(fov_deg[0]), math.radians(fov_deg[1])
+    x, y, z = xyz.T
+    phi = np.arctan2(z, np.hypot(x, y))
+    ry = np.minimum(np.floor((f_max - phi) / (f_max - f_min) * H), H - 1)
+    return np.where(phi > f_max, -1, np.where(phi < f_min, H, ry)).astype(np.int64)
+
+
+def boundary_points(fov_deg, H, rng):
+    """For each of the H + 1 edges of an H-row image (row k - 1 above, row k
+    below, k = 0 and k = H the FOV's upper and lower bounds), the two points a
+    float step apart in z that lie on either side of it, found by bisection."""
+    f_min, f_max = math.radians(fov_deg[0]), math.radians(fov_deg[1])
+    f = f_max - f_min
+    k = np.arange(H + 1)
+    theta = rng.uniform(-math.pi, math.pi, H + 1)
+    r = rng.uniform(5.0, 80.0, H + 1)
+    x, y = r * np.cos(theta), r * np.sin(theta)
+    hyp = np.hypot(x, y)
+    hi = hyp * np.tan(f_max - f * (k - 0.5) / H)  # the middle of row k - 1
+    lo = hyp * np.tan(f_max - f * (k + 0.5) / H)  # the middle of row k
+
+    def key(z):
+        return image_key(np.stack([x, y, z], axis=1), fov_deg, H)
+
+    assert (key(hi) == k - 1).all() and (key(lo) == k).all()
+    for _ in range(2100):  # enough halvings to cross every float between them
+        mid = lo + (hi - lo) / 2
+        below = key(mid) >= k
+        lo, hi = np.where(below, mid, lo), np.where(below, hi, mid)
+    assert (np.nextafter(lo, hi) == hi).all()
+    return np.concatenate([np.stack([x, y, lo], axis=1), np.stack([x, y, hi], axis=1)])
+
+
+def edge_cloud(seed=0):
+    """More than two BLOCK_POINTS blocks of points: both sides of every row
+    edge and FOV edge of each built-in type's image, points far outside every
+    FOV, points at the origin, exact copies of points (equal ranges in one
+    pixel) and a random fill, shuffled."""
+    rng = np.random.default_rng(seed)
+    edges = [boundary_points(t.fov_deg, t.beams, rng) for t in AGENT_TYPES.values()]
+    n_fill = 2 * BLOCK_POINTS + 3000
+    phi = np.radians(rng.uniform(-35.0, 20.0, n_fill))
+    theta = rng.uniform(-math.pi, math.pi, n_fill)
+    r = rng.uniform(1.0, 150.0, n_fill)
+    fill = np.stack([r * np.cos(phi) * np.cos(theta), r * np.cos(phi) * np.sin(theta),
+                     r * np.sin(phi)], axis=1)
+    outside = np.array([[0.0, 0.0, 5.0], [0.0, 0.0, -5.0], [1.0, 1.0, 40.0], [3.0, 0.0, -9.0]])
+    origin = np.zeros((5, 3))
+    xyz = np.concatenate([*edges, fill, outside, origin])
+    xyz = np.concatenate([xyz, xyz[rng.choice(len(xyz), 500)]])  # ties
+    order = rng.permutation(len(xyz))
+    return PointCloud.from_arrays(xyz[order], rng.uniform(0.0, 1.0, len(xyz)))
+
+
+@pytest.fixture(scope="module")
+def golden_clouds():
+    scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
+    return [a.cloud for a in make_group(scene, RngStream(3, "golden-lidar")).agents]
+
+
+class TestDensityAugmentOracle:
+    """density_augment against the composition it shortcuts, byte for byte,
+    for every built-in type and every density target."""
+
+    def assert_matches_composition(self, cloud, monkeypatch):
+        for agent_type in AGENT_TYPES.values():
+            img = project(cloud, agent_type.fov_deg, agent_type.beams, rangeview.AZIMUTH_BINS)
+            for target in rangeview.DENSITY_TARGETS:
+                expected = unproject(resample_beams(img, target))
+                with monkeypatch.context() as m:
+                    m.setattr(rangeview, "DENSITY_TARGETS", (target,))
+                    out = density_augment(cloud, agent_type, RngStream(0, "oracle"))
+                assert out.xyz.tobytes() == expected.xyz.tobytes(), (agent_type.name, target)
+                assert out.intensity.tobytes() == expected.intensity.tobytes()
+                assert out.frame == expected.frame
+
+    def test_golden_scene_clouds(self, golden_clouds, monkeypatch):
+        for cloud in golden_clouds:
+            self.assert_matches_composition(cloud, monkeypatch)
+
+    def test_edge_cloud(self, monkeypatch):
+        cloud = edge_cloud()
+        assert len(cloud) > 2 * BLOCK_POINTS
+        for t in AGENT_TYPES.values():
+            keys = image_key(cloud.xyz, t.fov_deg, t.beams)
+            # every row holds a point on each of its edges; both FOV edges are
+            # crossed, and points lie outside the FOV and at the origin
+            assert set(range(-1, t.beams + 1)) <= set(keys.tolist())
+        assert (np.abs(cloud.xyz).sum(axis=1) == 0).sum() >= 5
+        self.assert_matches_composition(cloud, monkeypatch)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from coopaug import (PointCloud, RngStream, SetupAugParams, apply_setup_aug,
                      sample_setup_params, setupaug)
+from coopaug.model import BLOCK_POINTS
 
 
 class TestSampleSetupParams:
@@ -116,6 +117,21 @@ def test_setup_aug_matches_sequential_oracle(data):
     rng = np.random.default_rng(seed)
     xyz = rng.normal(0.0, scale_m, (n, 3)) + rng.uniform(-1e3, 1e3, 3)
     params = sample_setup_params(RngStream(seed, "oracle"))
+    cloud = PointCloud.from_arrays(xyz, rng.uniform(0, 1, n))
+    out = apply_setup_aug(cloud, params)
+    assert out.xyz.tobytes() == setup_aug_oracle(xyz, params).tobytes()
+    assert out.intensity.tobytes() == cloud.intensity.tobytes()
+
+
+@pytest.mark.parametrize("n", [BLOCK_POINTS - 1, BLOCK_POINTS, BLOCK_POINTS + 1,
+                               2 * BLOCK_POINTS + 5])
+def test_setup_aug_matches_oracle_across_blocks(n):
+    """Bitwise equal to the per-point oracle on clouds that end just before,
+    on and just after a block edge, or span three blocks: a running sum that
+    is not carried from block to block exactly fails this test."""
+    rng = np.random.default_rng(n)
+    xyz = rng.normal(0.0, 50.0, (n, 3)) + rng.uniform(-1e3, 1e3, 3)
+    params = sample_setup_params(RngStream(n, "blocks"))
     cloud = PointCloud.from_arrays(xyz, rng.uniform(0, 1, n))
     out = apply_setup_aug(cloud, params)
     assert out.xyz.tobytes() == setup_aug_oracle(xyz, params).tobytes()

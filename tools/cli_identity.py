@@ -36,15 +36,19 @@ infinite intensity; `project --width 10**12` and `gate-stats --iterations
 `cfc-check` on one agent, which `cmag` passes through; `augment` and
 `cfc-check` on a manifest whose ego has a custom type, then `cfc-check` on the
 `augment` output, which saves that type in full; the same on two agents
-3 m apart near x = 1.7e308, whose midpoint must not overflow; and `simulate`
+3 m apart near x = 1.7e308, whose midpoint must not overflow; `simulate`
 of all five types with 32 boxes at two more seeds, so the ray cast's column
-culling meets many more box wedges and the +-pi seam.
+culling meets many more box wedges and the +-pi seam; and `augment` and
+`cfc-check` at seeds 10, 5, 1 and 8 on two agents of custom 16- and 128-beam
+types with dense clouds, which re-beam at and beside target == H (see
+EDGE_SEEDS).
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import math
 import struct
 import sys
 import warnings
@@ -68,6 +72,13 @@ BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-
                  ("fov-reversed", 2), ("beams-huge", 2), ("overflowing-poses", 2))
 # Valid manifests built by the same edits: (name, agents).
 GOOD_MANIFESTS = (("custom-ego", 2), ("far-pair", 2))
+# Seeds of `augment` and `cfc-check` on the two-agent manifest of custom
+# 16- and 128-beam types, by the donor's beams H and the density target they
+# draw: 10 (H 16, target 16) and 5 (H 128, target 128) re-beam at
+# target == H, the edge of density augmentation's `target <= H` branch; 1
+# (H 16, target 32) takes the upsampling branch just past it, and 8 (H 128,
+# target 16) keeps 16 of 128 rows.
+EDGE_SEEDS = (10, 5, 1, 8)
 # pmf files for `--dist-file` that are not a count distribution: (name, text).
 BAD_PMFS = (("list", "[0.5, 0.5]"), ("not-json", "{not json"), ("sum", '{"1": 0.5}'),
             ("count-0", '{"0": 1.0}'), ("20-digits", '{"99999999999999999999": 1.0}'),
@@ -193,7 +204,30 @@ def matrix(out: Path):
         cmds.append((f"sim-all-{seed}", ["simulate", "--agents", len(types.split(",")),
                                          "--types", types, "--boxes", 32, "--seed", seed,
                                          "--out", out / f"sim-all-{seed}"]))
+    edge_manifest = out / "good" / "beams-16-128" / "manifest.json"
+    for seed in EDGE_SEEDS:
+        cmds += [
+            (f"beams-16-128-aug-{seed}", ["augment", "--manifest", edge_manifest, "--seed", seed,
+                                          "--out", out / f"beams-16-128-aug-{seed}"]),
+            (f"beams-16-128-cfc-{seed}", ["cfc-check", "--manifest", edge_manifest,
+                                          "--seed", seed]),
+        ]
     return cmds
+
+
+def dense_cloud(k: int) -> bytes:
+    """A .pcv of 64 elevations from -30 to 15 degrees by 512 azimuths around
+    agent k's sensor at (4k, 0, 0), at ranges of 10 to 28 m that step with the
+    azimuth, so every row of a 16- or 128-beam image holds points."""
+    records = []
+    for i in range(64):
+        el = math.radians(-30.0 + 45.0 * (i + 0.5) / 64)
+        for j in range(512):
+            az = 2.0 * math.pi * (j + 0.5) / 512
+            r = 10.0 + 17.0 * (j % 7) / 6 + k
+            records += [4.0 * k + r * math.cos(el) * math.cos(az),
+                        r * math.cos(el) * math.sin(az), r * math.sin(el), (i + j) % 10 / 10]
+    return b"PCV1" + struct.pack(f"<I{len(records)}f", len(records) // 4, *records)
 
 
 def write_manifest(root: Path, name: str, n_agents: int) -> None:
@@ -233,6 +267,11 @@ def write_manifest(root: Path, name: str, n_agents: int) -> None:
     elif name == "unknown-type-missing-cloud":
         agents[1]["type"] = "Z"
         (root / "agent-1.pcv").unlink()
+    elif name == "beams-16-128":
+        for k, beams in enumerate((16, 128)):
+            (root / f"agent-{k}.pcv").write_bytes(dense_cloud(k))
+            agents[k]["type"] = {"name": f"X{beams}", "beams": beams, "range_m": 90.0,
+                                 "fov_deg": [-25.0, 10.0], "range_error_m": 0.01}
     elif name == "beams-huge":
         for agent in agents:
             agent["type"] = {"name": "X", "beams": 10**12, "range_m": 90.0,
@@ -317,6 +356,7 @@ def main(argv) -> int:
     (out / "good").mkdir()
     for name, n_agents in GOOD_MANIFESTS:
         write_manifest(out / "good" / name, name, n_agents)
+    write_manifest(out / "good" / "beams-16-128", "beams-16-128", 2)
     (bad / "outside").mkdir()
     (bad / "outside" / "x.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, 5.0, 0.5, 0.0, 1.0))
     for name, text in BAD_PMFS:
