@@ -104,15 +104,14 @@ def scatter_nearest(rows, cols, ranges, intens, H, W):
     ranges = np.asarray(ranges, dtype=np.float64)
     intens = np.asarray(intens, dtype=np.float64)
     # (H, W), not (H*W,): numpy's MemoryError names the shape it could not allocate
-    rimg = np.full((int(H), int(W)), np.inf)
+    rimg = np.full((int(H), int(W)), np.nan)
     iimg = np.zeros((int(H), int(W)))
-    touched = np.zeros((int(H), int(W)), dtype=bool)
     pixel = rows * int(W) + cols
-    np.minimum.at(rimg.reshape(-1), pixel, ranges)
-    touched.reshape(-1)[pixel] = True
+    # fmin(NaN, r) = r, so a pixel stays NaN only if no point lands in it
+    np.fmin.at(rimg.reshape(-1), pixel, ranges)
     # the points holding their pixel's minimum, assigned last to first, so the
     # earliest of equal ranges is written last and wins
     wins = np.flatnonzero(ranges == rimg.reshape(-1)[pixel])[::-1]
     iimg.reshape(-1)[pixel[wins]] = intens[wins]
-    rimg[~touched] = 0.0
+    rimg[np.isnan(rimg)] = 0.0
     return rimg, iimg

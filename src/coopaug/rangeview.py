@@ -91,22 +91,40 @@ def _project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int,
 
 def unproject(img: RangeImage) -> PointCloud:
     """One point per valid pixel, along the pixel-center ray, range preserved."""
-    f_min = math.radians(img.fov_deg[0])
-    f_max = math.radians(img.fov_deg[1])
+    return _unproject(lambda rows: (img.ranges[rows], img.intensities[rows]),
+                      img.H, img.W, img.fov_deg, img.frame)
+
+
+def _unproject(rows_of, H: int, W: int, fov_deg: tuple[float, float], frame: str) -> PointCloud:
+    """`unproject` of the H x W image whose rows `rows_of(slice)` gives as (ranges,
+    intensities), `max(1, BLOCK_POINTS // W)` rows at a time: no whole-image temporary."""
+    f_min = math.radians(fov_deg[0])
+    f_max = math.radians(fov_deg[1])
     f = f_max - f_min
-    valid = img.valid_mask()
-    rows, cols = np.nonzero(valid)
-    # the angles depend only on the row or the column: cos and sin come from
-    # tables H and W long
-    theta = math.pi * (1.0 - 2.0 * (np.arange(img.W) + 0.5) / img.W)
-    phi = f_max - f * (np.arange(img.H) + 0.5) / img.H
-    r = img.ranges[valid]
-    r_cos_phi = r * np.cos(phi).take(rows)
-    xyz = np.empty((len(r), 3))
-    np.multiply(r_cos_phi, np.cos(theta).take(cols), out=xyz[:, 0])
-    np.multiply(r_cos_phi, np.sin(theta).take(cols), out=xyz[:, 1])
-    np.multiply(r, np.sin(phi).take(rows), out=xyz[:, 2])
-    return PointCloud(xyz, img.intensities[valid], img.frame)
+    step = max(1, BLOCK_POINTS // max(W, 1))
+    # the angles depend only on the row or the column: cos and sin come from tables
+    # H long and a block's rows of W long, which the valid mask picks from like the ranges
+    theta = math.pi * (1.0 - 2.0 * (np.arange(W) + 0.5) / W)
+    phi = f_max - f * (np.arange(H) + 0.5) / H
+    cos_phi, sin_phi = np.cos(phi), np.sin(phi)
+    cos_theta, sin_theta = (np.tile(t, (min(step, H), 1)) for t in (np.cos(theta), np.sin(theta)))
+    # room for every pixel; only the valid ones are written
+    xyz, intens = np.empty((H * W, 3)), np.empty(H * W)
+    m = 0  # points written so far
+    for first in range(0, H, step):
+        block = slice(first, first + step)
+        ranges, intensities = rows_of(block)
+        valid = ranges > NO_RETURN
+        r = ranges[valid]
+        out = slice(m, m + len(r))
+        m += len(r)
+        intens[out] = intensities[valid]
+        per_row = np.count_nonzero(valid, axis=1)
+        r_cos_phi = r * cos_phi[block].repeat(per_row)
+        np.multiply(r_cos_phi, cos_theta[:len(valid)][valid], out=xyz[out, 0])
+        np.multiply(r_cos_phi, sin_theta[:len(valid)][valid], out=xyz[out, 1])
+        np.multiply(r, sin_phi[block].repeat(per_row), out=xyz[out, 2])
+    return PointCloud(xyz[:m], intens[:m], frame)
 
 
 def _kept_rows(H: int, target_H: int) -> np.ndarray:
@@ -122,8 +140,16 @@ def resample_beams(img: RangeImage, target_H: int) -> RangeImage:
     if target_H <= H:
         rows = _kept_rows(H, target_H)
         return RangeImage(img.ranges[rows], img.intensities[rows], img.fov_deg, img.frame)
-    # upsampling: interpolate ranges between valid neighbor rows per column
-    s = np.arange(target_H) * H / target_H
+    return RangeImage(*_upsampled_rows(img, target_H, slice(None)), img.fov_deg, img.frame)
+
+
+def _upsampled_rows(img: RangeImage, target_H: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
+    """Rows `rows` of img upsampled to target_H > H rows, as (ranges, intensities): row k
+    lies at s = k * H / target_H between rows lo and hi; a column's range is interpolated
+    where both are valid, else taken from the valid one; its intensity is the nearer row's,
+    lo's at a tie."""
+    H = img.H
+    s = np.arange(target_H)[rows] * H / target_H
     lo = np.minimum(np.floor(s).astype(np.int64), H - 1)
     hi = np.minimum(np.ceil(s).astype(np.int64), H - 1)
     w = (s - lo)[:, None]
@@ -136,7 +162,7 @@ def resample_beams(img: RangeImage, target_H: int) -> RangeImage:
     near_lo = w <= 0.5
     intens = np.where(both, np.where(near_lo, i_lo, i_hi),
                       np.where(v_lo, i_lo, np.where(v_hi, i_hi, 0.0)))
-    return RangeImage(ranges, intens, img.fov_deg, img.frame)
+    return ranges, intens
 
 
 def density_augment(cloud: PointCloud, agent_type: AgentType, rng: RngStream) -> PointCloud:
@@ -146,11 +172,13 @@ def density_augment(cloud: PointCloud, agent_type: AgentType, rng: RngStream) ->
     is applied uniformly even when the target equals the native beam count.
     Downsampling projects only the points of the rows `resample_beams` keeps:
     a pixel's points all lie in its row, so the image is the same.
+    Upsampling interpolates and unprojects a block of rows at a time.
     """
     target = int(rng.choice(DENSITY_TARGETS))
     H = agent_type.beams
     if target > H:
         img = project(cloud, agent_type.fov_deg, H, AZIMUTH_BINS)
-        return unproject(resample_beams(img, target))
+        return _unproject(lambda rows: _upsampled_rows(img, target, rows),
+                          target, AZIMUTH_BINS, img.fov_deg, img.frame)
     return unproject(_project(cloud, agent_type.fov_deg, H, AZIMUTH_BINS,
                               _kept_rows(H, target)))

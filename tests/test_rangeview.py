@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from coopaug import (AGENT_TYPES, PointCloud, RngStream, density_augment, make_group,
-                     make_scene, project, rangeview, resample_beams, unproject)
+from coopaug import (AGENT_TYPES, AgentType, PointCloud, RngStream, density_augment,
+                     make_group, make_scene, project, rangeview, resample_beams, unproject)
 from coopaug.model import BLOCK_POINTS
 
 FOV = (-25.0, 5.0)
@@ -108,21 +108,49 @@ class TestUnproject:
         ranges = rng.uniform(1.0, 80.0, (H, W))
         ranges[rng.uniform(size=(H, W)) < 0.4] = rangeview.NO_RETURN
         img = rangeview.RangeImage(ranges, rng.uniform(0, 1, (H, W)), FOV, "ego")
-        f_min, f_max = math.radians(FOV[0]), math.radians(FOV[1])
-        xyz, intens = [], []
-        for row in range(H):
-            for col in range(W):
-                r = ranges[row, col]
-                if r > rangeview.NO_RETURN:
-                    theta = math.pi * (1.0 - 2.0 * (col + 0.5) / W)
-                    phi = f_max - (f_max - f_min) * (row + 0.5) / H
-                    cos_phi = np.cos(phi)
-                    xyz.append([r * cos_phi * np.cos(theta), r * cos_phi * np.sin(theta),
-                                r * np.sin(phi)])
-                    intens.append(img.intensities[row, col])
+        xyz, intens = unproject_oracle(img)
         out = unproject(img)
         assert out.xyz.tobytes() == np.array(xyz).tobytes()
         assert out.intensity.tobytes() == np.array(intens).tobytes()
+
+    @pytest.mark.parametrize("H, W", [(5, BLOCK_POINTS // 2), (2, BLOCK_POINTS + 1), (19, 2048)])
+    def test_matches_per_pixel_oracle_across_blocks(self, H, W):
+        # rows go through in blocks of max(1, BLOCK_POINTS // W): 2 rows with
+        # a partial last block, 1 row when a row holds more than a block, and
+        # 8 rows, as in density augmentation's images, with 3 left over
+        rng = np.random.default_rng(H)
+        ranges = rng.uniform(1.0, 80.0, (H, W))
+        ranges[rng.uniform(size=(H, W)) < 0.4] = rangeview.NO_RETURN
+        ranges[0, :] = rangeview.NO_RETURN  # a block's row with no return
+        ranges[rng.uniform(size=(H, W)) < 0.01] = np.inf
+        ranges[rng.uniform(size=(H, W)) < 0.01] = np.nan
+        img = rangeview.RangeImage(ranges, rng.uniform(0, 1, (H, W)), FOV, "ego")
+        xyz, intens = unproject_oracle(img)
+        out = unproject(img)
+        assert out.xyz.tobytes() == np.array(xyz).reshape(-1, 3).tobytes()
+        assert out.intensity.tobytes() == np.array(intens).tobytes()
+        assert out.frame == "ego"
+
+
+def unproject_oracle(img):
+    """unproject's points and intensities, pixel by pixel with Python floats:
+    each valid pixel, row-major, along its pixel-centre ray with the angles'
+    cos and sin taken per pixel."""
+    H, W = img.ranges.shape
+    f_min, f_max = math.radians(img.fov_deg[0]), math.radians(img.fov_deg[1])
+    ranges, intensities = img.ranges.tolist(), img.intensities.tolist()
+    xyz, intens = [], []
+    for row in range(H):
+        phi = f_max - (f_max - f_min) * (row + 0.5) / H
+        cos_phi = np.cos(phi)
+        for col in range(W):
+            r = ranges[row][col]
+            if r > rangeview.NO_RETURN:
+                theta = math.pi * (1.0 - 2.0 * (col + 0.5) / W)
+                xyz.append([r * cos_phi * np.cos(theta), r * cos_phi * np.sin(theta),
+                            r * np.sin(phi)])
+                intens.append(intensities[row][col])
+    return xyz, intens
 
 
 class TestResampleBeams:
@@ -175,6 +203,93 @@ class TestResampleBeams:
         for target in (48, 32, 16, 7, 1):
             out = resample_beams(img, target)
             assert out.valid_mask().sum() <= img.valid_mask().sum()
+
+
+def upsample_oracle(img, target_H):
+    """resample_beams(img, target_H) for target_H > H, pixel by pixel from the
+    rule with Python floats: output row k lies at s = k * H / target_H between
+    input rows lo = min(floor(s), H - 1) and hi = min(ceil(s), H - 1), w = s - lo.
+    A column valid (range > 0) in both gets (1 - w) * r_lo + w * r_hi and the
+    intensity of row lo if w <= 0.5, else of row hi; valid in one, that row's
+    range and intensity; in neither, 0 and 0."""
+    H, W = img.ranges.shape
+    ranges, intensities = img.ranges.tolist(), img.intensities.tolist()
+    out_r = [[0.0] * W for _ in range(target_H)]
+    out_i = [[0.0] * W for _ in range(target_H)]
+    for k in range(target_H):
+        s = k * H / target_H
+        lo, hi = min(math.floor(s), H - 1), min(math.ceil(s), H - 1)
+        w = s - lo
+        for col in range(W):
+            r_lo, r_hi = ranges[lo][col], ranges[hi][col]
+            if r_lo > rangeview.NO_RETURN and r_hi > rangeview.NO_RETURN:
+                out_r[k][col] = (1.0 - w) * r_lo + w * r_hi
+                out_i[k][col] = intensities[lo if w <= 0.5 else hi][col]
+            elif r_lo > rangeview.NO_RETURN:
+                out_r[k][col], out_i[k][col] = r_lo, intensities[lo][col]
+            elif r_hi > rangeview.NO_RETURN:
+                out_r[k][col], out_i[k][col] = r_hi, intensities[hi][col]
+    return np.array(out_r), np.array(out_i)
+
+
+class TestUpsampleOracle:
+    """resample_beams with target_H > H against upsample_oracle, byte for byte."""
+
+    def image(self, H, W, seed):
+        # ~40% no return, so columns have both, one or neither neighbour
+        # valid, and a few +inf ranges
+        rng = np.random.default_rng(seed)
+        ranges = rng.uniform(1.0, 80.0, (H, W))
+        ranges[rng.uniform(size=(H, W)) < 0.4] = rangeview.NO_RETURN
+        ranges[rng.uniform(size=(H, W)) < 0.05] = np.inf
+        return rangeview.RangeImage(ranges, rng.uniform(0, 1, (H, W)), FOV, "ego")
+
+    @pytest.mark.parametrize("H, target_H", [
+        (1, 2), (1, 3), (1, 16),  # lo = hi = 0, with w != 0 past row 0
+        (4, 8), (32, 64),         # T = 2H: every other row at an integer s, the rest at w = 0.5
+        (3, 12),                  # w = 0.25, 0.5 and 0.75
+        (32, 40), (40, 64), (5, 7), (127, 129),  # targets no multiple of H
+    ])
+    def test_matches_oracle(self, H, target_H):
+        img = self.image(H, 64, seed=H * 1000 + target_H)
+        # +inf at an integer s gives inf + 0 * inf = NaN, which numpy warns of
+        with np.errstate(invalid="ignore"):
+            out = resample_beams(img, target_H)
+            ranges, intens = upsample_oracle(img, target_H)
+        assert out.ranges.tobytes() == ranges.tobytes()
+        assert out.intensities.tobytes() == intens.tobytes()
+        assert (out.H, out.W, out.fov_deg, out.frame) == (target_H, 64, FOV, "ego")
+
+    def test_cases_are_reached(self):
+        # the parametrized cases reach the edges of the rule they are named for
+        for H, target_H in [(1, 3), (32, 40), (40, 64)]:
+            s = np.arange(target_H) * H / target_H
+            clipped = np.ceil(s) > H - 1
+            assert (clipped & (s != np.floor(s))).any()  # hi clipped at w > 0
+        img = self.image(4, 64, seed=4008)
+        valid = img.valid_mask()
+        assert (valid[1] & valid[2]).any() and (valid[1] ^ valid[2]).any()
+        assert (img.ranges == np.inf).any()
+        with np.errstate(invalid="ignore"):
+            out = resample_beams(img, 8)
+        assert np.isnan(out.ranges[::2]).any()  # +inf at an integer s
+        assert np.isinf(out.ranges[1::2]).any()
+
+    def test_tie_takes_lo_intensity(self):
+        img = rangeview.RangeImage(np.array([[10.0], [20.0]]), np.array([[0.25], [0.75]]),
+                                   FOV, "ego")
+        out = resample_beams(img, 4)  # row 1 at s = 0.5, row 3 at s = 1.5, hi clipped
+        assert out.ranges[:, 0].tolist() == [10.0, 15.0, 20.0, 20.0]
+        assert out.intensities[:, 0].tolist() == [0.25, 0.25, 0.75, 0.75]
+
+    def test_nan_rows_are_dropped_by_unproject(self):
+        # +inf at row 0 is NaN on the output rows at integer s and +inf between
+        img = rangeview.RangeImage(np.array([[np.inf] * 2, [20.0] * 2]), np.ones((2, 2)),
+                                   FOV, "ego")
+        with np.errstate(invalid="ignore"):
+            out = resample_beams(img, 4)
+        assert np.isnan(out.ranges[0]).all() and (out.ranges[1] == np.inf).all()
+        assert len(unproject(out)) == 6
 
 
 class TestDensityAugment:
@@ -276,14 +391,24 @@ def golden_clouds():
     return [a.cloud for a in make_group(scene, RngStream(3, "golden-lidar")).agents]
 
 
+# Custom types beside the built-in ones: 1 beam, which every target
+# upsamples, and 127, one beam short of the largest target.
+CUSTOM_TYPES = tuple(AgentType(f"X{beams}", beams, 90.0, (-25.0, 10.0), 0.01, "Sim", "Vehicle")
+                     for beams in (1, 127))
+# Targets beside DENSITY_TARGETS, which are all multiples of 8, so that the
+# upsampled rows also end in a partial block of 8 rows: 3, 37 and 129.
+EXTRA_TARGETS = (3, 37, 129)
+
+
 class TestDensityAugmentOracle:
     """density_augment against the composition it shortcuts, byte for byte,
-    for every built-in type and every density target."""
+    for every built-in type and every density target, and for the custom
+    types and extra targets above."""
 
     def assert_matches_composition(self, cloud, monkeypatch):
-        for agent_type in AGENT_TYPES.values():
+        for agent_type in (*AGENT_TYPES.values(), *CUSTOM_TYPES):
             img = project(cloud, agent_type.fov_deg, agent_type.beams, rangeview.AZIMUTH_BINS)
-            for target in rangeview.DENSITY_TARGETS:
+            for target in (*rangeview.DENSITY_TARGETS, *EXTRA_TARGETS):
                 expected = unproject(resample_beams(img, target))
                 with monkeypatch.context() as m:
                     m.setattr(rangeview, "DENSITY_TARGETS", (target,))
@@ -305,4 +430,19 @@ class TestDensityAugmentOracle:
             # crossed, and points lie outside the FOV and at the origin
             assert set(range(-1, t.beams + 1)) <= set(keys.tolist())
         assert (np.abs(cloud.xyz).sum(axis=1) == 0).sum() >= 5
+        self.assert_matches_composition(cloud, monkeypatch)
+
+    def test_empty_cloud(self, monkeypatch):
+        self.assert_matches_composition(cloud_of(np.zeros((0, 3))), monkeypatch)
+
+    def test_cloud_outside_every_fov(self, monkeypatch):
+        rng = np.random.default_rng(2)
+        theta = rng.uniform(-math.pi, math.pi, 1000)
+        phi = np.radians(rng.choice([-1.0, 1.0], 1000) * rng.uniform(40.0, 89.0, 1000))
+        r = rng.uniform(1.0, 100.0, 1000)
+        xyz = np.stack([r * np.cos(phi) * np.cos(theta), r * np.cos(phi) * np.sin(theta),
+                        r * np.sin(phi)], axis=1)
+        cloud = cloud_of(np.concatenate([xyz, np.zeros((3, 3))]))
+        for t in (*AGENT_TYPES.values(), *CUSTOM_TYPES):
+            assert not project(cloud, t.fov_deg, t.beams, rangeview.AZIMUTH_BINS).valid_mask().any()
         self.assert_matches_composition(cloud, monkeypatch)

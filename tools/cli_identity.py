@@ -39,9 +39,11 @@ infinite intensity; `project --width 10**12` and `gate-stats --iterations
 3 m apart near x = 1.7e308, whose midpoint must not overflow; `simulate`
 of all five types with 32 boxes at two more seeds, so the ray cast's column
 culling meets many more box wedges and the +-pi seam; and `augment` and
-`cfc-check` at seeds 10, 5, 1 and 8 on two agents of custom 16- and 128-beam
-types with dense clouds, which re-beam at and beside target == H (see
-EDGE_SEEDS).
+`cfc-check` on two agents with dense clouds (see DENSE_PAIRS): at seeds 10, 5,
+1 and 8 of custom 16- and 128-beam types, which re-beam at and beside
+target == H; at seeds 5, 6 and 0 of custom 1- and 40-beam types, which
+upsample to targets no multiple of H; and at seeds 2 and 0 of type B, which
+upsample 32 beams to 64 and to 40.
 """
 
 import contextlib
@@ -72,13 +74,24 @@ BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-
                  ("fov-reversed", 2), ("beams-huge", 2), ("overflowing-poses", 2))
 # Valid manifests built by the same edits: (name, agents).
 GOOD_MANIFESTS = (("custom-ego", 2), ("far-pair", 2))
-# Seeds of `augment` and `cfc-check` on the two-agent manifest of custom
-# 16- and 128-beam types, by the donor's beams H and the density target they
-# draw: 10 (H 16, target 16) and 5 (H 128, target 128) re-beam at
-# target == H, the edge of density augmentation's `target <= H` branch; 1
-# (H 16, target 32) takes the upsampling branch just past it, and 8 (H 128,
-# target 16) keeps 16 of 128 rows.
-EDGE_SEEDS = (10, 5, 1, 8)
+# Two-agent manifests of dense clouds (`dense_cloud`): each agent's type, a
+# custom type of that many beams or a built-in type by name, and the seeds of
+# `augment` and `cfc-check` on it, by the donor's beams H and the density
+# target they draw.
+DENSE_PAIRS = {
+    # 10 (H 16, target 16) and 5 (H 128, target 128) re-beam at target == H,
+    # the edge of density augmentation's `target <= H` branch; 1 (H 16,
+    # target 32) takes the upsampling branch just past it, and 8 (H 128,
+    # target 16) keeps 16 of 128 rows.
+    "beams-16-128": ((16, 128), (10, 5, 1, 8)),
+    # upsampling to targets no multiple of H: 5 (H 40, target 128) and 6
+    # (H 40, target 64), whose last rows clip their upper neighbour at H - 1,
+    # and 0 (H 1, target 40), where every row interpolates row 0 with itself
+    "beams-1-40": ((1, 40), (5, 6, 0)),
+    # type B upsampled: 2 (H 32, target 64 = 2H), every other row at an
+    # integer s and the rest half way between two rows; 0 (H 32, target 40)
+    "types-B-B": (("B", "B"), (2, 0)),
+}
 # pmf files for `--dist-file` that are not a count distribution: (name, text).
 BAD_PMFS = (("list", "[0.5, 0.5]"), ("not-json", "{not json"), ("sum", '{"1": 0.5}'),
             ("count-0", '{"0": 1.0}'), ("20-digits", '{"99999999999999999999": 1.0}'),
@@ -204,14 +217,15 @@ def matrix(out: Path):
         cmds.append((f"sim-all-{seed}", ["simulate", "--agents", len(types.split(",")),
                                          "--types", types, "--boxes", 32, "--seed", seed,
                                          "--out", out / f"sim-all-{seed}"]))
-    edge_manifest = out / "good" / "beams-16-128" / "manifest.json"
-    for seed in EDGE_SEEDS:
-        cmds += [
-            (f"beams-16-128-aug-{seed}", ["augment", "--manifest", edge_manifest, "--seed", seed,
-                                          "--out", out / f"beams-16-128-aug-{seed}"]),
-            (f"beams-16-128-cfc-{seed}", ["cfc-check", "--manifest", edge_manifest,
-                                          "--seed", seed]),
-        ]
+    for name, (_, seeds) in DENSE_PAIRS.items():
+        dense_manifest = out / "good" / name / "manifest.json"
+        for seed in seeds:
+            cmds += [
+                (f"{name}-aug-{seed}", ["augment", "--manifest", dense_manifest, "--seed", seed,
+                                        "--out", out / f"{name}-aug-{seed}"]),
+                (f"{name}-cfc-{seed}", ["cfc-check", "--manifest", dense_manifest,
+                                        "--seed", seed]),
+            ]
     return cmds
 
 
@@ -267,11 +281,12 @@ def write_manifest(root: Path, name: str, n_agents: int) -> None:
     elif name == "unknown-type-missing-cloud":
         agents[1]["type"] = "Z"
         (root / "agent-1.pcv").unlink()
-    elif name == "beams-16-128":
-        for k, beams in enumerate((16, 128)):
+    elif name in DENSE_PAIRS:
+        for k, agent_type in enumerate(DENSE_PAIRS[name][0]):
             (root / f"agent-{k}.pcv").write_bytes(dense_cloud(k))
-            agents[k]["type"] = {"name": f"X{beams}", "beams": beams, "range_m": 90.0,
-                                 "fov_deg": [-25.0, 10.0], "range_error_m": 0.01}
+            agents[k]["type"] = agent_type if isinstance(agent_type, str) else {
+                "name": f"X{agent_type}", "beams": agent_type, "range_m": 90.0,
+                "fov_deg": [-25.0, 10.0], "range_error_m": 0.01}
     elif name == "beams-huge":
         for agent in agents:
             agent["type"] = {"name": "X", "beams": 10**12, "range_m": 90.0,
@@ -356,7 +371,8 @@ def main(argv) -> int:
     (out / "good").mkdir()
     for name, n_agents in GOOD_MANIFESTS:
         write_manifest(out / "good" / name, name, n_agents)
-    write_manifest(out / "good" / "beams-16-128", "beams-16-128", 2)
+    for name in DENSE_PAIRS:
+        write_manifest(out / "good" / name, name, 2)
     (bad / "outside").mkdir()
     (bad / "outside" / "x.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, 5.0, 0.5, 0.0, 1.0))
     for name, text in BAD_PMFS:
