@@ -9,9 +9,8 @@ from .io import (CLOUD_MAGIC, MANIFEST_VERSION, load_cloud, load_manifest, load_
 from .kernels import NUMBA_ENABLED, ray_cast, scatter_nearest
 from .mixup import (SplitLine, bev_center, cut_and_combine, make_mixup_agent,
                     nearest_pair, split_line)
-from .model import (AGENT_TYPES, EGO_FRAME, Agent, AgentType, CmagConfig,
-                    CooperativeGroup, CountDistribution, PointCloud,
-                    RigidTransform, RngStream, transform_cloud, validate_group)
+from .model import (AGENT_TYPES, Agent, AgentType, CmagConfig, CooperativeGroup, CountDistribution,
+                    PointCloud, RigidTransform, RngStream, transform_cloud, validate_group)
 from .pipeline import cfc_l1, cfc_score, cmag, early_fuse, fuse_grids, occupancy
 from .rangeview import (NO_RETURN, RangeImage, density_augment, project,
                         resample_beams, unproject)

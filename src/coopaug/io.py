@@ -7,7 +7,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (AGENT_TYPES, EGO_FRAME, Agent, AgentType, CooperativeGroup,
+from .model import (AGENT_TYPES, Agent, AgentType, CooperativeGroup,
                     CountDistribution, PointCloud, RigidTransform)
 from .rangeview import RangeImage
 
@@ -41,8 +41,7 @@ def load_cloud(path) -> PointCloud:
     records = np.frombuffer(data[8:], dtype="<f4").reshape(count, 4)
     if not np.isfinite(records).all():
         raise ValueError(f"{path}: non-finite point record")
-    return PointCloud(records[:, :3].astype(np.float64),
-                      records[:, 3].astype(np.float64), EGO_FRAME)
+    return PointCloud(records[:, :3].astype(np.float64), records[:, 3].astype(np.float64))
 
 
 def save_range_image_pgm(img: RangeImage, path) -> None:

@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import EGO_FRAME, Agent, CooperativeGroup, PointCloud, RngStream
+from .model import Agent, CooperativeGroup, PointCloud, RngStream
 
 # The split line turns by up to this much either way: the cut varies, yet
 # both source agents keep contributing points.
@@ -32,7 +32,7 @@ class SplitLine:
 
 def bev_center(agent: Agent) -> np.ndarray:
     """BEV position of an agent's sensor origin."""
-    return agent.pose.translation[:2].copy()
+    return agent.pose.translation[:2]
 
 
 def nearest_pair(group: CooperativeGroup) -> tuple[int, int] | None:
@@ -83,7 +83,7 @@ def cut_and_combine(p1: PointCloud, p2: PointCloud,
     for cloud, kept, part in ((p1, kept1, slice(0, n1)), (p2, kept2, slice(n1, n))):
         cloud.xyz.take(kept, axis=0, out=xyz[part], mode="clip")
         cloud.intensity.take(kept, out=intensity[part], mode="clip")
-    return PointCloud(xyz, intensity, EGO_FRAME), n1, n - n1
+    return PointCloud(xyz, intensity), n1, n - n1
 
 
 def _fresh_id(group: CooperativeGroup) -> str:

@@ -5,6 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# Kept for perfbench/workloads.py, which passes it to transform_cloud as an ignored argument.
 EGO_FRAME = "ego"
 # Points per block in the per-point passes over a cloud (`rangeview.project`,
 # `setupaug.apply_setup_aug`, `pipeline.occupancy`). A block's temporaries
@@ -15,24 +16,27 @@ BLOCK_POINTS = 16384
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered 3D points with intensity, tagged with a coordinate frame.
-
-    xyz is an (N, 3) float64 array, intensity an (N,) float64 array in [0, 1].
-    """
+    """Ordered 3D points: xyz an (N, 3) float64 array, intensity an (N,) float64
+    array in [0, 1]. The cloud takes both arrays over, and they are read-only
+    once it is made, so a cloud in a group stays as the group checked it."""
 
     xyz: np.ndarray
     intensity: np.ndarray
-    frame: str
+
+    def __post_init__(self):
+        self.xyz.flags.writeable = False
+        self.intensity.flags.writeable = False
 
     @staticmethod
-    def from_arrays(xyz, intensity=None, frame: str = EGO_FRAME) -> "PointCloud":
-        xyz = np.asarray(xyz, dtype=np.float64).reshape(-1, 3)
+    def from_arrays(xyz, intensity=None) -> "PointCloud":
+        """A cloud of copies of the inputs: the caller's arrays stay its own, and writable."""
+        xyz = np.array(xyz, dtype=np.float64).reshape(-1, 3)
         if intensity is None:
             intensity = np.ones(len(xyz))
-        intensity = np.asarray(intensity, dtype=np.float64).reshape(-1)
+        intensity = np.array(intensity, dtype=np.float64).reshape(-1)
         if len(intensity) != len(xyz):
             raise ValueError("xyz and intensity length mismatch")
-        return PointCloud(xyz, intensity, frame)
+        return PointCloud(xyz, intensity)
 
     def __len__(self) -> int:
         return len(self.xyz)
@@ -43,10 +47,14 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rotation (3x3, det +1) plus translation (3,), both float64."""
+    """Rotation (3x3, det +1) plus translation (3,): float64 arrays it takes over, read-only."""
 
     rotation: np.ndarray
     translation: np.ndarray
+
+    def __post_init__(self):
+        self.rotation.flags.writeable = False
+        self.translation.flags.writeable = False
 
     @staticmethod
     def identity() -> "RigidTransform":
@@ -129,7 +137,8 @@ class Agent:
 
 @dataclass(frozen=True)
 class CooperativeGroup:
-    """Agents in one ego frame; valid by construction (see validate_group)."""
+    """Agents in one ego frame; valid by construction (see validate_group), and its
+    arrays are read-only once the group is made, so it stays valid."""
 
     agents: tuple[Agent, ...]
 
@@ -204,12 +213,12 @@ class RngStream:
         return seq[int(self._gen.integers(0, len(seq)))]
 
 
-def transform_cloud(cloud: PointCloud, t: RigidTransform, target_frame: str) -> PointCloud:
+def transform_cloud(cloud: PointCloud, t: RigidTransform, _ignored=None) -> PointCloud:
     """Apply a rigid transform to every point; intensity and order preserved."""
     xyz = cloud.xyz @ t.rotation.T
     for k in range(3):  # in place, one column at a time: a (N, 3) + (3,) add is slower
         xyz[:, k] += t.translation[k]
-    return PointCloud(xyz, cloud.intensity.copy(), target_frame)
+    return PointCloud(xyz, cloud.intensity)
 
 
 def validate_group(group: CooperativeGroup) -> str | None:
@@ -221,8 +230,6 @@ def validate_group(group: CooperativeGroup) -> str | None:
     if len(set(ids)) != len(ids):
         return "duplicate agent ids"
     for a in group.agents:
-        if a.cloud.frame != EGO_FRAME:
-            return f"agent {a.id}: cloud frame {a.cloud.frame!r} is not ego"
         if not a.cloud.is_finite():
             return f"agent {a.id}: non-finite point"
         if not a.pose.is_valid():

@@ -7,7 +7,7 @@ import numpy as np
 
 from .gate import apply_gate, gate_responses, sample_gate
 from .mixup import make_mixup_agent, nearest_pair
-from .model import (BLOCK_POINTS, EGO_FRAME, CmagConfig, CooperativeGroup,
+from .model import (BLOCK_POINTS, CmagConfig, CooperativeGroup,
                     CountDistribution, PointCloud, RngStream)
 from .rangeview import density_augment
 from .setupaug import apply_setup_aug, sample_setup_params
@@ -51,8 +51,9 @@ def cfc_score(group: CooperativeGroup, generalized: CooperativeGroup) -> float:
     its source `group`.
 
     The early-fused grid is the fusion of the per-agent grids, as each grid
-    marks the cells of the same points. Each input cloud is binned once, and
-    an output agent holding an input agent's cloud reuses that grid.
+    marks the cells of the same points. Each input cloud is binned once, and an
+    output agent holding the same cloud object (by `id`) reuses its grid, which
+    is sound because a cloud's arrays are read-only: it cannot change.
     """
     grids = {id(a.cloud): occupancy(a.cloud) for a in group.agents}
     fused = fuse_grids([grids[id(a.cloud)] if id(a.cloud) in grids else occupancy(a.cloud)
@@ -64,7 +65,7 @@ def early_fuse(group: CooperativeGroup) -> PointCloud:
     """Concatenate all agents' ego-frame clouds in agent order."""
     xyz = np.concatenate([a.cloud.xyz for a in group.agents])
     intensity = np.concatenate([a.cloud.intensity for a in group.agents])
-    return PointCloud(xyz, intensity, EGO_FRAME)
+    return PointCloud(xyz, intensity)
 
 
 def cmag(group: CooperativeGroup, phi_s: CountDistribution, phi_c: CountDistribution,

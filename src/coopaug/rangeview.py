@@ -22,7 +22,6 @@ class RangeImage:
     ranges: np.ndarray       # (H, W) float64, 0 where no return
     intensities: np.ndarray  # (H, W) float64
     fov_deg: tuple[float, float]
-    frame: str
 
     @property
     def H(self) -> int:
@@ -36,22 +35,17 @@ class RangeImage:
         return self.ranges > NO_RETURN
 
 
-def project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int) -> RangeImage:
+def project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int,
+            kept_rows: np.ndarray | None = None) -> RangeImage:
     """Spherical projection into an H x W range image.
 
     Azimuth theta maps to columns with theta = pi at column 0; elevation phi
     maps the FOV upper bound to row 0 and the lower bound to row H-1. Points
     outside the vertical FOV are dropped; pixel collisions keep the nearest
-    return (first-return behavior).
+    return (first-return behavior). With `kept_rows` (increasing rows of H), the
+    image holds only those rows: the points of every other row are dropped
+    before their azimuth is taken.
     """
-    return _project(cloud, fov_deg, H, W)
-
-
-def _project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int,
-             kept_rows: np.ndarray | None = None) -> RangeImage:
-    """`project`, or with `kept_rows` (increasing rows of H) only those rows of
-    its image: the points of every other row are dropped before their azimuth
-    is taken, and the rest scatter straight into a len(kept_rows)-row image."""
     f_min = math.radians(fov_deg[0])
     f_max = math.radians(fov_deg[1])
     f = f_max - f_min
@@ -86,16 +80,16 @@ def _project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int,
         cloud.intensity[block].take(kept, out=intens[out], mode="clip")
     H_out = H if kept_rows is None else len(kept_rows)
     rimg, iimg = scatter_nearest(rows[:m], cols[:m], ranges[:m], intens[:m], H_out, W)
-    return RangeImage(rimg, iimg, fov_deg, cloud.frame)
+    return RangeImage(rimg, iimg, fov_deg)
 
 
 def unproject(img: RangeImage) -> PointCloud:
     """One point per valid pixel, along the pixel-center ray, range preserved."""
     return _unproject(lambda rows: (img.ranges[rows], img.intensities[rows]),
-                      img.H, img.W, img.fov_deg, img.frame)
+                      img.H, img.W, img.fov_deg)
 
 
-def _unproject(rows_of, H: int, W: int, fov_deg: tuple[float, float], frame: str) -> PointCloud:
+def _unproject(rows_of, H: int, W: int, fov_deg: tuple[float, float]) -> PointCloud:
     """`unproject` of the H x W image whose rows `rows_of(slice)` gives as (ranges,
     intensities), `max(1, BLOCK_POINTS // W)` rows at a time: no whole-image temporary."""
     f_min = math.radians(fov_deg[0])
@@ -124,7 +118,7 @@ def _unproject(rows_of, H: int, W: int, fov_deg: tuple[float, float], frame: str
         np.multiply(r_cos_phi, cos_theta[:len(valid)][valid], out=xyz[out, 0])
         np.multiply(r_cos_phi, sin_theta[:len(valid)][valid], out=xyz[out, 1])
         np.multiply(r, sin_phi[block].repeat(per_row), out=xyz[out, 2])
-    return PointCloud(xyz[:m], intens[:m], frame)
+    return PointCloud(xyz[:m], intens[:m])
 
 
 def _kept_rows(H: int, target_H: int) -> np.ndarray:
@@ -139,8 +133,8 @@ def resample_beams(img: RangeImage, target_H: int) -> RangeImage:
     H = img.H
     if target_H <= H:
         rows = _kept_rows(H, target_H)
-        return RangeImage(img.ranges[rows], img.intensities[rows], img.fov_deg, img.frame)
-    return RangeImage(*_upsampled_rows(img, target_H, slice(None)), img.fov_deg, img.frame)
+        return RangeImage(img.ranges[rows], img.intensities[rows], img.fov_deg)
+    return RangeImage(*_upsampled_rows(img, target_H, slice(None)), img.fov_deg)
 
 
 def _upsampled_rows(img: RangeImage, target_H: int, rows: slice) -> tuple[np.ndarray, np.ndarray]:
@@ -179,6 +173,5 @@ def density_augment(cloud: PointCloud, agent_type: AgentType, rng: RngStream) ->
     if target > H:
         img = project(cloud, agent_type.fov_deg, H, AZIMUTH_BINS)
         return _unproject(lambda rows: _upsampled_rows(img, target, rows),
-                          target, AZIMUTH_BINS, img.fov_deg, img.frame)
-    return unproject(_project(cloud, agent_type.fov_deg, H, AZIMUTH_BINS,
-                              _kept_rows(H, target)))
+                          target, AZIMUTH_BINS, img.fov_deg)
+    return unproject(project(cloud, agent_type.fov_deg, H, AZIMUTH_BINS, _kept_rows(H, target)))

@@ -39,11 +39,11 @@ def apply_setup_aug(cloud: PointCloud, params: SetupAugParams) -> PointCloud:
 
     Centering on the centroid keeps the perturbation a local jitter so the
     cloud stays aligned with its labels; identity parameters are the exact
-    (bitwise) identity.
+    (bitwise) identity: the cloud itself.
     """
     if len(cloud) == 0 or (params.rotation_rad == 0.0 and params.scale == 1.0
                            and not params.translation_m.any()):
-        return PointCloud(cloud.xyz.copy(), cloud.intensity.copy(), cloud.frame)
+        return cloud
     n = len(cloud)
     xyz = np.empty_like(cloud.xyz)
     # The centre sums each axis in point order, as one cumsum over the whole
@@ -67,4 +67,4 @@ def apply_setup_aug(cloud: PointCloud, params: SetupAugParams) -> PointCloud:
             v += center[k]
             v += params.translation_m[k]
             xyz[block, k] = v
-    return PointCloud(xyz, cloud.intensity.copy(), cloud.frame)
+    return PointCloud(xyz, cloud.intensity)

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import ray_cast
-from .model import (EGO_FRAME, Agent, AgentType, CooperativeGroup, PointCloud,
+from .model import (Agent, AgentType, CooperativeGroup, PointCloud,
                     RigidTransform, RngStream, transform_cloud)
 from .rangeview import AZIMUTH_BINS
 
@@ -88,7 +88,7 @@ def simulate_lidar(scene: Scene, placement_index: int, rng: RngStream) -> PointC
                                       agent_type.range_error_m, ranges.shape[0])
     xyz = dirs_sensor.compress(hit, axis=0)
     xyz *= ranges[:, None]
-    return PointCloud(xyz, np.ones(len(xyz)), frame=f"agent-{placement_index}")
+    return PointCloud(xyz, np.ones(len(xyz)))
 
 
 def make_group(scene: Scene, rng: RngStream) -> CooperativeGroup:
@@ -100,6 +100,6 @@ def make_group(scene: Scene, rng: RngStream) -> CooperativeGroup:
         cloud = simulate_lidar(scene, i, rng)
         to_ego = RigidTransform.identity() if i == 0 else ego_inv.compose(pose)
         agents.append(Agent(id=f"agent-{i}", pose=to_ego,
-                            cloud=transform_cloud(cloud, to_ego, EGO_FRAME),
+                            cloud=transform_cloud(cloud, to_ego),
                             agent_type=agent_type, is_ego=(i == 0)))
     return CooperativeGroup(tuple(agents))

@@ -106,7 +106,7 @@ class TestCloudFormat:
 class TestPgm:
     def test_header_and_quantization(self, tmp_path):
         ranges = np.array([[0.0, 1.2345], [0.0004, 100.0]])
-        img = RangeImage(ranges, np.zeros((2, 2)), (-25.0, 5.0), "ego")
+        img = RangeImage(ranges, np.zeros((2, 2)), (-25.0, 5.0))
         path = tmp_path / "r.pgm"
         save_range_image_pgm(img, path)
         data = path.read_bytes()
@@ -119,7 +119,7 @@ class TestPgm:
         assert pixels[1, 1] == 65535       # saturates, never wraps
 
     def test_parent_that_is_a_file_is_io_failure(self, tmp_path):
-        img = RangeImage(np.array([[2.0]]), np.zeros((1, 1)), (-25.0, 5.0), "ego")
+        img = RangeImage(np.array([[2.0]]), np.zeros((1, 1)), (-25.0, 5.0))
         (tmp_path / "f").write_text("not a directory")
         with pytest.raises(OSError):
             save_range_image_pgm(img, tmp_path / "f" / "r.pgm")

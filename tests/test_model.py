@@ -8,10 +8,9 @@ from coopaug import (AGENT_TYPES, Agent, CooperativeGroup, CountDistribution,
                      validate_group)
 
 
-def make_agent(aid="a0", translation=(0, 0, 0), cloud=None, is_ego=False, frame="ego"):
+def make_agent(aid="a0", translation=(0, 0, 0), cloud=None, is_ego=False):
     if cloud is None:
-        cloud = PointCloud.from_arrays(np.random.default_rng(0).uniform(-5, 5, (10, 3)),
-                                       frame=frame)
+        cloud = PointCloud.from_arrays(np.random.default_rng(0).uniform(-5, 5, (10, 3)))
     pose = RigidTransform.from_ypr(0.0, translation=translation)
     return Agent(id=aid, pose=pose, cloud=cloud, agent_type=AGENT_TYPES["A"], is_ego=is_ego)
 
@@ -20,21 +19,20 @@ class TestTransformCloud:
     def test_identity_is_bitwise(self):
         cloud = PointCloud.from_arrays([[1.1, -2.2, 3.3], [0.0, 0.5, -0.25]],
                                        [0.5, 1.0])
-        out = transform_cloud(cloud, RigidTransform.identity(), "ego")
+        out = transform_cloud(cloud, RigidTransform.identity())
         assert np.array_equal(out.xyz, cloud.xyz)
         assert np.array_equal(out.intensity, cloud.intensity)
-        assert out.frame == "ego"
 
     def test_yaw_quarter_turn(self):
         cloud = PointCloud.from_arrays([[1.0, 0.0, 0.0]])
         t = RigidTransform.from_ypr(math.pi / 2)
-        out = transform_cloud(cloud, t, "ego")
+        out = transform_cloud(cloud, t)
         assert np.allclose(out.xyz[0], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_pure_translation(self):
         cloud = PointCloud.from_arrays([[1.0, 2.0, 3.0]])
         t = RigidTransform.from_ypr(0.0, translation=(10.0, 0.0, -1.0))
-        out = transform_cloud(cloud, t, "ego")
+        out = transform_cloud(cloud, t)
         assert np.array_equal(out.xyz[0], [11.0, 2.0, 2.0])
 
     def test_rigidity_preserves_pairwise_distances(self):
@@ -42,7 +40,7 @@ class TestTransformCloud:
         xyz = rng.uniform(-10, 10, (50, 3))
         cloud = PointCloud.from_arrays(xyz)
         t = RigidTransform.from_ypr(0.7, 0.2, -0.4, translation=(3.0, -2.0, 1.0))
-        out = transform_cloud(cloud, t, "ego")
+        out = transform_cloud(cloud, t)
         d_in = np.linalg.norm(xyz[:, None] - xyz[None, :], axis=-1)
         d_out = np.linalg.norm(out.xyz[:, None] - out.xyz[None, :], axis=-1)
         assert np.abs(d_in - d_out).max() < 1e-9
@@ -51,12 +49,12 @@ class TestTransformCloud:
         rng = np.random.default_rng(8)
         cloud = PointCloud.from_arrays(rng.uniform(-10, 10, (30, 3)))
         t = RigidTransform.from_ypr(1.2, -0.3, 0.5, translation=(1.0, 2.0, 3.0))
-        back = transform_cloud(transform_cloud(cloud, t, "x"), t.inverse(), "ego")
+        back = transform_cloud(transform_cloud(cloud, t), t.inverse())
         assert np.abs(back.xyz - cloud.xyz).max() < 1e-9
 
     def test_empty_cloud(self):
-        out = transform_cloud(PointCloud.from_arrays(np.zeros((0, 3)), frame="a"),
-                              RigidTransform.identity(), "ego")
+        out = transform_cloud(PointCloud.from_arrays(np.zeros((0, 3))),
+                              RigidTransform.identity())
         assert len(out) == 0
 
 
@@ -90,11 +88,6 @@ class TestValidateGroup:
         with pytest.raises(ValueError, match="invalid pose"):
             CooperativeGroup((make_agent("e", is_ego=True),
                               make_agent("a", translation=(np.nan, 0, 0))))
-
-    def test_wrong_frame(self):
-        cloud = PointCloud.from_arrays([[0, 0, 0]], frame="agent-3")
-        with pytest.raises(ValueError, match="frame"):
-            CooperativeGroup((make_agent("e", is_ego=True, cloud=cloud),))
 
     def test_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):

@@ -6,9 +6,12 @@ import pytest
 
 from coopaug import (AGENT_TYPES, Agent, CmagConfig, CooperativeGroup,
                      GateChoice, PointCloud, RigidTransform,
-                     RngStream, TABLE_DISTRIBUTIONS, cfc_l1, cfc_score, cmag,
-                     comprehensive_from_tables, early_fuse, fuse_grids, make_group,
-                     make_scene, nearest_pair, occupancy, pipeline, validate_group)
+                     RngStream, TABLE_DISTRIBUTIONS, apply_setup_aug, bev_center,
+                     cfc_l1, cfc_score, cmag, comprehensive_from_tables,
+                     cut_and_combine, density_augment, early_fuse, fuse_grids,
+                     load_manifest, make_group, make_scene, nearest_pair, occupancy,
+                     pipeline, project, sample_setup_params, save_manifest, split_line,
+                     transform_cloud, unproject, validate_group)
 
 EMPTY = PointCloud.from_arrays(np.zeros((0, 3)))
 
@@ -286,3 +289,65 @@ class TestCmag:
                    RngStream(3, "aug"))
         assert out.n == 1
         assert out.agents[0].is_ego
+
+
+class TestReadOnly:
+    """Clouds and poses cannot change once made, so a group stays as it was
+    checked, and `cfc_score` may reuse a source cloud's grid by `id`."""
+
+    @staticmethod
+    def assert_read_only(*arrays):
+        for arr in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                arr[...] = np.nan
+
+    def assert_group_read_only(self, g):
+        for a in g.agents:
+            self.assert_read_only(a.cloud.xyz, a.cloud.intensity,
+                                  a.pose.rotation, a.pose.translation)
+
+    @pytest.fixture(scope="class")
+    def simulated(self):
+        scene = make_scene(2, [AGENT_TYPES["B"], AGENT_TYPES["A"]], RngStream(5, "scene"))
+        return make_group(scene, RngStream(5, "sim"))
+
+    def test_make_group(self, simulated):
+        self.assert_group_read_only(simulated)
+
+    def test_load_manifest(self, simulated, tmp_path):
+        loaded, _ = load_manifest(save_manifest(simulated, tmp_path))
+        self.assert_group_read_only(loaded)
+
+    def test_cmag_output(self, simulated, monkeypatch):
+        force_gate(monkeypatch, GateChoice.PLUS)
+        out = cmag(simulated, TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(),
+                   CmagConfig(), RngStream(0, "read-only"))
+        assert out.n == simulated.n + 1
+        self.assert_group_read_only(out)
+
+    def test_stage_outputs(self, simulated):
+        a1, a2 = simulated.agents
+        cloud, rng = a2.cloud, RngStream(1, "stages")
+        outputs = [
+            unproject(project(cloud, a2.agent_type.fov_deg, a2.agent_type.beams, 512)),
+            density_augment(cloud, a2.agent_type, rng),
+            apply_setup_aug(cloud, sample_setup_params(rng)),
+            cut_and_combine(a1.cloud, cloud, split_line(bev_center(a1), bev_center(a2), 0.3))[0],
+            transform_cloud(cloud, a2.pose),
+        ]
+        for out in outputs:
+            assert len(out) > 0
+            self.assert_read_only(out.xyz, out.intensity)
+
+    def test_arrays_are_taken_over(self):
+        xyz, intensity, rotation, translation = np.zeros((2, 3)), np.ones(2), np.eye(3), np.ones(3)
+        PointCloud(xyz, intensity)
+        RigidTransform(rotation, translation)
+        self.assert_read_only(xyz, intensity, rotation, translation)
+
+    def test_from_arrays_copies(self):
+        xyz = np.zeros((2, 3))
+        cloud = PointCloud.from_arrays(xyz)
+        xyz[0, 0] = np.nan
+        assert cloud.is_finite()
+        self.assert_read_only(cloud.xyz, cloud.intensity)

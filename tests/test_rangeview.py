@@ -107,7 +107,7 @@ class TestUnproject:
         H, W = 24, 96
         ranges = rng.uniform(1.0, 80.0, (H, W))
         ranges[rng.uniform(size=(H, W)) < 0.4] = rangeview.NO_RETURN
-        img = rangeview.RangeImage(ranges, rng.uniform(0, 1, (H, W)), FOV, "ego")
+        img = rangeview.RangeImage(ranges, rng.uniform(0, 1, (H, W)), FOV)
         xyz, intens = unproject_oracle(img)
         out = unproject(img)
         assert out.xyz.tobytes() == np.array(xyz).tobytes()
@@ -124,12 +124,11 @@ class TestUnproject:
         ranges[0, :] = rangeview.NO_RETURN  # a block's row with no return
         ranges[rng.uniform(size=(H, W)) < 0.01] = np.inf
         ranges[rng.uniform(size=(H, W)) < 0.01] = np.nan
-        img = rangeview.RangeImage(ranges, rng.uniform(0, 1, (H, W)), FOV, "ego")
+        img = rangeview.RangeImage(ranges, rng.uniform(0, 1, (H, W)), FOV)
         xyz, intens = unproject_oracle(img)
         out = unproject(img)
         assert out.xyz.tobytes() == np.array(xyz).reshape(-1, 3).tobytes()
         assert out.intensity.tobytes() == np.array(intens).tobytes()
-        assert out.frame == "ego"
 
 
 def unproject_oracle(img):
@@ -180,7 +179,7 @@ class TestResampleBeams:
     def test_upsample_interpolates_monotone(self):
         from coopaug.rangeview import RangeImage
         ranges = np.array([[10.0], [12.0]])
-        img = RangeImage(ranges, np.ones_like(ranges), FOV, "ego")
+        img = RangeImage(ranges, np.ones_like(ranges), FOV)
         out = resample_beams(img, 4)
         col = out.ranges[:, 0]
         assert col[0] == 10.0 and col[-1] == 12.0
@@ -190,7 +189,7 @@ class TestResampleBeams:
     def test_upsample_single_valid_neighbor(self):
         from coopaug.rangeview import RangeImage
         ranges = np.array([[10.0], [0.0]])
-        img = RangeImage(ranges, np.ones_like(ranges), FOV, "ego")
+        img = RangeImage(ranges, np.ones_like(ranges), FOV)
         out = resample_beams(img, 4)
         assert set(out.ranges[:, 0]) <= {0.0, 10.0}
 
@@ -242,7 +241,7 @@ class TestUpsampleOracle:
         ranges = rng.uniform(1.0, 80.0, (H, W))
         ranges[rng.uniform(size=(H, W)) < 0.4] = rangeview.NO_RETURN
         ranges[rng.uniform(size=(H, W)) < 0.05] = np.inf
-        return rangeview.RangeImage(ranges, rng.uniform(0, 1, (H, W)), FOV, "ego")
+        return rangeview.RangeImage(ranges, rng.uniform(0, 1, (H, W)), FOV)
 
     @pytest.mark.parametrize("H, target_H", [
         (1, 2), (1, 3), (1, 16),  # lo = hi = 0, with w != 0 past row 0
@@ -258,7 +257,7 @@ class TestUpsampleOracle:
             ranges, intens = upsample_oracle(img, target_H)
         assert out.ranges.tobytes() == ranges.tobytes()
         assert out.intensities.tobytes() == intens.tobytes()
-        assert (out.H, out.W, out.fov_deg, out.frame) == (target_H, 64, FOV, "ego")
+        assert (out.H, out.W, out.fov_deg) == (target_H, 64, FOV)
 
     def test_cases_are_reached(self):
         # the parametrized cases reach the edges of the rule they are named for
@@ -277,7 +276,7 @@ class TestUpsampleOracle:
 
     def test_tie_takes_lo_intensity(self):
         img = rangeview.RangeImage(np.array([[10.0], [20.0]]), np.array([[0.25], [0.75]]),
-                                   FOV, "ego")
+                                   FOV)
         out = resample_beams(img, 4)  # row 1 at s = 0.5, row 3 at s = 1.5, hi clipped
         assert out.ranges[:, 0].tolist() == [10.0, 15.0, 20.0, 20.0]
         assert out.intensities[:, 0].tolist() == [0.25, 0.25, 0.75, 0.75]
@@ -285,7 +284,7 @@ class TestUpsampleOracle:
     def test_nan_rows_are_dropped_by_unproject(self):
         # +inf at row 0 is NaN on the output rows at integer s and +inf between
         img = rangeview.RangeImage(np.array([[np.inf] * 2, [20.0] * 2]), np.ones((2, 2)),
-                                   FOV, "ego")
+                                   FOV)
         with np.errstate(invalid="ignore"):
             out = resample_beams(img, 4)
         assert np.isnan(out.ranges[0]).all() and (out.ranges[1] == np.inf).all()
@@ -415,7 +414,6 @@ class TestDensityAugmentOracle:
                     out = density_augment(cloud, agent_type, RngStream(0, "oracle"))
                 assert out.xyz.tobytes() == expected.xyz.tobytes(), (agent_type.name, target)
                 assert out.intensity.tobytes() == expected.intensity.tobytes()
-                assert out.frame == expected.frame
 
     def test_golden_scene_clouds(self, golden_clouds, monkeypatch):
         for cloud in golden_clouds:
