@@ -11,10 +11,10 @@ AZIMUTH_BUCKETS = 4096
 def ray_cast(origin, dirs, ground_z, boxes, max_range, width):
     """Nearest hit distance per ray against ground plane and boxes.
 
-    origin: (3,) ray origin shared by all rays. dirs: (N, 3) unit directions,
-    rows of `width` rays, ray k of a row in sensor column k (ValueError unless
-    width >= 1 divides N). boxes: (B, 6) rows of (cx, cy, cz, hx, hy, hz).
-    Returns (N,) distances, -1 where nothing is hit within max_range.
+    origin: (3,) ray origin shared by all rays. dirs: (N, 3) unit directions, rows of
+    `width` rays, ray k of a row in sensor column k (ValueError unless width >= 1 divides
+    N); the transpose of a contiguous (3, N) array is not copied. boxes: (B, 6) rows of
+    (cx, cy, cz, hx, hy, hz). Returns (N,) distances, -1 where nothing is hit within max_range.
 
     Each box is slab-tested, with no sort, only against the runs of columns
     holding a ray of its azimuth wedge (`_column_runs`). Culling never decides
@@ -25,7 +25,7 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range, width):
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 6)
     if width < 1 or len(dirs) % width:
         raise ValueError(f"{len(dirs)} rays do not fill rows of width {width}")
-    # one contiguous (rows, width) plane per axis: a run of columns is a 2-D slice
+    # per-axis (rows, width) planes, a view for a transposed (3, N) dirs: column runs are 2-D slices
     planes = np.ascontiguousarray(dirs.T).reshape(3, -1, width)
     # the bucket map is monotone, so a column's least and greatest buckets are
     # those of its least and greatest azimuth; they differ on a tilted sensor

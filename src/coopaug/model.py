@@ -66,10 +66,10 @@ class RigidTransform:
         cy, sy = math.cos(yaw), math.sin(yaw)
         cp, sp = math.cos(pitch), math.sin(pitch)
         cr, sr = math.cos(roll), math.sin(roll)
-        rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
+        rz = ((cy, -sy, 0.0), (sy, cy, 0.0), (0.0, 0.0, 1.0))
         ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
         rx = np.array([[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]])
-        return RigidTransform(rz @ ry @ rx, np.asarray(translation, dtype=np.float64))
+        return RigidTransform(np.array(rotate(rotate(rz, *ry), *rx)), np.array(translation, float))
 
     def to_ypr(self) -> tuple[float, float, float]:
         """Inverse of from_ypr (Z-Y-X convention)."""
@@ -88,12 +88,13 @@ class RigidTransform:
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
-        return RigidTransform(rt, -rt @ self.translation)
+        return RigidTransform(rt, np.array(rotate(-rt, *self.translation)))
 
     def compose(self, other: "RigidTransform") -> "RigidTransform":
         """self after other: (self ∘ other)(p) = self(other(p))."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
+        r = self.rotation
+        return RigidTransform(np.array(rotate(r, *other.rotation)),
+                              np.array(rotate(r, *other.translation)) + self.translation)
 
 
 @dataclass(frozen=True)
@@ -213,11 +214,19 @@ class RngStream:
         return seq[int(self._gen.integers(0, len(seq)))]
 
 
+def rotate(r, x, y, z) -> tuple:
+    """Rows (r[i][0] * x + r[i][1] * y) + r[i][2] * z of 3 x 3 r times floats or arrays x, y, z:
+    one order on every CPU, unlike BLAS's kernels. `rotate(a, *b)` is the rows of a @ b."""
+    return tuple((a * x + b * y) + c * z for a, b, c in r)
+
+
 def transform_cloud(cloud: PointCloud, t: RigidTransform, _ignored=None) -> PointCloud:
-    """Apply a rigid transform to every point; intensity and order preserved."""
-    xyz = cloud.xyz @ t.rotation.T
-    for k in range(3):  # in place, one column at a time: a (N, 3) + (3,) add is slower
-        xyz[:, k] += t.translation[k]
+    """Apply a rigid transform to every point, a block at a time; intensity and order preserved."""
+    xyz = np.empty((len(cloud), 3))
+    for start in range(0, len(xyz), BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        for k, v in enumerate(rotate(t.rotation, *cloud.xyz[block].T)):
+            xyz[block, k] = v + t.translation[k]
     return PointCloud(xyz, cloud.intensity)
 
 

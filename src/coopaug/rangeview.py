@@ -13,6 +13,8 @@ NO_RETURN = 0.0
 AZIMUTH_BINS = 2048
 # Beam counts density augmentation re-beams to: common LiDAR beam counts.
 DENSITY_TARGETS = (16, 32, 40, 64, 128)
+# Elevations this far outside the FOV stay in its edge rows: arctan2's last bit varies by CPU.
+FOV_MARGIN_RAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -41,10 +43,10 @@ def project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int,
 
     Azimuth theta maps to columns with theta = pi at column 0; elevation phi
     maps the FOV upper bound to row 0 and the lower bound to row H-1. Points
-    outside the vertical FOV are dropped; pixel collisions keep the nearest
-    return (first-return behavior). With `kept_rows` (increasing rows of H), the
-    image holds only those rows: the points of every other row are dropped
-    before their azimuth is taken.
+    more than FOV_MARGIN_RAD outside the vertical FOV are dropped; pixel
+    collisions keep the nearest return (first-return behavior). With
+    `kept_rows` (increasing rows of H), the image holds only those rows: the
+    points of every other row are dropped before their azimuth is taken.
     """
     f_min = math.radians(fov_deg[0])
     f_max = math.radians(fov_deg[1])
@@ -62,9 +64,9 @@ def project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int,
         x, y, z = cloud.xyz[block].T
         phi = np.arctan2(z, np.hypot(x, y))
         rng = np.sqrt(x * x + y * y + z * z)
-        kept = np.flatnonzero((phi >= f_min) & (phi <= f_max) & (rng > 0))
-        # f_max - phi >= 0 on the kept points, so rows only need clipping at H - 1
-        row = np.minimum(np.floor((f_max - phi.take(kept)) / f * H).astype(np.int64), H - 1)
+        kept = np.flatnonzero((phi >= f_min - FOV_MARGIN_RAD) & (phi <= f_max + FOV_MARGIN_RAD)
+                              & (rng > 0))
+        row = np.clip(np.floor((f_max - phi.take(kept)) / f * H).astype(np.int64), 0, H - 1)
         if kept_rows is not None:
             row = row_map.take(row)
             in_kept = np.flatnonzero(row)

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .kernels import ray_cast
-from .model import (Agent, AgentType, CooperativeGroup, PointCloud,
-                    RigidTransform, RngStream, transform_cloud)
+from .model import (BLOCK_POINTS, Agent, AgentType, CooperativeGroup, PointCloud,
+                    RigidTransform, RngStream, rotate, transform_cloud)
 from .rangeview import AZIMUTH_BINS
 
 REGION_HALF_M = 50.0
@@ -79,8 +79,12 @@ def simulate_lidar(scene: Scene, placement_index: int, rng: RngStream) -> PointC
     """Cast all rays of one placement; returns the cloud in the agent frame."""
     pose, agent_type = scene.agent_placements[placement_index]
     dirs_sensor = _ray_directions(agent_type)
-    dist = ray_cast(pose.translation, dirs_sensor @ pose.rotation.T, scene.ground_z,
-                    scene.boxes, agent_type.range_m, AZIMUTH_BINS)
+    dirs = np.empty((3, len(dirs_sensor)))  # ray_cast takes its transpose without a copy
+    for start in range(0, len(dirs_sensor), BLOCK_POINTS):
+        block = slice(start, start + BLOCK_POINTS)
+        np.stack(rotate(pose.rotation, *dirs_sensor[block].T), out=dirs[:, block])
+    dist = ray_cast(pose.translation, dirs.T, scene.ground_z, scene.boxes,
+                    agent_type.range_m, AZIMUTH_BINS)
     hit = dist > 0.0
     ranges = dist[hit]
     if agent_type.range_error_m > 0.0:
@@ -93,13 +97,13 @@ def simulate_lidar(scene: Scene, placement_index: int, rng: RngStream) -> PointC
 
 def make_group(scene: Scene, rng: RngStream) -> CooperativeGroup:
     """Simulate every placement and project all clouds into the frame of
-    placement 0, the ego."""
+    placement 0, the ego, whose cloud is already there."""
     ego_inv = scene.agent_placements[0][0].inverse()
     agents = []
     for i, (pose, agent_type) in enumerate(scene.agent_placements):
         cloud = simulate_lidar(scene, i, rng)
         to_ego = RigidTransform.identity() if i == 0 else ego_inv.compose(pose)
         agents.append(Agent(id=f"agent-{i}", pose=to_ego,
-                            cloud=transform_cloud(cloud, to_ego),
+                            cloud=cloud if i == 0 else transform_cloud(cloud, to_ego),
                             agent_type=agent_type, is_ego=(i == 0)))
     return CooperativeGroup(tuple(agents))

@@ -552,6 +552,13 @@ class TestColumnCulling:
 
 
 class TestRayCastContract:
+    def test_transposed_planes(self):
+        # dirs as the transpose of a (3, N) array, as simulate_lidar passes them
+        dirs = np.vstack([AXIS_DIRS[:4], random_dirs(np.random.default_rng(12), 236)])
+        planes = np.ascontiguousarray(dirs.T)
+        out = assert_ray_cast_matches([5.0, 0.5, 1.0], planes.T, 0.0, BOX, 100.0, 24)
+        assert np.any(out > 0.0)
+
     def test_width_must_divide_the_rays(self):
         with pytest.raises(ValueError, match="width 3"):
             ray_cast([0.0, 0.0, 1.0], AXIS_DIRS[:4], 0.0, BOX, 100.0, 3)

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from coopaug import (AGENT_TYPES, Agent, CooperativeGroup, CountDistribution,
-                     PointCloud, RigidTransform, RngStream, transform_cloud,
-                     validate_group)
+                     PointCloud, RigidTransform, RngStream, Scene, sim, simulate_lidar,
+                     transform_cloud, validate_group)
+from coopaug.kernels import ray_cast
+from coopaug.model import BLOCK_POINTS
 
 
 def make_agent(aid="a0", translation=(0, 0, 0), cloud=None, is_ego=False):
@@ -56,6 +60,98 @@ class TestTransformCloud:
         out = transform_cloud(PointCloud.from_arrays(np.zeros((0, 3))),
                               RigidTransform.identity())
         assert len(out) == 0
+
+
+def apply_ref(r, p, t=None):
+    """r @ p for one point in Python floats, each row in the plain order
+    (r[i][0] * p[0] + r[i][1] * p[1]) + r[i][2] * p[2], then t[i] added last."""
+    out = [(r[i][0] * p[0] + r[i][1] * p[1]) + r[i][2] * p[2] for i in range(3)]
+    return out if t is None else [out[i] + t[i] for i in range(3)]
+
+
+def matmul_ref(a, b):
+    """a @ b, column by column with apply_ref."""
+    cols = [apply_ref(a, [b[0][j], b[1][j], b[2][j]]) for j in range(3)]
+    return [[cols[j][i] for j in range(3)] for i in range(3)]
+
+
+def from_ypr_ref(yaw, pitch, roll):
+    cy, sy = math.cos(yaw), math.sin(yaw)
+    cp, sp = math.cos(pitch), math.sin(pitch)
+    cr, sr = math.cos(roll), math.sin(roll)
+    rz = [[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]]
+    ry = [[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]]
+    rx = [[1.0, 0.0, 0.0], [0.0, cr, -sr], [0.0, sr, cr]]
+    return matmul_ref(matmul_ref(rz, ry), rx)
+
+
+def bits(values):
+    return np.asarray(values, dtype=np.float64).tobytes()
+
+
+ANGLE = st.floats(-math.pi, math.pi)
+POSE = st.tuples(ANGLE, st.floats(-math.pi / 2, math.pi / 2), ANGLE,
+                 st.tuples(*[st.floats(-1e3, 1e3)] * 3))
+# pitch at and next to +-pi/2, where from_ypr's yaw and roll terms mix
+GIMBAL_POSES = [(0.3, math.pi / 2, -1.0, (1.0, 2.0, 3.0)),
+                (-2.0, -math.pi / 2, 0.4, (-50.0, 0.25, 7.0)),
+                (1.1, math.nextafter(math.pi / 2, 0.0), 2.9, (0.0, -3.0, 1e-3)),
+                (-0.7, math.nextafter(-math.pi / 2, 0.0), -2.2, (900.0, -0.5, 2.0))]
+
+
+class TestRotationOracle:
+    """Every rotation against a per-point Python reference in the plain order,
+    bit for bit: BLAS's kernels give other last bits on some CPUs."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(POSE, POSE)
+    @example(GIMBAL_POSES[0], GIMBAL_POSES[1])
+    @example(GIMBAL_POSES[2], GIMBAL_POSES[3])
+    def test_from_ypr_compose_inverse(self, p, q):
+        a = RigidTransform.from_ypr(*p[:3], translation=p[3])
+        b = RigidTransform.from_ypr(*q[:3], translation=q[3])
+        assert bits(a.rotation) == bits(from_ypr_ref(*p[:3]))
+        assert bits(a.translation) == bits(p[3])
+        ra, rb = a.rotation.tolist(), b.rotation.tolist()
+        c = a.compose(b)
+        assert bits(c.rotation) == bits(matmul_ref(ra, rb))
+        assert bits(c.translation) == bits(apply_ref(ra, b.translation.tolist(), p[3]))
+        inv = a.inverse()
+        assert bits(inv.rotation) == bits(a.rotation.T)
+        minus_rt = [[-ra[j][i] for j in range(3)] for i in range(3)]
+        assert bits(inv.translation) == bits(apply_ref(minus_rt, p[3]))
+
+    def test_transform_cloud(self):
+        rng = np.random.default_rng(9)
+        xyz = rng.uniform(-150.0, 150.0, (2 * BLOCK_POINTS + 5, 3))  # a partial last block
+        cloud = PointCloud.from_arrays(xyz)
+        for yaw, pitch, roll, translation in (*GIMBAL_POSES, (*rng.uniform(-3, 3, 3), (4, 5, 6))):
+            t = RigidTransform.from_ypr(yaw, pitch, roll, translation=translation)
+            r, shift = t.rotation.tolist(), t.translation.tolist()
+            want = [apply_ref(r, p, shift) for p in xyz.tolist()]
+            assert transform_cloud(cloud, t).xyz.tobytes() == bits(want)
+
+    def test_simulated_rays(self, monkeypatch):
+        # the rays simulate_lidar passes to ray_cast: its sensor grid rotated by
+        # the pose, as the transpose of a (3, N) array, whose per-axis planes
+        # ray_cast takes without a copy
+        seen = []
+
+        def spy(origin, dirs, *args):
+            seen.append(dirs)
+            return ray_cast(origin, dirs, *args)
+
+        monkeypatch.setattr(sim, "ray_cast", spy)
+        agent_type = AGENT_TYPES["B"]
+        grid = sim._ray_directions(agent_type).tolist()
+        for yaw, pitch, roll, _ in (*GIMBAL_POSES[::2], (0.8, 0.0, 0.0, None)):
+            pose = RigidTransform.from_ypr(yaw, pitch, roll, translation=(0.0, 0.0, 2.0))
+            simulate_lidar(Scene(0.0, np.zeros((0, 6)), ((pose, agent_type),)), 0,
+                           RngStream(0, "rays"))
+            dirs = seen.pop()
+            assert np.shares_memory(np.ascontiguousarray(dirs.T), dirs)
+            r = pose.rotation.tolist()
+            assert dirs.tobytes() == bits([apply_ref(r, d) for d in grid])
 
 
 class TestRigidTransform:

@@ -29,6 +29,29 @@ def group(n=3):
         agent(f"a{i}", x=4.0 * i, is_ego=(i == 0), seed=i) for i in range(n)))
 
 
+def golden_cmag_digests():
+    """The C, E, A golden scene through cmag for each table source and seeds
+    0-3: per source, one sha256 over every output agent's float64 xyz and
+    intensity bytes and the CFC L1 against the input's early fusion. Covers
+    the cut, the re-beaming, the setup jitter and the occupancy grid bit for
+    bit, which the float32 .pcv files of the CLI digest do not."""
+    scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
+    g = make_group(scene, RngStream(3, "golden-lidar"))
+    early = occupancy(early_fuse(g))
+    digests = {}
+    for source in sorted(TABLE_DISTRIBUTIONS):
+        h = hashlib.sha256()
+        for seed in range(4):
+            out = cmag(g, TABLE_DISTRIBUTIONS[source], comprehensive_from_tables(),
+                       CmagConfig(), RngStream(seed, "golden-cmag"))
+            for a in out.agents:
+                h.update(a.cloud.xyz.tobytes() + a.cloud.intensity.tobytes())
+            l1 = cfc_l1(fuse_grids([occupancy(a.cloud) for a in out.agents]), early)
+            h.update(repr(l1).encode())
+        digests[source] = h.hexdigest()
+    return digests
+
+
 class TestEarlyFuse:
     def test_concatenation_order(self):
         g = CooperativeGroup((agent("e", n_points=100, is_ego=True),
@@ -210,32 +233,12 @@ class TestCmag:
                 assert cfc_l1(fused, occupancy(early_fuse(src))) >= 0.0
 
     def test_golden_digest_float64(self):
-        # the C, E, A golden scene through cmag for each table source and
-        # seeds 0-3: per source, one sha256 over every output agent's float64
-        # xyz and intensity bytes and the CFC L1 against the input's early
-        # fusion. Covers the cut, the re-beaming, the setup jitter and the
-        # occupancy grid bit for bit, which the float32 .pcv files of the CLI
-        # digest do not.
-        scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
-        g = make_group(scene, RngStream(3, "golden-lidar"))
-        early = occupancy(early_fuse(g))
-        digests = {}
-        for source in sorted(TABLE_DISTRIBUTIONS):
-            h = hashlib.sha256()
-            for seed in range(4):
-                out = cmag(g, TABLE_DISTRIBUTIONS[source], comprehensive_from_tables(),
-                           CmagConfig(), RngStream(seed, "golden-cmag"))
-                for a in out.agents:
-                    h.update(a.cloud.xyz.tobytes() + a.cloud.intensity.tobytes())
-                l1 = cfc_l1(fuse_grids([occupancy(a.cloud) for a in out.agents]), early)
-                h.update(repr(l1).encode())
-            digests[source] = h.hexdigest()
         # the two pairs of sources draw the same gate decisions from a 3-agent group
-        assert digests == {
-            "dairv2x": "da9eed3b435f814c5cd17e406c2aa6b2e2bc74b41c030edc529fa8c420dae928",
-            "opv2v": "5fff236ca928b4b69616a162be3f3b410530efadbfcd7bb9d038cdb857f9783f",
-            "v2v4real": "da9eed3b435f814c5cd17e406c2aa6b2e2bc74b41c030edc529fa8c420dae928",
-            "v2xset": "5fff236ca928b4b69616a162be3f3b410530efadbfcd7bb9d038cdb857f9783f"}
+        assert golden_cmag_digests() == {
+            "dairv2x": "608663b23c7b77e85293f2db0fac941d22a71bb332604ec9bb65104e0699940f",
+            "opv2v": "94a39c37c2a19e7be383771d1f1ae68c4bb258a2ca792e62c9e6b0f38d292ab1",
+            "v2v4real": "608663b23c7b77e85293f2db0fac941d22a71bb332604ec9bb65104e0699940f",
+            "v2xset": "94a39c37c2a19e7be383771d1f1ae68c4bb258a2ca792e62c9e6b0f38d292ab1"}
 
     def test_forced_keep_preserves_count(self, monkeypatch):
         g = group(3)

@@ -6,6 +6,7 @@ import pytest
 from coopaug import (AGENT_TYPES, AgentType, PointCloud, RngStream, density_augment,
                      make_group, make_scene, project, rangeview, resample_beams, unproject)
 from coopaug.model import BLOCK_POINTS
+from coopaug.sim import _ray_directions
 
 FOV = (-25.0, 5.0)
 
@@ -45,6 +46,29 @@ class TestProject:
     def test_collision_keeps_nearest(self):
         img = project(cloud_of([[10.0, 0.0, 0.0], [5.0, 0.0, 0.0]]), FOV, 64, 360)
         assert img.ranges[10, 180] == 5.0
+
+    def test_fov_margin(self):
+        # at each FOV bound of every built-in type, points 0.999 and 1.001
+        # margins beyond it: the first lands in the edge row, the second is dropped
+        margin = rangeview.FOV_MARGIN_RAD
+        theta = math.pi * (1.0 - (2.0 * np.arange(4) + 1.0) / 4)  # one column each
+        for t in AGENT_TYPES.values():
+            f_min, f_max = math.radians(t.fov_deg[0]), math.radians(t.fov_deg[1])
+            phi = np.array([f_max + 0.999 * margin, f_min - 0.999 * margin,
+                            f_max + 1.001 * margin, f_min - 1.001 * margin])
+            xyz = 20.0 * np.stack([np.cos(phi) * np.cos(theta), np.cos(phi) * np.sin(theta),
+                                   np.sin(phi)], axis=1)
+            rows, cols = np.nonzero(project(cloud_of(xyz), t.fov_deg, t.beams, 4).valid_mask())
+            assert (rows.tolist(), cols.tolist()) == ([0, t.beams - 1], [0, 1])
+            assert image_key(xyz, t.fov_deg, t.beams).tolist() == [0, t.beams - 1, -1, t.beams]
+
+    def test_edge_beams_fill_edge_rows(self):
+        # every ray of the top beam in row 0, every ray of the bottom beam in
+        # row H - 1 (also on other CPUs: tests/test_cross_cpu.py)
+        W = rangeview.AZIMUTH_BINS
+        assert edge_beam_rows() == {
+            key: [0] * W if key.endswith("top") else [t.beams - 1] * W
+            for name, t in AGENT_TYPES.items() for key in (f"{name} top", f"{name} bottom")}
 
     def test_azimuth_wraps_into_columns(self):
         rng = np.random.default_rng(0)
@@ -328,13 +352,31 @@ class TestDensityAugment:
 
 
 def image_key(xyz, fov_deg, H):
-    """The row `project` gives each point of an H-row image: -1 above the FOV
-    and H below it."""
+    """The row `project` gives each point of an H-row image: -1 more than
+    FOV_MARGIN_RAD above the FOV and H more than it below; the points within
+    the margins go to rows 0 and H - 1."""
     f_min, f_max = math.radians(fov_deg[0]), math.radians(fov_deg[1])
+    margin = rangeview.FOV_MARGIN_RAD
     x, y, z = xyz.T
     phi = np.arctan2(z, np.hypot(x, y))
-    ry = np.minimum(np.floor((f_max - phi) / (f_max - f_min) * H), H - 1)
-    return np.where(phi > f_max, -1, np.where(phi < f_min, H, ry)).astype(np.int64)
+    ry = np.clip(np.floor((f_max - phi) / (f_max - f_min) * H), 0, H - 1)
+    return np.where(phi > f_max + margin, -1,
+                    np.where(phi < f_min - margin, H, ry)).astype(np.int64)
+
+
+def edge_beam_rows():
+    """For each built-in type, the rows of the pixels that its ray grid's top
+    and bottom beams fill, at ranges from 1 m to 280 m: the simulator puts
+    these beams on the FOV bounds."""
+    ranges = np.random.default_rng(0).uniform(1.0, 280.0, (rangeview.AZIMUTH_BINS, 1))
+    rows = {}
+    for name, t in AGENT_TYPES.items():
+        dirs = _ray_directions(t).reshape(t.beams, rangeview.AZIMUTH_BINS, 3)
+        for beam, label in ((-1, "top"), (0, "bottom")):
+            img = project(cloud_of(dirs[beam] * ranges), t.fov_deg, t.beams,
+                          rangeview.AZIMUTH_BINS)
+            rows[f"{name} {label}"] = np.nonzero(img.valid_mask())[0].tolist()
+    return rows
 
 
 def boundary_points(fov_deg, H, rng):

@@ -5,10 +5,40 @@ import numpy as np
 
 from coopaug import (AGENT_TYPES, AgentType, RigidTransform, RngStream, Scene,
                      density_augment, make_group, make_scene, project, simulate_lidar,
-                     validate_group)
+                     transform_cloud, validate_group)
 from coopaug.rangeview import AZIMUTH_BINS
 
 QUIET = AgentType("Q", 8, 120.0, (-25.0, 5.0), 0.0, "Sim", "Vehicle")
+
+
+def golden_group():
+    """A C, E, A scene with 32 boxes, every ray cast."""
+    scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
+    return make_group(scene, RngStream(3, "golden-lidar"))
+
+
+def golden_cloud_digests():
+    """The sha256 of each golden agent's xyz bytes. The rays and clouds are
+    rotated in one arithmetic order, so every x86-64 CPU gives these bits
+    (tests/test_cross_cpu.py)."""
+    return [hashlib.sha256(a.cloud.xyz.tobytes()).hexdigest() for a in golden_group().agents]
+
+
+def golden_rangeview_digests():
+    """The golden scene through the range view: each agent's cloud projected at
+    its own type and, but for type E itself, at type E's 300 beams, which
+    crowds several points into many pixels; then one density augmentation of
+    the type E cloud."""
+    group = golden_group()
+    digests = []
+    for agent in group.agents:
+        for t in dict.fromkeys((agent.agent_type, AGENT_TYPES["E"])):
+            img = project(agent.cloud, t.fov_deg, t.beams, AZIMUTH_BINS)
+            digests.append(hashlib.sha256(img.ranges.tobytes()
+                                          + img.intensities.tobytes()).hexdigest())
+    out = density_augment(group.agents[1].cloud, AGENT_TYPES["E"], RngStream(3, "golden-pa"))
+    digests.append(hashlib.sha256(out.xyz.tobytes() + out.intensity.tobytes()).hexdigest())
+    return digests
 
 
 class TestMakeScene:
@@ -133,36 +163,27 @@ class TestMakeGroup:
             assert inside.all()
 
     def test_full_scene_golden_digest(self):
-        # every ray of a C, E, A scene with 32 boxes: the sha256 of each agent's
-        # xyz bytes as the ray cast testing every ray against every box gave
-        # them. The rays pass through matmul, so a numpy/BLAS build may differ.
-        scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
-        group = make_group(scene, RngStream(3, "golden-lidar"))
-        assert [hashlib.sha256(a.cloud.xyz.tobytes()).hexdigest() for a in group.agents] == [
-            "2a78d8434719c060b272d62057510741a0c248d4266d43530ace023370e91070",
-            "1d0f9b93ad551aeeaf05dbf730b21b74b6309b0dde13aa9705ecf477f37fee5f",
-            "15fc42f233f07b1a9b3d62ab77295da1e708fdb8725db188f74c6c7e7b2d0865"]
+        assert golden_cloud_digests() == [
+            "fdb7df1e44c80d6a224a04370ce963c7faf4f5fb8c36f34176fd75ae5d1202d3",
+            "e7fb2549d440fbde9cf2e2da8ffb0d0badbc0be00b2ca78f455bb6862bdb885b",
+            "5d2912f4c718283d483104e00a5a2d5239b08af08e9ebb8d4d17b7c2f53400fd"]
 
     def test_full_scene_rangeview_golden_digest(self):
-        # the same scene through the range view: each agent's cloud projected
-        # at its own type and, but for type E itself, at type E's 300 beams,
-        # which crowds several points into many pixels; then one density
-        # augmentation of the type E cloud. Recorded with the scatter that
-        # sorted every point by range.
-        scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
-        group = make_group(scene, RngStream(3, "golden-lidar"))
-        digests = []
-        for agent in group.agents:
-            for t in dict.fromkeys((agent.agent_type, AGENT_TYPES["E"])):
-                img = project(agent.cloud, t.fov_deg, t.beams, AZIMUTH_BINS)
-                digests.append(hashlib.sha256(img.ranges.tobytes()
-                                              + img.intensities.tobytes()).hexdigest())
-        out = density_augment(group.agents[1].cloud, AGENT_TYPES["E"], RngStream(3, "golden-pa"))
-        digests.append(hashlib.sha256(out.xyz.tobytes() + out.intensity.tobytes()).hexdigest())
-        assert digests == [
-            "56950d0122c36100c64a43fdd4ef928f602a70751c74e594061295d8d258b052",
-            "ee81a3c7308dbd97cce5bcae388ccf7abb98a00e1bf32fe2f02afbee5ff8fa75",
-            "08ca4d91c70f6ec71aa72ec612ff193b6b0865fd6abafbf3e6c2d57b7f3c1e2f",
-            "a7d4b49afec40c51bde0a773467ad5422d3d10a2cb9bcd7f69696221229d2d2d",
-            "d0d42eaf6b9b4459db47e696f2dcff89de4eeb89ed4b99522e944d92e1d65976",
-            "2e40d305a5289da85be7f54ec32189c54f2c3ca482aca9a60d30461133180977"]
+        assert golden_rangeview_digests() == [
+            "576a16c0a6fdb891fb9f6fc60a832a41e960493cbfc2d7a931e3e6af955b8462",
+            "963875ddf2e39d6311d5c49d4ae5d794c299f6e88a86953504469fc326669802",
+            "18931d3e8cc298556dc1fd3ecdec3e320ad168d7366cc29b6a03845dec10df5d",
+            "71547ccfab7bfaefb8c2031d54fd9f757ab3a91576d22e960757b8b62386e19d",
+            "306bb467db6bc0108d082799fe3290ec6fd9883f8268820857df5a23b8e16c31",
+            "0a619d1c60baa13c00311924d4682d82850f1a17a0f91fd787535b03be18c6d8"]
+
+    def test_ego_keeps_its_sensor_cloud(self):
+        # the identity transform returns every nonzero coordinate exactly, and
+        # no simulated coordinate is zero, so the ego's cloud is not transformed
+        scene = make_scene(4, [AGENT_TYPES[t] for t in "AB"], RngStream(4, "s"))
+        cloud = simulate_lidar(scene, 0, RngStream(4, "l"))
+        ego = make_group(scene, RngStream(4, "l")).agents[0]
+        assert ego.cloud.xyz.tobytes() == cloud.xyz.tobytes()
+        assert np.all(cloud.xyz != 0.0)
+        same = transform_cloud(cloud, RigidTransform.identity())
+        assert same.xyz.tobytes() == cloud.xyz.tobytes()

@@ -11,6 +11,17 @@ first prints one line per command: its label, exit code and own sha256, so
 two listings diff to the commands that changed. Every command shows each
 warning it raises, by category and message, as if it ran alone.
 
+The digest must not depend on the CPU. To check that on one x86-64 host, run
+the tool four times, each with a new OUT: as it is, then with the kernels a
+CPU without AVX-512 gets, set for that one process:
+
+    OPENBLAS_CORETYPE=Prescott python tools/cli_identity.py SRC OUT2
+    OPENBLAS_CORETYPE=Haswell python tools/cli_identity.py SRC OUT3
+    NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
+        python tools/cli_identity.py SRC OUT4
+
+All four print the same digest. Haswell's kernels need AVX2 and FMA.
+
 The matrix: `simulate` on four scenes (one with type E and 32 boxes);
 `augment` and `cfc-check` for the four table sources and three seeds on each
 scene, then `cfc-check --seed 0` and `augment --seed 3` with the same source on
