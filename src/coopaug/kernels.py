@@ -4,8 +4,6 @@ import numpy as np
 
 # Kept as a constant for callers that record the backend; there is only numpy.
 NUMBA_ENABLED = False
-# Azimuth buckets that cull the ray cast, sensor column by sensor column.
-AZIMUTH_BUCKETS = 4096
 
 
 def ray_cast(origin, dirs, ground_z, boxes, max_range, width):
@@ -27,13 +25,12 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range, width):
         raise ValueError(f"{len(dirs)} rays do not fill rows of width {width}")
     # per-axis (rows, width) planes, a view for a transposed (3, N) dirs: column runs are 2-D slices
     planes = np.ascontiguousarray(dirs.T).reshape(3, -1, width)
-    # the bucket map is monotone, so a column's least and greatest buckets are
-    # those of its least and greatest azimuth; they differ on a tilted sensor
+    # each column's least and greatest azimuth; they differ on a tilted sensor
     azimuth = np.arctan2(planes[1], planes[0])
-    kmin, kmax = _azimuth_bucket([azimuth.min(0, initial=np.pi), azimuth.max(0, initial=-np.pi)])
     lo, hi = boxes[:, :3] - boxes[:, 3:], boxes[:, :3] + boxes[:, 3:]
     inside = ((origin >= lo) & (origin <= hi))[:, :, None, None]
-    runs = _column_runs(kmin, kmax, origin, lo, hi)
+    runs = _column_runs(azimuth.min(0, initial=np.pi), azimuth.max(0, initial=-np.pi),
+                        origin, lo, hi)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         # only rays pointing down reach the ground from above it: a dz of +0
         # gives -inf, -0 or a subnormal dz +inf, NaN stays NaN; all miss
@@ -57,22 +54,16 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range, width):
     return best.reshape(-1)
 
 
-def _azimuth_bucket(azimuth):
-    """uint16 bucket of azimuths in [-pi, pi]; monotone, so wedges map to bucket ranges."""
-    scaled = np.floor((np.asarray(azimuth) + np.pi) * (AZIMUTH_BUCKETS / (2.0 * np.pi)))
-    return np.clip(scaled, 0, AZIMUTH_BUCKETS - 1).astype(np.uint16)
-
-
-def _column_runs(kmin, kmax, origin, lo, hi):
+def _column_runs(amin, amax, origin, lo, hi):
     """(box, first column, end column) of each run of columns, box by box,
     that can reach the boxes with (B, 3) corners lo and hi.
 
     A ray that hits a box points into the angular wedge spanned, seen from
     the origin, by the four corners of the box's top-down footprint. The
     wedge is widened by 1e-9 rad, far above the rounding of `arctan2` and of
-    the slab test, split in two where it crosses +-pi, and each end mapped to
-    its bucket. A column is kept when its buckets [kmin, kmax] meet one of
-    those ranges, or when the origin is over the footprint, boundary included.
+    the slab test. A column is kept when its azimuths [amin, amax] meet the
+    wedge, or the wedge one turn lower (its part past +pi), or when the origin
+    is over the footprint, boundary included.
     """
     x = np.stack([lo[:, 0], hi[:, 0], lo[:, 0], hi[:, 0]], axis=1) - origin[0]
     y = np.stack([lo[:, 1], lo[:, 1], hi[:, 1], hi[:, 1]], axis=1) - origin[1]
@@ -81,13 +72,12 @@ def _column_runs(kmin, kmax, origin, lo, hi):
     # under the origin lies wholly ahead of it in x, or to one side of it in y
     corners[(hi[:, :1] < origin[0]) & (corners < 0.0)] += 2.0 * np.pi
     start, stop = corners.min(axis=1) - 1e-9, corners.max(axis=1) + 1e-9
-    meets = ((kmax >= _azimuth_bucket(start)[:, None])
-             & (kmin <= _azimuth_bucket(np.minimum(stop, np.pi))[:, None]))
+    meets = (amax >= start[:, None]) & (amin <= stop[:, None])
     # past +pi the wedge goes on from -pi, one turn lower
-    meets |= (stop > np.pi)[:, None] & (kmin <= _azimuth_bucket(stop - 2.0 * np.pi)[:, None])
+    meets |= (amax >= (start - 2.0 * np.pi)[:, None]) & (amin <= (stop - 2.0 * np.pi)[:, None])
     meets[((lo[:, :2] <= origin[:2]) & (origin[:2] <= hi[:, :2])).all(axis=1)] = True
     edges = np.flatnonzero(np.diff(meets, axis=1, prepend=False, append=False))
-    box, edge = np.divmod(edges, len(kmin) + 1)  # flat: a 2-D np.nonzero is much slower
+    box, edge = np.divmod(edges, len(amin) + 1)  # flat: a 2-D np.nonzero is much slower
     return zip(box[::2].tolist(), edge[::2].tolist(), edge[1::2].tolist())
 
 

@@ -12,6 +12,8 @@ EGO_FRAME = "ego"
 # stay in cache and their memory is reused, where those of a whole 450k-point
 # cloud come from fresh pages that fault on first touch.
 BLOCK_POINTS = 16384
+# Most beams of an agent type, far above any sensor's (E has 300): row tables stay under 1 MB.
+MAX_BEAMS = 2**16
 
 
 @dataclass(frozen=True)
@@ -114,6 +116,10 @@ class AgentType:
             raise ValueError("invalid agent type parameters")
         if not self.fov_deg[0] < self.fov_deg[1]:
             raise ValueError("fov min must be < max")
+        if self.beams > MAX_BEAMS:
+            raise ValueError(f"beams must be at most {MAX_BEAMS}")
+        if self.fov_deg[0] < -90.0 or self.fov_deg[1] > 90.0:
+            raise ValueError("fov must lie within [-90, 90] degrees")
 
 
 # Built-in sensor setups for agent types A..E. Type D's error is unpublished

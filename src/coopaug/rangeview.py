@@ -120,7 +120,10 @@ def _unproject(rows_of, H: int, W: int, fov_deg: tuple[float, float]) -> PointCl
         np.multiply(r_cos_phi, cos_theta[:len(valid)][valid], out=xyz[out, 0])
         np.multiply(r_cos_phi, sin_theta[:len(valid)][valid], out=xyz[out, 1])
         np.multiply(r, sin_phi[block].repeat(per_row), out=xyz[out, 2])
-    return PointCloud(xyz[:m], intens[:m])
+    # shrunk in place, not sliced: a view would keep every pixel's room alive
+    xyz.resize((m, 3), refcheck=False)
+    intens.resize(m, refcheck=False)
+    return PointCloud(xyz, intens)
 
 
 def _kept_rows(H: int, target_H: int) -> np.ndarray:

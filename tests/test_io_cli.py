@@ -15,6 +15,7 @@ from coopaug import (AGENT_TYPES, Agent, AgentType, CooperativeGroup, PointCloud
                      RangeImage, RigidTransform, load_cloud, load_manifest, save_cloud,
                      save_manifest, save_range_image_pgm)
 from coopaug.cli import main
+from coopaug.model import MAX_BEAMS
 
 
 def tree_bytes(root):
@@ -239,7 +240,7 @@ class TestCli:
                                       "beams-fraction", "nan-ground-z", "inf-box",
                                       "not-json", "not-utf8", "deep-json",
                                       "unknown-type-missing-cloud", "beams-0",
-                                      "fov-reversed", *BAD_PMFS])
+                                      "fov-reversed", "fov-beyond-90", *BAD_PMFS])
     def test_malformed_input_exits_one(self, case, command, tmp_path, capsys):
         manifest = save_manifest(one_point_group(), tmp_path / "in")
         doc = json.loads(manifest.read_text())
@@ -274,6 +275,8 @@ class TestCli:
             agents[1]["type"] = dict(CUSTOM_TYPE, beams=beams)
         elif case == "fov-reversed":
             agents[1]["type"] = dict(CUSTOM_TYPE, fov_deg=[10.0, -20.0])
+        elif case == "fov-beyond-90":
+            agents[1]["type"] = dict(CUSTOM_TYPE, fov_deg=[-1e300, 1e300])
         elif case == "unknown-type-missing-cloud":
             # the type is checked before any cloud is read, so this is not an i/o error
             agents[1]["type"] = "Z"
@@ -313,31 +316,38 @@ class TestCli:
         assert captured.out == "" and captured.err.startswith(f"error: {pmf}: ")
 
     # `project --width` and `gate-stats --iterations` ask numpy for more than
-    # 2**47 bytes, which the allocator refuses without touching memory. The
-    # 10**12-beam donor of `augment` and `cfc-check` is refused at the (H,)
-    # int64 row table of density augmentation's downsampling path, 8 TB: more
-    # than the machine's memory, which the kernel's default (heuristic)
-    # overcommit refuses, also without touching memory.
-    @pytest.mark.parametrize("case", ["project-width", "gate-stats-iterations",
-                                      "augment-beams", "cfc-check-beams"])
+    # 2**47 bytes, which the allocator refuses without touching memory
+    @pytest.mark.parametrize("case", ["project-width", "gate-stats-iterations"])
     def test_allocation_too_large_exits_one(self, case, tmp_path, capsys):
         pcv = tmp_path / "c.pcv"
         save_cloud(PointCloud.from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
-        manifest = save_manifest(one_point_group(), tmp_path / "in")
-        doc = json.loads(manifest.read_text())
-        for agent in doc["agents"]:  # whichever agent donates, its type is huge
-            agent["type"] = dict(CUSTOM_TYPE, beams=10**12)
-        manifest.write_text(json.dumps(doc))
         out = tmp_path / "out"
         argv = {"project-width": ["project", "--cloud", str(pcv), "--type", "A",
                                   "--width", str(10**12), "--out", str(out)],
-                "gate-stats-iterations": ["gate-stats", "--iterations", str(10**14)],
-                "augment-beams": ["augment", "--manifest", str(manifest), "--out", str(out)],
-                "cfc-check-beams": ["cfc-check", "--manifest", str(manifest)]}[case]
+                "gate-stats-iterations": ["gate-stats", "--iterations", str(10**14)]}[case]
         rc = main(argv)
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == "" and captured.err.startswith("error: Unable to allocate")
+        assert not out.exists()
+
+    # a custom type's beams are bounded before anything is allocated for them,
+    # so the message is the same on every host
+    @pytest.mark.parametrize("command", ["augment", "cfc-check"])
+    @pytest.mark.parametrize("beams", [10**12, 2**63, 1e300], ids=["1e12", "2p63", "1e300"])
+    def test_huge_beams_exits_one(self, beams, command, tmp_path, capsys):
+        manifest = save_manifest(one_point_group(), tmp_path / "in")
+        doc = json.loads(manifest.read_text())
+        for agent in doc["agents"]:  # whichever agent donates, its type is huge
+            agent["type"] = dict(CUSTOM_TYPE, beams=beams)
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main([command, "--manifest", str(manifest),
+                   *(["--out", str(out)] if command == "augment" else [])])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {manifest}: agent 0: beams must be at most {MAX_BEAMS}\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("record", [[float("nan"), 0.5, 0.0, 1.0],

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from coopaug import AGENT_TYPES, RigidTransform, RngStream, make_scene
-from coopaug.kernels import ray_cast, scatter_nearest
+from coopaug.kernels import _column_runs, ray_cast, scatter_nearest
 from coopaug.rangeview import AZIMUTH_BINS
 from coopaug.sim import _ray_directions
 
@@ -359,125 +359,119 @@ class TestScatterContract:
         assert a[0][H - 1, W - 1] == 1.0 and a[1][H - 1, W - 1] == 1.0
 
 
-BUCKETS = 4096
-
-
-def bucket(azimuth):
-    """The ray cast's 4,096 azimuth buckets, the same monotone map."""
-    return np.floor((np.asarray(azimuth) + np.pi) * (BUCKETS / (2.0 * np.pi)))
-
-
 def one_turn_down(azimuth):
-    """A wedge end past +pi, one turn lower, where the ray cast looks it up."""
+    """A wedge end past +pi, one turn lower, where the ray cast compares it."""
     return azimuth - 2.0 * np.pi if azimuth > np.pi else azimuth
 
 
-def boundary_pair(b):
-    """Two horizontal directions, nearly unit, on either side of the start of
-    bucket b: the first in bucket b - 1, the second in bucket b. Bisects the
-    offset along the tangent until the two offsets are neighbouring doubles."""
-    az = -np.pi + b * (2.0 * np.pi / BUCKETS)
-    c, s = np.cos(az), np.sin(az)
-
-    def direction(t):
-        return np.array([c - t * s, s + t * c, 0.0])
-
-    lo, hi = -1e-12, 1e-12
-    assert bucket(np.arctan2(*direction(lo)[1::-1])) == b - 1
-    assert bucket(np.arctan2(*direction(hi)[1::-1])) == b
-    while np.nextafter(lo, hi) != hi:
-        mid = 0.5 * (lo + hi)
-        if bucket(np.arctan2(*direction(mid)[1::-1])) < b:
-            lo = mid
-        else:
-            hi = mid
-    return direction(lo), direction(hi)
+def wedge(origin, box):
+    """The corner azimuths of a box's footprint and its widened wedge ends
+    (start, stop), as `ray_cast` sees them from origin: the negative corners of
+    a footprint wholly behind the origin are turned one turn up."""
+    x = box[0] + np.array([-1.0, 1.0, -1.0, 1.0]) * box[3] - origin[0]
+    y = box[1] + np.array([-1.0, -1.0, 1.0, 1.0]) * box[4] - origin[1]
+    corners = np.arctan2(y, x)
+    if box[0] + box[3] < origin[0]:
+        corners = np.where(corners < 0.0, corners + 2.0 * np.pi, corners)
+    return corners, corners.min() - 1e-9, corners.max() + 1e-9
 
 
-class TestAzimuthBuckets:
-    """`ray_cast` keys each ray by a 4,096-bucket key of its azimuth and
-    slab-tests a box against the columns whose keys meet its wedge; with one
-    ray per column, as here, these cases sit on bucket boundaries, and inside
-    one bucket."""
+def aimed(azimuth):
+    """A horizontal direction, nearly unit, whose arctan2 is exactly `azimuth`:
+    its cosine and sine, each moved by at most 16 doubles."""
+    steps = np.arange(-16.0, 17.0)
+    x = np.cos(azimuth) + steps[:, None] * np.spacing(np.cos(azimuth))
+    y = np.sin(azimuth) + steps[None, :] * np.spacing(np.sin(azimuth))
+    x, y = np.broadcast_arrays(x, y)
+    exact = np.flatnonzero(np.arctan2(y, x) == azimuth)
+    assert len(exact), azimuth
+    return np.array([x.flat[exact[0]], y.flat[exact[0]], 0.0])
 
-    BOUNDARIES = (1, 511, 1023, 1024, 1025, 2047, 2048, 2049, 2600, 3072, 4095)
+
+def tilted_column(azimuth, away):
+    """Three rays of one column, each row at its own azimuth as on a pitched
+    and rolled sensor: the middle row exactly at `azimuth`, the first and last
+    rows 2e-7 and 1e-7 rad further toward `away` (+1 or -1). The middle row so
+    holds the column's least (away +1) or greatest (away -1) azimuth."""
+    first, last = (azimuth + away * t for t in (2e-7, 1e-7))
+    return np.array([[np.cos(first), np.sin(first), -0.03], aimed(azimuth),
+                     [np.cos(last), np.sin(last), 0.03]])
+
+
+class TestWedgeEnds:
+    """`ray_cast` keeps a column for a box when the column's least and greatest
+    azimuth meet the box's wedge, widened by 1e-9 rad. These columns end
+    exactly on a widened wedge end or on a corner azimuth, or one double
+    either side of it: of them, only the column ending just before the start
+    and the one starting just past the stop are culled."""
+
+    ORIGINS = ([0.0, 0.0, 1.0], [0.5, -0.25, 1.6])
 
     @staticmethod
-    def around(dirs):
-        """Each ray and the two neighbouring doubles of every component."""
-        return np.vstack([dirs, np.nextafter(dirs, np.inf), np.nextafter(dirs, -np.inf)])
+    def assert_culls_outside_the_wedge(origin, box):
+        """Slab-tests the wedge-end columns and one at the box centre against
+        the box, bit for bit with the oracle; checks which columns are culled."""
+        origin = np.asarray(origin)
+        corners, start, stop = wedge(origin, box)
+        columns, ends, culled = [], [], []
+        for k, end in enumerate(map(one_turn_down, (start, stop, *corners))):
+            for step, azimuth in enumerate((np.nextafter(end, -np.inf), end,
+                                            np.nextafter(end, np.inf))):
+                for away in (-1, 1):
+                    # the column ending a double before the start, and the one
+                    # starting a double past the stop
+                    if (k, step, away) in ((0, 0, -1), (1, 2, 1)):
+                        culled.append(len(columns))
+                    columns.append(tilted_column(azimuth, away))
+                    ends.append(azimuth)
+        columns.append(tilted_column(np.arctan2(box[1] - origin[1], box[0] - origin[0]), 1))
+        dirs = np.stack(columns, axis=1)  # (rows, columns, 3)
+        azimuth = np.arctan2(dirs[..., 1], dirs[..., 0])
+        amin, amax = azimuth.min(axis=0), azimuth.max(axis=0)
+        away = np.tile([-1, 1], len(ends) // 2)
+        assert np.array_equal(np.where(away < 0, amax[:-1], amin[:-1]), ends)
+        kept = np.zeros(len(columns), dtype=bool)
+        lo, hi = box[None, :3] - box[None, 3:], box[None, :3] + box[None, 3:]
+        for _, first, last in _column_runs(amin, amax, origin, lo, hi):
+            kept[first:last] = True
+        assert np.flatnonzero(~kept).tolist() == culled
+        out = assert_ray_cast_matches(origin, dirs.reshape(-1, 3), -1.0, box, 60.0,
+                                      len(columns))
+        assert np.all(out.reshape(3, -1)[:, -1] > 0.0)
+        return dirs.reshape(-1, 3), len(columns)
 
-    def test_rays_on_bucket_boundaries(self):
-        pairs = np.array([boundary_pair(b) for b in self.BOUNDARIES])
-        scaled = (np.arctan2(pairs[:, 1, 1], pairs[:, 1, 0]) + np.pi) * (BUCKETS / (2 * np.pi))
-        # most first-of-bucket azimuths map to the boundary itself, not past it
-        assert np.count_nonzero(scaled == self.BOUNDARIES) >= len(self.BOUNDARIES) // 2
-        flat = self.around(pairs.reshape(-1, 3))
-        dirs = np.vstack([flat] + [flat + [0.0, 0.0, dz] for dz in (-0.05, 0.05)])
-        # a box across each boundary 15 m out, and a 2 mm wide one 30 m out
-        centres = 15.0 * pairs[:, 1]
-        boxes = np.vstack([np.hstack([centres + [0.0, 0.0, 1.0], np.full((len(centres), 3), 0.5)]),
-                           np.hstack([30.0 * pairs[:, 1] + [0.0, 0.0, 1.0],
-                                      np.tile([1e-3, 1e-3, 1.0], (len(centres), 1))])])
-        for origin in ([0.0, 0.0, 1.0], [0.0, 0.0, 1.6]):
-            out = assert_ray_cast_matches(origin, dirs, 0.0, boxes, 100.0)
-            assert np.count_nonzero((out > 14.0) & (out < 15.0)) >= len(flat)
-
-    def test_box_wedge_ends_on_bucket_boundaries(self):
-        # footprints whose extreme corner azimuths sit 1e-9 rad (the wedge
-        # margin) inside two bucket boundaries, give or take a few doubles, so
-        # each widened wedge end falls on one side or the other of a boundary;
-        # (b0, b1, r0, r1): the boundaries, and the corners' distances
-        w = 2.0 * np.pi / BUCKETS
-        origin = np.array([0.0, 0.0, 1.0])
-        families = ((2248, 2288, 30.0, 28.0), (3000, 3010, 28.0, 30.0),
-                    (3500, 3590, 30.0, 28.0), (300, 330, 30.0, 28.0), (1100, 1150, 30.0, 28.0))
-        for b0, b1, r0, r1 in families:
-            boxes, starts, stops, aims = [], [], [], []
-            for j in range(-8, 9):
-                s = -np.pi + b0 * w + 1e-9 + j * 2e-16
-                e = -np.pi + b1 * w - 1e-9 - j * 2e-16
-                p = r0 * np.array([np.cos(s), np.sin(s)])
-                q = r1 * np.array([np.cos(e), np.sin(e)])
-                lo, hi = np.minimum(p, q), np.maximum(p, q)
-                box = np.array([*(lo + hi) / 2, 1.0, *(hi - lo) / 2, 1.0])
-                boxes.append(box)
-                x = box[0] + np.array([-1, 1, -1, 1]) * box[3]
-                y = box[1] + np.array([-1, -1, 1, 1]) * box[4]
-                corners = np.arctan2(y, x)
-                # a footprint behind the origin, seen as the ray cast sees it
-                wrapped = np.where(corners < 0.0, corners + 2.0 * np.pi, corners)
-                ends = wrapped if box[0] + box[3] < 0.0 else corners
-                starts.append(one_turn_down(ends.min() - 1e-9))
-                stops.append(one_turn_down(ends.max() + 1e-9))
-                # just inside the box at its two wedge-end corners, and just outside
-                for k in (np.argmin(ends), np.argmax(ends)):
-                    inward = np.sign(box[:2] - [x[k], y[k]]) * 1e-7
-                    aims += [[x[k] + dx, y[k] + dy, 1.0] for dx, dy in (inward, -inward)]
-            assert set(bucket(starts)) == {b0 - 1, b0}
-            assert set(bucket(stops)) == {b1 - 1, b1}
-            dirs = np.vstack([self.around(unit(np.array(aims) - origin)),
-                              self.around(np.array([boundary_pair(b0), boundary_pair(b1)])
-                                          .reshape(-1, 3))])
+    def check(self, boxes):
+        for origin in self.ORIGINS:
             for box in boxes:
-                out = assert_ray_cast_matches(origin, dirs, -1.0, box, 100.0)
-                assert np.any(out > 0.0)
+                dirs, width = self.assert_culls_outside_the_wedge(origin, box)
+                assert_ray_cast_matches(origin, dirs, -1.0, boxes, 60.0, width)
 
-    def test_far_small_box_inside_one_bucket(self):
-        w = 2.0 * np.pi / BUCKETS
+    def test_columns_ending_on_wedge_ends(self):
+        # ahead, ahead and to either side, and behind but not across +-pi: the
+        # last wedge lies wholly past +pi, and both its ends are compared one turn down
+        self.check(np.array([[15.0, 3.0, 1.5, 2.2, 0.9, 1.5], [7.0, 6.0, 1.5, 1.0, 2.0, 1.5],
+                             [12.0, -5.0, 1.5, 1.5, 1.5, 1.5], [-9.0, 3.0, 1.5, 1.0, 1.0, 1.5],
+                             [-9.0, -3.0, 1.5, 1.0, 1.0, 1.5]]))
+
+    def test_columns_ending_across_the_seam(self):
+        # behind the origin, the wedges cross +-pi: the stop is compared one
+        # turn down, against the columns' least azimuth; one box is 2 mm wide
+        self.check(np.array([[-14.0, 0.2, 1.5, 2.2, 0.9, 1.5], [-20.0, -0.5, 1.5, 1.0, 1.0, 1.5],
+                             [-30.0, 0.0, 1.5, 1e-3, 1e-3, 1.5]]))
+
+    def test_far_small_boxes(self):
+        # 4 cm boxes 100 m out, two beside the seam, and fans of rays around them
         origin = np.array([0.0, 0.0, 1.5])
         rng = np.random.default_rng(13)
-        for b in (5, 1024, 2048, 3333, 4094):
-            az = -np.pi + (b + 0.5) * w
+        for az in (-np.pi + 0.008, -np.pi / 2, 0.0008, 1.98, np.pi - 0.0023):
             centre = np.array([100.0 * np.cos(az), 100.0 * np.sin(az), 1.0])
             box = np.array([*centre, 0.02, 0.02, 1.0])
             x = centre[0] + np.array([-1, 1, -1, 1]) * 0.02
             y = centre[1] + np.array([-1, -1, 1, 1]) * 0.02
-            assert set(bucket(np.arctan2(y, x))) == {b}
             corners = np.array([[xi, yi, z] for xi, yi in zip(x, y) for z in (0.0, 2.0)])
-            fan_az = az + rng.uniform(-1.5 * w, 1.5 * w, 300)
+            fan_az = az + rng.uniform(-0.0023, 0.0023, 300)
             fan = np.column_stack([np.cos(fan_az), np.sin(fan_az), rng.uniform(-0.02, 0.01, 300)])
-            dirs = np.vstack([self.around(unit(np.vstack([corners, centre]) - origin)),
+            dirs = np.vstack([TestAzimuthWedge.around(unit(np.vstack([corners, centre]) - origin)),
                               unit(fan)])
             out = assert_ray_cast_matches(origin, dirs, 0.0, box, 200.0)
             assert np.any((out > 99.0) & (out < 101.0))
@@ -499,7 +493,7 @@ def grid_block(agent_type, pose, first, n):
 
 class TestColumnCulling:
     """`ray_cast` on blocks of a real sensor grid, many rays per column: a
-    column is culled as a whole, on the least and greatest key of its rays."""
+    column is culled as a whole, on the least and greatest azimuth of its rays."""
 
     @staticmethod
     def assert_hits_boxes(origin, dirs, boxes, width):
@@ -537,13 +531,15 @@ class TestColumnCulling:
                                        grid_block(AGENT_TYPES["A"], pose, first, 64), boxes, 64)
 
     def test_pitched_and_rolled_grid(self):
-        # a tilted sensor spreads one column's rays over several buckets, so a
-        # column is kept on any of its rows' keys, not on its first row's
+        # a tilted sensor spreads one column's rays over far more than a
+        # column's width, so a column is kept on its least and greatest
+        # azimuth, not on its first row's
         agent_type = AGENT_TYPES["C"]
         pose = RigidTransform.from_ypr(0.3, pitch=0.25, roll=-0.35, translation=(0.0, 0.0, 2.0))
         dirs = grid_block(agent_type, pose, column_at(0.3, 0.3) - 80, 160)
-        keys = bucket(np.arctan2(dirs[:, 1], dirs[:, 0])).reshape(agent_type.beams, 160)
-        assert np.all(keys.min(axis=0) < keys.max(axis=0))
+        azimuth = np.arctan2(dirs[:, 1], dirs[:, 0]).reshape(agent_type.beams, 160)
+        column_width = 2.0 * np.pi / AZIMUTH_BINS
+        assert np.all(azimuth.max(axis=0) - azimuth.min(axis=0) > 50 * column_width)
         ahead = np.array([np.cos(0.3), np.sin(0.3)])
         side = np.array([-ahead[1], ahead[0]])
         boxes = np.array([[*(r * ahead + s * side), 0.75, 0.4, 0.4, 0.75]

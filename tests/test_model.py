@@ -5,11 +5,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coopaug import (AGENT_TYPES, Agent, CooperativeGroup, CountDistribution,
+from coopaug import (AGENT_TYPES, Agent, AgentType, CooperativeGroup, CountDistribution,
                      PointCloud, RigidTransform, RngStream, Scene, sim, simulate_lidar,
                      transform_cloud, validate_group)
 from coopaug.kernels import ray_cast
-from coopaug.model import BLOCK_POINTS
+from coopaug.model import BLOCK_POINTS, MAX_BEAMS
 
 
 def make_agent(aid="a0", translation=(0, 0, 0), cloud=None, is_ego=False):
@@ -236,3 +236,16 @@ class TestAgentTypes:
         assert AGENT_TYPES["C"].fov_deg == (-25.0, 15.0) and AGENT_TYPES["C"].range_error_m == 0.03
         assert AGENT_TYPES["D"].range_error_m == 0.0  # unpublished, stored as zero
         assert AGENT_TYPES["E"].beams == 300 and AGENT_TYPES["E"].range_m == 280.0
+
+    def test_bounds(self):
+        def make(beams=16, fov=(-20.0, 10.0)):
+            return AgentType("X", beams, 90.0, fov, 0.01, "Sim", "Vehicle")
+
+        assert make(MAX_BEAMS).beams == MAX_BEAMS and make(fov=(-90.0, 90.0)).fov_deg == (-90, 90)
+        for beams in (MAX_BEAMS + 1, 10**12, 2**63, int(1e300)):
+            with pytest.raises(ValueError, match=f"at most {MAX_BEAMS}"):
+                make(beams)
+        for fov in ((np.nextafter(-90.0, -np.inf), 10.0), (-20.0, np.nextafter(90.0, np.inf)),
+                    (-1e300, 1e300)):
+            with pytest.raises(ValueError, match=r"within \[-90, 90\]"):
+                make(fov=fov)

@@ -350,6 +350,17 @@ class TestDensityAugment:
         phi = np.degrees(np.arctan2(out.xyz[:, 2], np.hypot(out.xyz[:, 0], out.xyz[:, 1])))
         assert phi.min() >= FOV[0] - 1e-9 and phi.max() <= FOV[1] + 1e-9
 
+    def test_outputs_hold_only_their_points(self, monkeypatch):
+        # the arrays own their memory, not views of buffers sized for every pixel
+        cloud = self.dense_cloud()
+        img = project(cloud, AGENT_TYPES["A"].fov_deg, 64, rangeview.AZIMUTH_BINS)
+        outs = [unproject(img)]
+        for target in (16, 64, 128):  # down, same and up
+            monkeypatch.setattr(rangeview, "DENSITY_TARGETS", (target,))
+            outs.append(density_augment(cloud, AGENT_TYPES["A"], RngStream(0, "d")))
+        for out in outs:
+            assert len(out) > 0 and out.xyz.base is None and out.intensity.base is None
+
 
 def image_key(xyz, fov_deg, H):
     """The row `project` gives each point of an H-row image: -1 more than

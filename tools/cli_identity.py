@@ -34,9 +34,10 @@ for the four sources; and the error paths, among them
 `augment` and `cfc-check` on manifests whose group is invalid (two egos, a
 repeated id), on malformed manifests (a NaN translation with 2 and with 3
 agents, finite translations whose distance overflows, a NaN ground_z, an
-infinite box centre, a custom type with `beams` 1e400, 16.5, 0 or 10**12 or a
-reversed `fov_deg`, an unknown type name on an agent whose cloud is missing,
-text that is not JSON, not UTF-8 or nested 100,000 deep), and on manifests
+infinite box centre, a custom type with `beams` 1e400, 16.5, 0, 10**12, 2**63
+or 1e300, or with a reversed `fov_deg` or one of -1e300 to 1e300, an unknown
+type name on an agent whose cloud is missing, text that is not JSON, not
+UTF-8 or nested 100,000 deep), and on manifests
 whose cloud path or ego id leaves its directory; `augment` on pmf files that
 are a list, not JSON, sum to 0.5, hold count 0, a 20-digit count or a
 401-digit probability, and `gate-stats` on the last four; `gate-stats
@@ -82,7 +83,8 @@ BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-
                  ("escaped-id", 1), ("beams-1e400", 2), ("beams-fraction", 2),
                  ("nan-ground-z", 2), ("inf-box", 2), ("not-json", 2), ("not-utf8", 2),
                  ("deep-json", 2), ("unknown-type-missing-cloud", 2), ("beams-0", 2),
-                 ("fov-reversed", 2), ("beams-huge", 2), ("overflowing-poses", 2))
+                 ("fov-reversed", 2), ("beams-huge", 2), ("overflowing-poses", 2),
+                 ("beams-2p63", 2), ("beams-1e300", 2), ("fov-beyond-90", 2))
 # Valid manifests built by the same edits: (name, agents).
 GOOD_MANIFESTS = (("custom-ego", 2), ("far-pair", 2))
 # Two-agent manifests of dense clouds (`dense_cloud`): each agent's type, a
@@ -298,13 +300,15 @@ def write_manifest(root: Path, name: str, n_agents: int) -> None:
             agents[k]["type"] = agent_type if isinstance(agent_type, str) else {
                 "name": f"X{agent_type}", "beams": agent_type, "range_m": 90.0,
                 "fov_deg": [-25.0, 10.0], "range_error_m": 0.01}
-    elif name == "beams-huge":
+    elif name in ("beams-huge", "beams-2p63", "beams-1e300"):
         for agent in agents:
-            agent["type"] = {"name": "X", "beams": 10**12, "range_m": 90.0,
+            beams = {"beams-huge": 10**12, "beams-2p63": 2**63}.get(name, 1e300)
+            agent["type"] = {"name": "X", "beams": beams, "range_m": 90.0,
                              "fov_deg": [-20.0, 10.0], "range_error_m": 0.01}
-    elif name.startswith("beams") or name == "fov-reversed":
+    elif name.startswith("beams") or name.startswith("fov"):
         beams = {"beams-fraction": 16.5, "beams-0": 0}.get(name, 16)
-        fov = [10.0, -20.0] if name == "fov-reversed" else [-20.0, 10.0]
+        fov = {"fov-reversed": [10.0, -20.0], "fov-beyond-90": [-1e300, 1e300]}.get(
+            name, [-20.0, 10.0])
         agents[1]["type"] = {"name": "X", "beams": beams, "range_m": 90.0, "fov_deg": fov,
                              "range_error_m": 0.01}
     doc = {"version": "1", "ground_z": 0.0, "boxes": [], "agents": agents}
