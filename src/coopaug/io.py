@@ -16,10 +16,14 @@ MANIFEST_VERSION = "1"
 
 
 def save_cloud(cloud: PointCloud, path) -> None:
-    """Write magic, little-endian uint32 count, then float32 (x, y, z, i) records."""
+    """Write magic, little-endian uint32 count, then float32 (x, y, z, i) records; a
+    value float32 would hold as inf raises ValueError before the file is opened."""
     records = np.empty((len(cloud), 4), dtype="<f4")
-    records[:, :3] = cloud.xyz
-    records[:, 3] = cloud.intensity
+    with np.errstate(over="ignore"):
+        records[:, :3] = cloud.xyz
+        records[:, 3] = cloud.intensity
+    if not np.isfinite(records).all():
+        raise ValueError(f"{path}: point record beyond float32 range")
     with open(path, "wb") as fh:
         fh.write(CLOUD_MAGIC)
         fh.write(struct.pack("<I", len(cloud)))
@@ -27,8 +31,8 @@ def save_cloud(cloud: PointCloud, path) -> None:
 
 
 def load_cloud(path) -> PointCloud:
-    """Read a cloud written by save_cloud, in the ego frame. Bytes not in that
-    format (a bad magic, or a length other than the count's) raise OSError."""
+    """Read a cloud written by save_cloud, in the ego frame. Bytes not in that format (a bad
+    magic, a length other than the count's) raise OSError, a non-finite record ValueError."""
     data = Path(path).read_bytes()
     if data[:4] != CLOUD_MAGIC:
         raise OSError(f"{path}: bad magic {data[:4]!r}")
@@ -39,9 +43,10 @@ def load_cloud(path) -> PointCloud:
     if len(data) != expected:
         raise OSError(f"{path}: expected {expected} bytes, got {len(data)}")
     records = np.frombuffer(data[8:], dtype="<f4").reshape(count, 4)
-    if not np.isfinite(records).all():
-        raise ValueError(f"{path}: non-finite point record")
-    return PointCloud(records[:, :3].astype(np.float64), records[:, 3].astype(np.float64))
+    try:
+        return PointCloud(records[:, :3].astype(np.float64), records[:, 3].astype(np.float64))
+    except ValueError as exc:  # a non-finite record
+        raise ValueError(f"{path}: {exc}") from exc
 
 
 def save_range_image_pgm(img: RangeImage, path) -> None:

@@ -18,43 +18,40 @@ MAX_BEAMS = 2**16
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered 3D points: xyz an (N, 3) float64 array, intensity an (N,) float64
-    array in [0, 1]. The cloud takes both arrays over, and they are read-only
-    once it is made, so a cloud in a group stays as the group checked it."""
+    """Ordered 3D points: xyz an (N, 3) and intensity an (N,) float64 array, all
+    finite; intensity is in [0, 1] by convention, unchecked. The cloud checks both
+    arrays when it is made, takes them over and makes them read-only."""
 
     xyz: np.ndarray
     intensity: np.ndarray
 
     def __post_init__(self):
+        if not (self.xyz.dtype == self.intensity.dtype == np.float64
+                and self.xyz.shape[1:] == (3,) and self.intensity.shape == self.xyz.shape[:1]):
+            raise ValueError("point cloud needs (N, 3) and (N,) float64 arrays")
+        if not (np.isfinite(self.xyz).all() and np.isfinite(self.intensity).all()):
+            raise ValueError("non-finite point record")
         self.xyz.flags.writeable = False
         self.intensity.flags.writeable = False
-
-    @staticmethod
-    def from_arrays(xyz, intensity=None) -> "PointCloud":
-        """A cloud of copies of the inputs: the caller's arrays stay its own, and writable."""
-        xyz = np.array(xyz, dtype=np.float64).reshape(-1, 3)
-        if intensity is None:
-            intensity = np.ones(len(xyz))
-        intensity = np.array(intensity, dtype=np.float64).reshape(-1)
-        if len(intensity) != len(xyz):
-            raise ValueError("xyz and intensity length mismatch")
-        return PointCloud(xyz, intensity)
 
     def __len__(self) -> int:
         return len(self.xyz)
 
-    def is_finite(self) -> bool:
-        return bool(np.isfinite(self.xyz).all() and np.isfinite(self.intensity).all())
-
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Rotation (3x3, det +1) plus translation (3,): float64 arrays it takes over, read-only."""
+    """A proper (3, 3) rotation and finite (3,) translation: float64, checked, then read-only."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
+        r, t = self.rotation, self.translation
+        with np.errstate(all="ignore"):  # a product that overflows reads as improper
+            if not (r.dtype == t.dtype == np.float64 and r.shape == (3, 3) and t.shape == (3,)
+                    and np.abs(r @ r.T - np.eye(3)).max() < 1e-9
+                    and abs(np.linalg.det(r) - 1.0) < 1e-9 and np.isfinite(t).all()):
+                raise ValueError("invalid pose: needs a proper rotation and a finite translation")
         self.rotation.flags.writeable = False
         self.translation.flags.writeable = False
 
@@ -80,13 +77,6 @@ class RigidTransform:
         yaw = math.atan2(r[1, 0], r[0, 0])
         roll = math.atan2(r[2, 1], r[2, 2])
         return yaw, pitch, roll
-
-    def is_valid(self) -> bool:
-        """A proper rotation and a finite translation."""
-        r = self.rotation
-        return (np.abs(r @ r.T - np.eye(3)).max() < 1e-9
-                and abs(np.linalg.det(r) - 1.0) < 1e-9
-                and np.isfinite(self.translation).all())
 
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
@@ -144,8 +134,7 @@ class Agent:
 
 @dataclass(frozen=True)
 class CooperativeGroup:
-    """Agents in one ego frame; valid by construction (see validate_group), and its
-    arrays are read-only once the group is made, so it stays valid."""
+    """Agents in one ego frame; checked when made (validate_group), as each cloud and pose is."""
 
     agents: tuple[Agent, ...]
 
@@ -237,16 +226,11 @@ def transform_cloud(cloud: PointCloud, t: RigidTransform, _ignored=None) -> Poin
 
 
 def validate_group(group: CooperativeGroup) -> str | None:
-    """Return None if the group satisfies all invariants, else a violation message."""
+    """None if the group has one ego and unique ids, else a violation message."""
     n_ego = sum(a.is_ego for a in group.agents)
     if n_ego != 1:
         return f"ego count = {n_ego}"
     ids = [a.id for a in group.agents]
     if len(set(ids)) != len(ids):
         return "duplicate agent ids"
-    for a in group.agents:
-        if not a.cloud.is_finite():
-            return f"agent {a.id}: non-finite point"
-        if not a.pose.is_valid():
-            return f"agent {a.id}: invalid pose"
     return None

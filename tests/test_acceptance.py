@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 
 from coopaug import (AGENT_TYPES, AgentType, CmagConfig, CountDistribution,
-                     PointCloud, RigidTransform, RngStream, Scene,
+                     RigidTransform, RngStream, Scene,
                      TABLE_DISTRIBUTIONS, bev_center, cfc_l1, cmag,
                      comprehensive_from_tables, density_augment, early_fuse,
                      fuse_grids, gate_responses, make_group, make_mixup_agent,
@@ -20,6 +20,8 @@ from coopaug import (AGENT_TYPES, AgentType, CmagConfig, CountDistribution,
                      SetupAugParams, gate)
 from coopaug.mixup import SPLIT_ROTATION_RAD
 from coopaug.cli import main as cli_main
+
+from clouds import from_arrays
 
 CHEAP = AgentType("Q", 2, 120.0, (-25.0, 5.0), 0.0, "Sim", "Vehicle")
 
@@ -141,7 +143,7 @@ def test_criterion_4_range_view_round_trip():
     xyz = np.stack([ranges * np.cos(phi) * np.cos(theta),
                     ranges * np.cos(phi) * np.sin(theta),
                     ranges * np.sin(phi)], axis=1)
-    img = project(PointCloud.from_arrays(xyz), fov, H, W)
+    img = project(from_arrays(xyz), fov, H, W)
     back = unproject(img)
     violations = 0
     if len(back) != 1000 or int(img.valid_mask().sum()) != 1000:
@@ -271,8 +273,8 @@ def test_criterion_7_perturbation_composition():
     violations = 0
     for _ in range(1000):
         n = int(rng.integers(5, 60))
-        cloud = PointCloud.from_arrays(rng.uniform(-40, 40, size=(n, 3)),
-                                       rng.uniform(0, 1, size=n))
+        cloud = from_arrays(rng.uniform(-40, 40, size=(n, 3)),
+                            rng.uniform(0, 1, size=n))
         ident = apply_setup_aug(cloud, SetupAugParams(0.0, 1.0, np.zeros(3)))
         if not (np.array_equal(ident.xyz, cloud.xyz)
                 and np.array_equal(ident.intensity, cloud.intensity)):

@@ -2,15 +2,17 @@ import numpy as np
 import pytest
 
 from coopaug import (AGENT_TYPES, Agent, CooperativeGroup, CountDistribution,
-                     GateChoice, PointCloud, RigidTransform, RngStream,
+                     GateChoice, RigidTransform, RngStream,
                      TABLE_DISTRIBUTIONS, apply_gate, comprehensive_distribution,
                      comprehensive_from_tables, estimate_source_distribution, gate,
                      gate_responses, sample_gate, sample_gate_step, validate_group)
 
+from clouds import from_arrays
+
 
 def agent(aid, is_ego=False, x=0.0):
     return Agent(id=aid, pose=RigidTransform.from_ypr(0.0, translation=(x, 0, 0)),
-                 cloud=PointCloud.from_arrays([[x, 0.0, 0.0]]),
+                 cloud=from_arrays([[x, 0.0, 0.0]]),
                  agent_type=AGENT_TYPES["A"], is_ego=is_ego)
 
 

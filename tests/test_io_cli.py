@@ -2,20 +2,23 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import struct
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from coopaug import (AGENT_TYPES, Agent, AgentType, CooperativeGroup, PointCloud,
+from coopaug import (AGENT_TYPES, Agent, AgentType, CooperativeGroup,
                      RangeImage, RigidTransform, load_cloud, load_manifest, save_cloud,
                      save_manifest, save_range_image_pgm)
 from coopaug.cli import main
 from coopaug.model import MAX_BEAMS
+
+from clouds import from_arrays
 
 
 def tree_bytes(root):
@@ -28,7 +31,7 @@ def one_point_group(n_agents=2):
     """Type A agents 4 m apart, the first one ego, each with a one-point cloud."""
     return CooperativeGroup(tuple(
         Agent(f"agent-{k}", RigidTransform.from_ypr(0.0, translation=(4.0 * k, 0, 0)),
-              PointCloud.from_arrays(np.array([[4.0 * k + 1.0, 0.5, 0.0]])),
+              from_arrays(np.array([[4.0 * k + 1.0, 0.5, 0.0]])),
               AGENT_TYPES["A"], k == 0) for k in range(n_agents)))
 
 
@@ -37,6 +40,7 @@ BAD_PMFS = {"dist-file-list": "[0.5, 0.5]", "dist-file-not-json": "{not json",
             "dist-file-sum": '{"1": 0.5}', "dist-file-count-0": '{"0": 1.0}',
             "dist-file-20-digits": '{"99999999999999999999": 1.0}',
             "dist-file-huge-probability": '{"1": 1' + "0" * 400 + "}"}
+FLOAT32_MAX = float(np.finfo(np.float32).max)
 # A custom agent type; the tests edit its fields.
 CUSTOM_TYPE = {"name": "X", "beams": 16, "range_m": 90.0, "fov_deg": [-20.0, 10.0],
                "range_error_m": 0.01}
@@ -59,7 +63,7 @@ def edit_manifest(manifest, edit):
 class TestCloudFormat:
     def test_empty_cloud_is_eight_bytes(self, tmp_path):
         path = tmp_path / "e.pcv"
-        save_cloud(PointCloud.from_arrays(np.zeros((0, 3))), path)
+        save_cloud(from_arrays(np.zeros((0, 3))), path)
         data = path.read_bytes()
         assert len(data) == 8
         assert data == b"PCV1\x00\x00\x00\x00"
@@ -67,7 +71,7 @@ class TestCloudFormat:
 
     def test_single_point_layout(self, tmp_path):
         path = tmp_path / "p.pcv"
-        cloud = PointCloud.from_arrays(np.array([[1.0, 2.0, 3.0]]), np.array([0.5]))
+        cloud = from_arrays(np.array([[1.0, 2.0, 3.0]]), np.array([0.5]))
         save_cloud(cloud, path)
         data = path.read_bytes()
         assert len(data) == 24
@@ -79,7 +83,7 @@ class TestCloudFormat:
         xyz = rng.uniform(-50, 50, size=(333, 3)).astype(np.float32).astype(np.float64)
         intens = rng.uniform(0, 1, size=333).astype(np.float32).astype(np.float64)
         path = tmp_path / "c.pcv"
-        save_cloud(PointCloud.from_arrays(xyz, intens), path)
+        save_cloud(from_arrays(xyz, intens), path)
         back = load_cloud(path)
         assert np.array_equal(back.xyz, xyz)
         assert np.array_equal(back.intensity, intens)
@@ -96,9 +100,16 @@ class TestCloudFormat:
         with pytest.raises(OSError, match="expected 40 bytes, got 24"):
             load_cloud(path)
 
+    def test_value_beyond_float32_refused(self, tmp_path):
+        path = tmp_path / "big.pcv"
+        with pytest.raises(ValueError) as refused:
+            save_cloud(from_arrays([[1.02 * FLOAT32_MAX, 0.0, 0.0]]), path)
+        assert str(refused.value) == f"{path}: point record beyond float32 range"
+        assert not path.exists()
+
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "t.pcv"
-        save_cloud(PointCloud.from_arrays(np.ones((2, 3))), path)
+        save_cloud(from_arrays(np.ones((2, 3))), path)
         path.write_bytes(path.read_bytes() + b"\x00" * 9)  # 2 records, then 9 more bytes
         with pytest.raises(OSError, match="expected 40 bytes, got 49"):
             load_cloud(path)
@@ -129,8 +140,8 @@ class TestPgm:
 class TestManifest:
     def make_group(self):
         custom = AgentType("X", 16, 90.0, (-20.0, 10.0), 0.01, "Sim", "Infra")
-        c1 = PointCloud.from_arrays(np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
-        c2 = PointCloud.from_arrays(np.array([[0.0, 2.0, 0.5]]), np.array([0.25]))
+        c1 = from_arrays(np.array([[1.0, 0.0, 0.0]]), np.array([1.0]))
+        c2 = from_arrays(np.array([[0.0, 2.0, 0.5]]), np.array([0.25]))
         ego = Agent("agent-0", RigidTransform.identity(), c1, AGENT_TYPES["A"], True)
         other = Agent("agent-1",
                       RigidTransform.from_ypr(0.3, 0.0, 0.0, translation=(4.0, -1.0, 0.2)),
@@ -205,7 +216,7 @@ class TestCli:
     def test_numeric_argument_out_of_range_exits_one_before_output(
             self, command, flag, value, tmp_path, capsys):
         pcv = tmp_path / "c.pcv"
-        save_cloud(PointCloud.from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
+        save_cloud(from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
         out = tmp_path / "out"
         args = {"gate-stats": [],
                 "project": ["--cloud", str(pcv), "--type", "A", "--out", str(out)],
@@ -264,7 +275,7 @@ class TestCli:
             extra = ["--source-dist", "file", "--dist-file", str(bad_file)]
         elif case == "cloud-path-outside":
             # a readable cloud outside the manifest directory
-            save_cloud(PointCloud.from_arrays(np.array([[5.0, 0.5, 0.0]])),
+            save_cloud(from_arrays(np.array([[5.0, 0.5, 0.0]])),
                        tmp_path / "agent-1.pcv")
             agents[1]["cloud_path"] = "../agent-1.pcv"
         elif case == "escaped-id":
@@ -320,7 +331,7 @@ class TestCli:
     @pytest.mark.parametrize("case", ["project-width", "gate-stats-iterations"])
     def test_allocation_too_large_exits_one(self, case, tmp_path, capsys):
         pcv = tmp_path / "c.pcv"
-        save_cloud(PointCloud.from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
+        save_cloud(from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
         out = tmp_path / "out"
         argv = {"project-width": ["project", "--cloud", str(pcv), "--type", "A",
                                   "--width", str(10**12), "--out", str(out)],
@@ -349,6 +360,31 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == f"error: {manifest}: agent 0: beams must be at most {MAX_BEAMS}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("seed, rc", [(1, 1), (3, 0)])
+    def test_augment_refuses_output_beyond_float32(self, seed, rc, tmp_path, capsys):
+        # each cloud gets one more point at x = 0.999 x float32's maximum, at its
+        # sensor's y and z; at seed 1 the setup jitter scales the mixup cloud's
+        # copy past that maximum, which float32 would store as inf
+        sim = tmp_path / "sim"
+        assert main(["simulate", "--agents", "2", "--types", "A,B", "--boxes", "3",
+                     "--seed", "1", "--out", str(sim)]) == 0
+        group, _ = load_manifest(sim / "manifest.json")
+        for agent in group.agents:
+            far = [0.999 * FLOAT32_MAX, *agent.pose.translation[1:]]
+            save_cloud(from_arrays(np.vstack([agent.cloud.xyz, far]),
+                                   np.append(agent.cloud.intensity, 1.0)), sim / f"{agent.id}.pcv")
+        out = tmp_path / "out"
+        capsys.readouterr()
+        assert main(["augment", "--manifest", str(sim / "manifest.json"),
+                     "--seed", str(seed), "--out", str(out)]) == rc
+        err = capsys.readouterr().err
+        if rc:
+            assert err == f"error: {out / 'mixup-0.pcv'}: point record beyond float32 range\n"
+            assert not (out / "manifest.json").exists() and not (out / "mixup-0.pcv").exists()
+        else:  # the output loads back and scores
+            assert err == ""
+            assert main(["cfc-check", "--manifest", str(out / "manifest.json"), "--no-aug"]) == 0
 
     @pytest.mark.parametrize("record", [[float("nan"), 0.5, 0.0, 1.0],
                                         [10.0, 0.5, 0.0, float("inf")]],
@@ -398,7 +434,7 @@ class TestCli:
         assert captured.out == "" and source in captured.err
 
     def test_project_writes_pgm(self, tmp_path, capsys):
-        cloud = PointCloud.from_arrays(
+        cloud = from_arrays(
             np.array([[10.0, 0.0, 0.0], [0.0, 5.0, 1.0]]), np.array([1.0, 0.5]))
         pcv = tmp_path / "c.pcv"
         save_cloud(cloud, pcv)
@@ -410,7 +446,7 @@ class TestCli:
 
     def test_project_into_new_directory(self, tmp_path, capsys):
         pcv = tmp_path / "c.pcv"
-        save_cloud(PointCloud.from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
+        save_cloud(from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
         out = tmp_path / "missing" / "c.pgm"
         rc = main(["project", "--cloud", str(pcv), "--type", "B",
                    "--width", "512", "--out", str(out)])
@@ -479,7 +515,7 @@ class TestCli:
 
     def test_out_under_a_file_exits_two(self, tmp_path, capsys):
         pcv = tmp_path / "c.pcv"
-        save_cloud(PointCloud.from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
+        save_cloud(from_arrays(np.array([[10.0, 0.0, 0.0]])), pcv)
         (tmp_path / "f").write_text("not a directory")
         rc = main(["project", "--cloud", str(pcv), "--type", "A",
                    "--out", str(tmp_path / "f" / "r.pgm")])
@@ -511,6 +547,33 @@ def json_paths(value, path=()):
     if isinstance(value, (dict, list)):
         for key, child in (value.items() if isinstance(value, dict) else enumerate(value)):
             yield from json_paths(child, path + (key,))
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.lists(st.tuples(*[st.one_of(st.floats(-4e38, 4e38), FINITE)] * 4), max_size=4))
+@example([(FLOAT32_MAX, -FLOAT32_MAX, 0.0, 1.0)])
+@example([(math.nextafter(FLOAT32_MAX, math.inf), 0.0, 0.0, 1.0)])  # rounds to the maximum
+def test_every_cloud_save_cloud_accepts_loads_back(records):
+    """save_cloud refuses a cloud exactly when float32 cannot hold one of its
+    values, and writes no file then; every cloud it writes loads back as its
+    float32 values."""
+    values = np.array(records, dtype=np.float64).reshape(-1, 4)
+    with np.errstate(over="ignore"):
+        as_float32 = values.astype(np.float32)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.pcv"
+        try:
+            save_cloud(from_arrays(values[:, :3], values[:, 3]), path)
+        except ValueError as exc:
+            assert str(exc) == f"{path}: point record beyond float32 range"
+            assert not path.exists() and not np.isfinite(as_float32).all()
+            return
+        back = load_cloud(path)
+    assert back.xyz.tobytes() == as_float32[:, :3].astype(np.float64).tobytes()
+    assert back.intensity.tobytes() == as_float32[:, 3].astype(np.float64).tobytes()
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)

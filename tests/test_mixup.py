@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from coopaug import (AGENT_TYPES, Agent, CooperativeGroup, PointCloud,
+from coopaug import (AGENT_TYPES, Agent, CooperativeGroup,
                      RigidTransform, RngStream, bev_center, cut_and_combine,
                      make_mixup_agent, mixup, nearest_pair, split_line)
 
-EMPTY = PointCloud.from_arrays(np.zeros((0, 3)))
+from clouds import from_arrays
+
+EMPTY = from_arrays(np.zeros((0, 3)))
 
 
 def agent_at(x, y, z=0.0, aid=None, is_ego=False, cloud=None):
@@ -109,15 +111,15 @@ class TestCutAndCombine:
 
     def test_hand_evaluated_sides(self):
         # anchor (1,0), direction (0,1): side((0.5,0)) = +0.5, side((1.5,0)) = -0.5
-        p1 = PointCloud.from_arrays([[0.5, 0.0, 0.0]])
-        p2 = PointCloud.from_arrays([[1.5, 0.0, 0.0]])
+        p1 = from_arrays([[0.5, 0.0, 0.0]])
+        p2 = from_arrays([[1.5, 0.0, 0.0]])
         out = cut_and_combine(p1, p2, self.line())[0]
         assert np.array_equal(out.xyz, [[0.5, 0.0, 0.0], [1.5, 0.0, 0.0]])
 
     def test_same_cloud_is_partition(self):
         rng = np.random.default_rng(3)
         xyz = rng.uniform(-3, 3, (200, 3))
-        p = PointCloud.from_arrays(xyz)
+        p = from_arrays(xyz)
         out = cut_and_combine(p, p, self.line())[0]
         assert len(out) == len(p)
         # brute-force: each BEV location appears exactly once
@@ -127,7 +129,7 @@ class TestCutAndCombine:
         assert np.array_equal(np.sort(out.xyz, axis=0), np.sort(expected, axis=0))
 
     def test_on_line_tie_break(self):
-        on_line = PointCloud.from_arrays([[1.0, 5.0, 0.3]])
+        on_line = from_arrays([[1.0, 5.0, 0.3]])
         line = self.line()
         assert line.side(on_line.xyz[:, :2])[0] == 0.0
         kept = cut_and_combine(on_line, EMPTY, line)[0]
@@ -136,8 +138,8 @@ class TestCutAndCombine:
 
     def test_subset_property(self):
         rng = np.random.default_rng(11)
-        p1 = PointCloud.from_arrays(rng.uniform(-5, 5, (80, 3)), rng.uniform(0, 1, 80))
-        p2 = PointCloud.from_arrays(rng.uniform(-5, 5, (60, 3)), rng.uniform(0, 1, 60))
+        p1 = from_arrays(rng.uniform(-5, 5, (80, 3)), rng.uniform(0, 1, 80))
+        p2 = from_arrays(rng.uniform(-5, 5, (60, 3)), rng.uniform(0, 1, 60))
         out = cut_and_combine(p1, p2, self.line())[0]
         pool = {tuple(r) for r in np.column_stack(
             [np.concatenate([p1.xyz, p2.xyz]), np.concatenate([p1.intensity, p2.intensity])])}
@@ -146,8 +148,8 @@ class TestCutAndCombine:
 
     def test_direction_flip_swaps_sides(self):
         rng = np.random.default_rng(5)
-        p1 = PointCloud.from_arrays(rng.uniform(-5, 5, (40, 3)))
-        p2 = PointCloud.from_arrays(rng.uniform(-5, 5, (40, 3)))
+        p1 = from_arrays(rng.uniform(-5, 5, (40, 3)))
+        p2 = from_arrays(rng.uniform(-5, 5, (40, 3)))
         line = self.line()
         flipped = split_line(np.array([0.0, 0.0]), np.array([2.0, 0.0]), math.pi)
         a = cut_and_combine(p1, p2, line)[0]
@@ -169,7 +171,7 @@ class TestCutAndCombine:
             for n in (300, 250):
                 xy = np.concatenate([rng.uniform(-6, 6, (n, 2)), on])
                 xyz = np.column_stack([xy, rng.uniform(-2, 2, len(xy))])
-                clouds.append(PointCloud.from_arrays(xyz, rng.uniform(0, 1, len(xy))))
+                clouds.append(from_arrays(xyz, rng.uniform(0, 1, len(xy))))
             a0, a1 = line.anchor.tolist()
             d0, d1 = line.direction.tolist()
             rows, kept = [], []
@@ -190,8 +192,8 @@ class TestCutAndCombine:
 class TestMakeMixupAgent:
     def group(self, n1=100, n2=100, seed=0):
         rng = np.random.default_rng(seed)
-        c1 = PointCloud.from_arrays(rng.uniform(-10, 0, (n1, 3)), rng.uniform(0, 1, n1))
-        c2 = PointCloud.from_arrays(rng.uniform(0, 10, (n2, 3)), rng.uniform(0, 1, n2))
+        c1 = from_arrays(rng.uniform(-10, 0, (n1, 3)), rng.uniform(0, 1, n1))
+        c2 = from_arrays(rng.uniform(0, 10, (n2, 3)), rng.uniform(0, 1, n2))
         return CooperativeGroup((agent_at(-5, 0, aid="e", is_ego=True, cloud=c1),
                                  agent_at(5, 0, aid="o", cloud=c2)))
 

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from coopaug import (AGENT_TYPES, Agent, AgentType, CooperativeGroup, CountDistribution,
                      PointCloud, RigidTransform, RngStream, Scene, sim, simulate_lidar,
@@ -11,30 +12,32 @@ from coopaug import (AGENT_TYPES, Agent, AgentType, CooperativeGroup, CountDistr
 from coopaug.kernels import ray_cast
 from coopaug.model import BLOCK_POINTS, MAX_BEAMS
 
+from clouds import from_arrays
+
 
 def make_agent(aid="a0", translation=(0, 0, 0), cloud=None, is_ego=False):
     if cloud is None:
-        cloud = PointCloud.from_arrays(np.random.default_rng(0).uniform(-5, 5, (10, 3)))
+        cloud = from_arrays(np.random.default_rng(0).uniform(-5, 5, (10, 3)))
     pose = RigidTransform.from_ypr(0.0, translation=translation)
     return Agent(id=aid, pose=pose, cloud=cloud, agent_type=AGENT_TYPES["A"], is_ego=is_ego)
 
 
 class TestTransformCloud:
     def test_identity_is_bitwise(self):
-        cloud = PointCloud.from_arrays([[1.1, -2.2, 3.3], [0.0, 0.5, -0.25]],
-                                       [0.5, 1.0])
+        cloud = from_arrays([[1.1, -2.2, 3.3], [0.0, 0.5, -0.25]],
+                            [0.5, 1.0])
         out = transform_cloud(cloud, RigidTransform.identity())
         assert np.array_equal(out.xyz, cloud.xyz)
         assert np.array_equal(out.intensity, cloud.intensity)
 
     def test_yaw_quarter_turn(self):
-        cloud = PointCloud.from_arrays([[1.0, 0.0, 0.0]])
+        cloud = from_arrays([[1.0, 0.0, 0.0]])
         t = RigidTransform.from_ypr(math.pi / 2)
         out = transform_cloud(cloud, t)
         assert np.allclose(out.xyz[0], [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_pure_translation(self):
-        cloud = PointCloud.from_arrays([[1.0, 2.0, 3.0]])
+        cloud = from_arrays([[1.0, 2.0, 3.0]])
         t = RigidTransform.from_ypr(0.0, translation=(10.0, 0.0, -1.0))
         out = transform_cloud(cloud, t)
         assert np.array_equal(out.xyz[0], [11.0, 2.0, 2.0])
@@ -42,7 +45,7 @@ class TestTransformCloud:
     def test_rigidity_preserves_pairwise_distances(self):
         rng = np.random.default_rng(7)
         xyz = rng.uniform(-10, 10, (50, 3))
-        cloud = PointCloud.from_arrays(xyz)
+        cloud = from_arrays(xyz)
         t = RigidTransform.from_ypr(0.7, 0.2, -0.4, translation=(3.0, -2.0, 1.0))
         out = transform_cloud(cloud, t)
         d_in = np.linalg.norm(xyz[:, None] - xyz[None, :], axis=-1)
@@ -51,13 +54,13 @@ class TestTransformCloud:
 
     def test_inverse_round_trip(self):
         rng = np.random.default_rng(8)
-        cloud = PointCloud.from_arrays(rng.uniform(-10, 10, (30, 3)))
+        cloud = from_arrays(rng.uniform(-10, 10, (30, 3)))
         t = RigidTransform.from_ypr(1.2, -0.3, 0.5, translation=(1.0, 2.0, 3.0))
         back = transform_cloud(transform_cloud(cloud, t), t.inverse())
         assert np.abs(back.xyz - cloud.xyz).max() < 1e-9
 
     def test_empty_cloud(self):
-        out = transform_cloud(PointCloud.from_arrays(np.zeros((0, 3))),
+        out = transform_cloud(from_arrays(np.zeros((0, 3))),
                               RigidTransform.identity())
         assert len(out) == 0
 
@@ -124,7 +127,7 @@ class TestRotationOracle:
     def test_transform_cloud(self):
         rng = np.random.default_rng(9)
         xyz = rng.uniform(-150.0, 150.0, (2 * BLOCK_POINTS + 5, 3))  # a partial last block
-        cloud = PointCloud.from_arrays(xyz)
+        cloud = from_arrays(xyz)
         for yaw, pitch, roll, translation in (*GIMBAL_POSES, (*rng.uniform(-3, 3, 3), (4, 5, 6))):
             t = RigidTransform.from_ypr(yaw, pitch, roll, translation=translation)
             r, shift = t.rotation.tolist(), t.translation.tolist()
@@ -156,12 +159,99 @@ class TestRotationOracle:
 
 class TestRigidTransform:
     def test_from_ypr_is_valid(self):
-        assert RigidTransform.from_ypr(0.3, -0.8, 1.4).is_valid()
+        RigidTransform.from_ypr(0.3, -0.8, 1.4)  # construction checks the pose
 
     def test_ypr_round_trip(self):
         t = RigidTransform.from_ypr(0.9, -0.4, 0.2, translation=(1, 2, 3))
         y, p, r = t.to_ypr()
         assert (y, p, r) == pytest.approx((0.9, -0.4, 0.2))
+
+
+class TestConstructorChecks:
+    """A cloud and a pose check their own arrays, where they are made."""
+
+    @pytest.mark.parametrize("xyz, intensity", [
+        (np.zeros((5, 2)), np.ones(5)),
+        (np.zeros((5, 3), dtype=np.int64), np.ones(5)),
+        (np.zeros((5, 3), dtype=np.float32), np.ones(5, dtype=np.float32)),
+        (np.zeros((5, 3)), np.ones(4)),  # 5 points, 4 intensities
+    ])
+    def test_cloud_refuses(self, xyz, intensity):
+        with pytest.raises(ValueError, match="float64 arrays"):
+            PointCloud(xyz, intensity)
+
+    @pytest.mark.parametrize("rotation, translation", [
+        (2.0 * np.eye(3), np.zeros(3)),
+        (np.diag([1.0, 1.0, -1.0]), np.zeros(3)),  # orthonormal, but a reflection
+        (np.eye(2), np.zeros(3)),
+        (np.eye(3), np.array([np.nan, 0.0, 0.0])),
+    ])
+    def test_pose_refuses(self, rotation, translation):
+        with pytest.raises(ValueError, match="invalid pose"):
+            RigidTransform(rotation, translation)
+
+
+def cloud_rule(xyz, intensity) -> bool:
+    """PointCloud's rule in plain Python: an (N, 3) and an (N,) float64 array,
+    every value finite."""
+    return (xyz.dtype == intensity.dtype == np.float64 and xyz.ndim == 2
+            and xyz.shape[1] == 3 and intensity.shape == (xyz.shape[0],)
+            and all(map(math.isfinite, xyz.ravel().tolist() + intensity.tolist())))
+
+
+def pose_rule(rotation, translation) -> bool:
+    """RigidTransform's rule in plain Python: a 3 x 3 float64 rotation whose rows
+    are orthonormal and whose determinant is 1, each within 1e-9, and a finite
+    (3,) float64 translation."""
+    if not (rotation.dtype == translation.dtype == np.float64
+            and rotation.shape == (3, 3) and translation.shape == (3,)):
+        return False
+    r = rotation.tolist()
+    det = (r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
+           - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
+           + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
+    return (all(abs(sum(r[i][k] * r[j][k] for k in range(3)) - (i == j)) < 1e-9
+                for i in range(3) for j in range(3))
+            and abs(det - 1.0) < 1e-9 and all(map(math.isfinite, translation.tolist())))
+
+
+def draw_array(data, shapes):
+    """An array of one of `shapes`, mostly float64, else float32 or int64; float
+    values include NaN, infinities and magnitudes near the dtype's limit."""
+    dtype = data.draw(st.sampled_from([np.float64, np.float64, np.float32, np.int64]))
+    elements = (st.integers(-5, 5) if dtype is np.int64
+                else st.floats(width=32 if dtype is np.float32 else 64))
+    return data.draw(hnp.arrays(dtype, data.draw(st.sampled_from(shapes)), elements=elements))
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(st.data())
+def test_constructors_accept_what_the_rule_accepts(data):
+    n = data.draw(st.integers(0, 4))
+    xyz = draw_array(data, [(n, 3), (n, 3), (n, 2), (n,), (n, 3, 1)])
+    intensity = draw_array(data, [(n,), (n,), (n + 1,), (n, 1)])
+    want = cloud_rule(xyz, intensity)
+    try:
+        PointCloud(xyz, intensity)
+        assert want
+    except ValueError:
+        assert not want
+    # a rotation from from_ypr, perhaps scaled, mirrored, nudged or reshaped
+    rotation = (RigidTransform.from_ypr(*data.draw(st.tuples(ANGLE, ANGLE, ANGLE))).rotation
+                * data.draw(st.sampled_from([1.0, 1.0, -1.0, 2.0])))
+    if data.draw(st.booleans()):
+        rotation[data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2))] += data.draw(
+            st.sampled_from([1e-12, 1e-3, np.nan, np.inf, 1e200]))
+    with np.errstate(over="ignore"):  # 1e200 as float32 is inf
+        rotation = data.draw(st.sampled_from([rotation, rotation, rotation[:2, :2],
+                                              rotation.reshape(9), rotation.astype(np.float32)]))
+    translation = draw_array(data, [(3,), (3,), (2,), (1, 3)])
+    want = pose_rule(rotation, translation)
+    try:
+        RigidTransform(rotation, translation)
+        assert want
+    except ValueError:
+        assert not want
 
 
 class TestValidateGroup:
@@ -176,8 +266,8 @@ class TestValidateGroup:
                 CooperativeGroup(agents)
 
     def test_nan_point(self):
-        bad = PointCloud.from_arrays([[np.nan, 0, 0]])
         with pytest.raises(ValueError, match="non-finite"):
+            bad = from_arrays([[np.nan, 0, 0]])  # the cloud refuses it
             CooperativeGroup((make_agent("e", is_ego=True, cloud=bad),))
 
     def test_nan_translation(self):

@@ -13,14 +13,16 @@ from coopaug import (AGENT_TYPES, Agent, CmagConfig, CooperativeGroup,
                      pipeline, project, sample_setup_params, save_manifest, split_line,
                      transform_cloud, unproject, validate_group)
 
-EMPTY = PointCloud.from_arrays(np.zeros((0, 3)))
+from clouds import from_arrays
+
+EMPTY = from_arrays(np.zeros((0, 3)))
 
 
 def agent(aid, x=0.0, n_points=50, is_ego=False, seed=0):
     rng = np.random.default_rng(seed)
     xyz = rng.uniform(-15, 15, (n_points, 3))
     return Agent(id=aid, pose=RigidTransform.from_ypr(0.0, translation=(x, 0.0, 1.5)),
-                 cloud=PointCloud.from_arrays(xyz, rng.uniform(0, 1, n_points)),
+                 cloud=from_arrays(xyz, rng.uniform(0, 1, n_points)),
                  agent_type=AGENT_TYPES["A"], is_ego=is_ego)
 
 
@@ -77,27 +79,27 @@ class TestOccupancy:
         assert grid.sum() == 0
 
     def test_single_center_point(self):
-        grid = occupancy(PointCloud.from_arrays([[0.1, 0.1, 5.0]]))
+        grid = occupancy(from_arrays([[0.1, 0.1, 5.0]]))
         assert grid.sum() == 1
 
     def test_idempotent_per_cell(self):
-        one = occupancy(PointCloud.from_arrays([[0.1, 0.1, 0.0]]))
-        two = occupancy(PointCloud.from_arrays([[0.1, 0.1, 0.0], [0.2, 0.2, 9.0]]))
+        one = occupancy(from_arrays([[0.1, 0.1, 0.0]]))
+        two = occupancy(from_arrays([[0.1, 0.1, 0.0], [0.2, 0.2, 9.0]]))
         assert np.array_equal(one, two)
 
     def test_outside_extent_ignored(self):
-        grid = occupancy(PointCloud.from_arrays([[500.0, 0.0, 0.0]]))
+        grid = occupancy(from_arrays([[500.0, 0.0, 0.0]]))
         assert grid.sum() == 0
 
     def test_far_point_ignored_without_warning(self):
         # cell indices beyond the int64 range; pyproject turns warnings into errors
-        grid = occupancy(PointCloud.from_arrays([[1e300, 0.1, 0.0], [0.1, -1e30, 0.0],
-                                                 [0.1, 0.1, 0.0]]))
+        grid = occupancy(from_arrays([[1e300, 0.1, 0.0], [0.1, -1e30, 0.0],
+                                      [0.1, 0.1, 0.0]]))
         assert grid.sum() == 1
 
     def test_half_open_cells(self):
         x_min, x_max, y_min, y_max = pipeline.GRID_EXTENT
-        grid = occupancy(PointCloud.from_arrays([[x_min, y_min, 0.0], [x_max, y_max, 0.0]]))
+        grid = occupancy(from_arrays([[x_min, y_min, 0.0], [x_max, y_max, 0.0]]))
         assert grid[0, 0] == 1 and grid.sum() == 1
 
     def test_matches_scalar_floor_oracle(self):
@@ -124,32 +126,32 @@ class TestOccupancy:
             ix, iy = math.floor((x - x_min) / cell), math.floor((y - y_min) / cell)
             if 0 <= ix < nx and 0 <= iy < ny:
                 expected[ix, iy] = 1
-        assert np.array_equal(occupancy(PointCloud.from_arrays(xyz)), expected)
+        assert np.array_equal(occupancy(from_arrays(xyz)), expected)
 
 
 class TestFuseGrids:
     def test_zero_is_identity(self):
-        g = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]))
+        g = occupancy(from_arrays([[1.0, 1.0, 0.0]]))
         z = occupancy(EMPTY)
         assert np.array_equal(fuse_grids([g, z]), g)
 
     def test_idempotence(self):
-        g = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]))
+        g = occupancy(from_arrays([[1.0, 1.0, 0.0]]))
         assert np.array_equal(fuse_grids([g, g]), g)
 
     def test_disjoint_union(self):
-        a = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]))
-        b = occupancy(PointCloud.from_arrays([[-3.0, 2.0, 0.0]]))
+        a = occupancy(from_arrays([[1.0, 1.0, 0.0]]))
+        b = occupancy(from_arrays([[-3.0, 2.0, 0.0]]))
         assert fuse_grids([a, b]).sum() == 2
 
 
 class TestCfcL1:
     def test_identical_grids(self):
-        g = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0.0]]))
+        g = occupancy(from_arrays([[1.0, 1.0, 0.0]]))
         assert cfc_l1(g, g) == 0.0
 
     def test_counting(self):
-        a = occupancy(PointCloud.from_arrays([[1.0, 1.0, 0], [2.0, 2.0, 0], [3.0, 3.0, 0]]))
+        a = occupancy(from_arrays([[1.0, 1.0, 0], [2.0, 2.0, 0], [3.0, 3.0, 0]]))
         b = occupancy(EMPTY)
         assert cfc_l1(a, b) == 3.0
 
@@ -350,7 +352,7 @@ class TestReadOnly:
 
     def test_from_arrays_copies(self):
         xyz = np.zeros((2, 3))
-        cloud = PointCloud.from_arrays(xyz)
+        cloud = from_arrays(xyz)
         xyz[0, 0] = np.nan
-        assert cloud.is_finite()
+        assert cloud.xyz[0, 0] == 0.0
         self.assert_read_only(cloud.xyz, cloud.intensity)

@@ -3,16 +3,18 @@ import math
 import numpy as np
 import pytest
 
-from coopaug import (AGENT_TYPES, AgentType, PointCloud, RngStream, density_augment,
+from coopaug import (AGENT_TYPES, AgentType, RngStream, density_augment,
                      make_group, make_scene, project, rangeview, resample_beams, unproject)
 from coopaug.model import BLOCK_POINTS
 from coopaug.sim import _ray_directions
+
+from clouds import from_arrays
 
 FOV = (-25.0, 5.0)
 
 
 def cloud_of(points):
-    return PointCloud.from_arrays(points)
+    return from_arrays(points)
 
 
 class TestProject:
@@ -146,13 +148,16 @@ class TestUnproject:
         ranges = rng.uniform(1.0, 80.0, (H, W))
         ranges[rng.uniform(size=(H, W)) < 0.4] = rangeview.NO_RETURN
         ranges[0, :] = rangeview.NO_RETURN  # a block's row with no return
-        ranges[rng.uniform(size=(H, W)) < 0.01] = np.inf
-        ranges[rng.uniform(size=(H, W)) < 0.01] = np.nan
+        inf = rng.uniform(size=(H, W)) < 0.01
+        ranges[rng.uniform(size=(H, W)) < 0.01] = np.nan  # no return either
         img = rangeview.RangeImage(ranges, rng.uniform(0, 1, (H, W)), FOV)
         xyz, intens = unproject_oracle(img)
         out = unproject(img)
         assert out.xyz.tobytes() == np.array(xyz).reshape(-1, 3).tobytes()
         assert out.intensity.tobytes() == np.array(intens).tobytes()
+        ranges[inf] = np.inf  # a point at infinity, which the cloud refuses
+        with pytest.raises(ValueError, match="non-finite"):
+            unproject(img)
 
 
 def unproject_oracle(img):
@@ -312,7 +317,11 @@ class TestUpsampleOracle:
         with np.errstate(invalid="ignore"):
             out = resample_beams(img, 4)
         assert np.isnan(out.ranges[0]).all() and (out.ranges[1] == np.inf).all()
-        assert len(unproject(out)) == 6
+        with pytest.raises(ValueError, match="non-finite"):
+            unproject(out)  # the +inf row's points
+        finite = rangeview.RangeImage(np.where(np.isinf(out.ranges), rangeview.NO_RETURN,
+                                               out.ranges), out.intensities, FOV)
+        assert len(unproject(finite)) == 4
 
 
 class TestDensityAugment:
@@ -434,7 +443,7 @@ def edge_cloud(seed=0):
     xyz = np.concatenate([*edges, fill, outside, origin])
     xyz = np.concatenate([xyz, xyz[rng.choice(len(xyz), 500)]])  # ties
     order = rng.permutation(len(xyz))
-    return PointCloud.from_arrays(xyz[order], rng.uniform(0.0, 1.0, len(xyz)))
+    return from_arrays(xyz[order], rng.uniform(0.0, 1.0, len(xyz)))
 
 
 @pytest.fixture(scope="module")

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from coopaug import (PointCloud, RngStream, SetupAugParams, apply_setup_aug,
+from coopaug import (RngStream, SetupAugParams, apply_setup_aug,
                      sample_setup_params, setupaug)
 from coopaug.model import BLOCK_POINTS
+
+from clouds import from_arrays
 
 
 class TestSampleSetupParams:
@@ -36,26 +38,26 @@ class TestSampleSetupParams:
 class TestApplySetupAug:
     def test_identity_is_bitwise(self):
         rng = np.random.default_rng(0)
-        cloud = PointCloud.from_arrays(rng.uniform(-5, 5, (30, 3)), rng.uniform(0, 1, 30))
+        cloud = from_arrays(rng.uniform(-5, 5, (30, 3)), rng.uniform(0, 1, 30))
         out = apply_setup_aug(cloud, SetupAugParams(0.0, 1.0, np.zeros(3)))
         assert np.array_equal(out.xyz, cloud.xyz)
         assert np.array_equal(out.intensity, cloud.intensity)
 
     def test_single_point_is_fixed_by_rotation_and_scale(self):
-        cloud = PointCloud.from_arrays([[2.0, 0.0, 0.0]])
+        cloud = from_arrays([[2.0, 0.0, 0.0]])
         params = SetupAugParams(np.pi / 2, 2.0, np.array([0.0, 0.0, 1.0]))
         out = apply_setup_aug(cloud, params)
         assert np.allclose(out.xyz[0], [2.0, 0.0, 1.0], atol=1e-12)
 
     def test_scaling_about_centroid(self):
-        cloud = PointCloud.from_arrays([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
+        cloud = from_arrays([[1.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
         out = apply_setup_aug(cloud, SetupAugParams(0.0, 2.0, np.zeros(3)))
         assert np.allclose(out.xyz, [[0.0, 0.0, 0.0], [4.0, 0.0, 0.0]], atol=1e-12)
 
     def test_rotation_preserves_distances(self):
         rng = np.random.default_rng(1)
         xyz = rng.uniform(-20, 20, (60, 3))
-        cloud = PointCloud.from_arrays(xyz)
+        cloud = from_arrays(xyz)
         out = apply_setup_aug(cloud, SetupAugParams(0.8, 1.0, np.zeros(3)))
         d_in = np.linalg.norm(xyz[:, None] - xyz[None, :], axis=-1)
         d_out = np.linalg.norm(out.xyz[:, None] - out.xyz[None, :], axis=-1)
@@ -64,7 +66,7 @@ class TestApplySetupAug:
     def test_scale_multiplies_distances(self):
         rng = np.random.default_rng(2)
         xyz = rng.uniform(-20, 20, (60, 3))
-        cloud = PointCloud.from_arrays(xyz)
+        cloud = from_arrays(xyz)
         out = apply_setup_aug(cloud, SetupAugParams(0.0, 1.37, np.zeros(3)))
         d_in = np.linalg.norm(xyz[:, None] - xyz[None, :], axis=-1)
         d_out = np.linalg.norm(out.xyz[:, None] - out.xyz[None, :], axis=-1)
@@ -72,13 +74,13 @@ class TestApplySetupAug:
 
     def test_count_order_intensity_invariant(self):
         rng = np.random.default_rng(3)
-        cloud = PointCloud.from_arrays(rng.uniform(-5, 5, (40, 3)), rng.uniform(0, 1, 40))
+        cloud = from_arrays(rng.uniform(-5, 5, (40, 3)), rng.uniform(0, 1, 40))
         out = apply_setup_aug(cloud, SetupAugParams(0.1, 1.01, np.array([0.02, -0.01, 0.0])))
         assert len(out) == len(cloud)
         assert np.array_equal(out.intensity, cloud.intensity)
 
     def test_empty_cloud(self):
-        out = apply_setup_aug(PointCloud.from_arrays(np.zeros((0, 3))),
+        out = apply_setup_aug(from_arrays(np.zeros((0, 3))),
                               SetupAugParams(0.3, 1.1, np.array([1.0, 0, 0])))
         assert len(out) == 0
 
@@ -117,7 +119,7 @@ def test_setup_aug_matches_sequential_oracle(data):
     rng = np.random.default_rng(seed)
     xyz = rng.normal(0.0, scale_m, (n, 3)) + rng.uniform(-1e3, 1e3, 3)
     params = sample_setup_params(RngStream(seed, "oracle"))
-    cloud = PointCloud.from_arrays(xyz, rng.uniform(0, 1, n))
+    cloud = from_arrays(xyz, rng.uniform(0, 1, n))
     out = apply_setup_aug(cloud, params)
     assert out.xyz.tobytes() == setup_aug_oracle(xyz, params).tobytes()
     assert out.intensity.tobytes() == cloud.intensity.tobytes()
@@ -132,7 +134,7 @@ def test_setup_aug_matches_oracle_across_blocks(n):
     rng = np.random.default_rng(n)
     xyz = rng.normal(0.0, 50.0, (n, 3)) + rng.uniform(-1e3, 1e3, 3)
     params = sample_setup_params(RngStream(n, "blocks"))
-    cloud = PointCloud.from_arrays(xyz, rng.uniform(0, 1, n))
+    cloud = from_arrays(xyz, rng.uniform(0, 1, n))
     out = apply_setup_aug(cloud, params)
     assert out.xyz.tobytes() == setup_aug_oracle(xyz, params).tobytes()
     assert out.intensity.tobytes() == cloud.intensity.tobytes()

@@ -127,7 +127,6 @@ class TestMakeGroup:
         scene = self.two_agent_scene(n=1)
         g = make_group(scene, RngStream(0, "g"))
         assert g.n == 1 and g.agents[0].is_ego
-        assert g.agents[0].pose.is_valid()
         assert np.array_equal(g.agents[0].pose.rotation, np.eye(3))
         assert np.array_equal(g.agents[0].pose.translation, np.zeros(3))
 

@@ -55,7 +55,10 @@ culling meets many more box wedges and the +-pi seam; and `augment` and
 1 and 8 of custom 16- and 128-beam types, which re-beam at and beside
 target == H; at seeds 5, 6 and 0 of custom 1- and 40-beam types, which
 upsample to targets no multiple of H; and at seeds 2 and 0 of type B, which
-upsample 32 beams to 64 and to 40.
+upsample 32 beams to 64 and to 40. Then `augment` at seeds 1 and 3 of the
+two-agent scene whose clouds each hold one point near float32's maximum (see
+write_float32_overflow): seed 1's mixup cloud holds a value float32 cannot,
+which `save_cloud` refuses, and `cfc-check --no-aug` on seed 3's output.
 """
 
 import contextlib
@@ -105,6 +108,7 @@ DENSE_PAIRS = {
     # integer s and the rest half way between two rows; 0 (H 32, target 40)
     "types-B-B": (("B", "B"), (2, 0)),
 }
+FLOAT32_MAX = struct.unpack("<f", struct.pack("<I", 0x7F7FFFFF))[0]
 # pmf files for `--dist-file` that are not a count distribution: (name, text).
 BAD_PMFS = (("list", "[0.5, 0.5]"), ("not-json", "{not json"), ("sum", '{"1": 0.5}'),
             ("count-0", '{"0": 1.0}'), ("20-digits", '{"99999999999999999999": 1.0}'),
@@ -239,7 +243,31 @@ def matrix(out: Path):
                 (f"{name}-cfc-{seed}", ["cfc-check", "--manifest", dense_manifest,
                                         "--seed", seed]),
             ]
+    for seed in (1, 3):  # seed 1's output is refused, seed 3's is written
+        cmds.append((f"float32-overflow-aug-{seed}",
+                     ["augment", "--manifest", out / "good" / "float32-overflow" / "manifest.json",
+                      "--seed", seed, "--out", out / f"float32-overflow-aug-{seed}"]))
+    cmds.append(("float32-overflow-aug-3-cfc",
+                 ["cfc-check", "--manifest", out / "float32-overflow-aug-3" / "manifest.json",
+                  "--no-aug"]))
     return cmds
+
+
+def write_float32_overflow(cli, root: Path) -> None:
+    """`simulate` of types A,B with 3 boxes at seed 1 into root, then one more
+    point in each cloud at x = 0.999 x float32's maximum, at the y and z of
+    its agent's sensor. The setup jitter can scale the mixup agent's copy of
+    that point past float32's range."""
+    with contextlib.redirect_stdout(io.StringIO()):
+        cli.main(["simulate", "--agents", "2", "--types", "A,B", "--boxes", "3", "--seed", "1",
+                  "--out", str(root)])
+    for agent in json.loads((root / "manifest.json").read_text())["agents"]:
+        path = root / agent["cloud_path"]
+        data = path.read_bytes()
+        (count,) = struct.unpack("<I", data[4:8])
+        _, y, z = agent["pose"]["translation"]
+        path.write_bytes(data[:4] + struct.pack("<I", count + 1) + data[8:]
+                         + struct.pack("<4f", 0.999 * FLOAT32_MAX, y, z, 1.0))
 
 
 def dense_cloud(k: int) -> bytes:
@@ -388,6 +416,7 @@ def main(argv) -> int:
         write_manifest(out / "good" / name, name, n_agents)
     for name in DENSE_PAIRS:
         write_manifest(out / "good" / name, name, 2)
+    write_float32_overflow(cli, out / "good" / "float32-overflow")
     (bad / "outside").mkdir()
     (bad / "outside" / "x.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, 5.0, 0.5, 0.0, 1.0))
     for name, text in BAD_PMFS:
