@@ -119,7 +119,8 @@ def sample_gate_step(phi_s: CountDistribution, phi_c: CountDistribution, iterati
     """
     support = np.array(phi_s.support)
     cdf = np.cumsum([phi_s.pmf[k] for k in phi_s.support])
-    pre = support[np.searchsorted(cdf, rng.uniform(size=iterations), side="right")]
+    # the last count takes the mass left above cdf[-1], which may fall short of 1 by rounding
+    pre = support[np.searchsorted(cdf[:-1], rng.uniform(size=iterations), side="right")]
     post = pre.copy()
     for n in np.unique(pre):
         sel = pre == n

@@ -104,26 +104,22 @@ def _unproject(rows_of, H: int, W: int, fov_deg: tuple[float, float]) -> PointCl
     phi = f_max - f * (np.arange(H) + 0.5) / H
     cos_phi, sin_phi = np.cos(phi), np.sin(phi)
     cos_theta, sin_theta = (np.tile(t, (min(step, H), 1)) for t in (np.cos(theta), np.sin(theta)))
-    # room for every pixel; only the valid ones are written
-    xyz, intens = np.empty((H * W, 3)), np.empty(H * W)
-    m = 0  # points written so far
+    # each row block's points, joined once at the end; an image of no rows has none
+    xyz, intens = [np.empty((0, 3))], [np.empty(0)]
     for first in range(0, H, step):
         block = slice(first, first + step)
         ranges, intensities = rows_of(block)
         valid = ranges > NO_RETURN
         r = ranges[valid]
-        out = slice(m, m + len(r))
-        m += len(r)
-        intens[out] = intensities[valid]
+        intens.append(intensities[valid])
         per_row = np.count_nonzero(valid, axis=1)
         r_cos_phi = r * cos_phi[block].repeat(per_row)
-        np.multiply(r_cos_phi, cos_theta[:len(valid)][valid], out=xyz[out, 0])
-        np.multiply(r_cos_phi, sin_theta[:len(valid)][valid], out=xyz[out, 1])
-        np.multiply(r, sin_phi[block].repeat(per_row), out=xyz[out, 2])
-    # shrunk in place, not sliced: a view would keep every pixel's room alive
-    xyz.resize((m, 3), refcheck=False)
-    intens.resize(m, refcheck=False)
-    return PointCloud(xyz, intens)
+        out = np.empty((len(r), 3))
+        np.multiply(r_cos_phi, cos_theta[:len(valid)][valid], out=out[:, 0])
+        np.multiply(r_cos_phi, sin_theta[:len(valid)][valid], out=out[:, 1])
+        np.multiply(r, sin_phi[block].repeat(per_row), out=out[:, 2])
+        xyz.append(out)
+    return PointCloud(np.concatenate(xyz), np.concatenate(intens))
 
 
 def _kept_rows(H: int, target_H: int) -> np.ndarray:

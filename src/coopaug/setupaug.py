@@ -45,19 +45,11 @@ def apply_setup_aug(cloud: PointCloud, params: SetupAugParams) -> PointCloud:
                            and not params.translation_m.any()):
         return cloud
     n = len(cloud)
-    xyz = np.empty_like(cloud.xyz)
-    # The centre sums each axis in point order, as one cumsum over the whole
-    # cloud does; a pairwise 1-D .sum() can differ in the last bit. Each block
-    # is summed after the running total in row 0 of a small buffer.
-    sums = np.empty((BLOCK_POINTS + 1, 3))
-    sums[0] = cloud.xyz[0]
-    for start in range(1, n, BLOCK_POINTS):
-        block = cloud.xyz[start:start + BLOCK_POINTS]
-        run = sums[:len(block) + 1]
-        run[1:] = block
-        np.cumsum(run, axis=0, out=run)
-        sums[0] = run[-1]
-    center = sums[0] / n  # BEV centroid in x, y; mean z for scaling
+    # The centre sums each axis in point order, as a cumsum does; a pairwise 1-D
+    # .sum() can differ in the last bit. The cumsum is also the output buffer,
+    # which the blocks below overwrite.
+    xyz = np.cumsum(cloud.xyz, axis=0)
+    center = xyz[-1] / n  # BEV centroid in x, y; mean z for scaling
     c, s = math.cos(params.rotation_rad), math.sin(params.rotation_rad)
     for start in range(0, n, BLOCK_POINTS):
         block = slice(start, start + BLOCK_POINTS)

@@ -164,6 +164,17 @@ class TestSampleGateStep:
         b = sample_gate_step(phi_s, self.PHI_C, 5_000, RngStream(3, "step"))
         assert a == b
 
+    def test_draw_above_cdf_end_takes_last_count(self):
+        # the pmf sums to 1 - 5e-10, inside CountDistribution's tolerance; a draw at
+        # or above cdf[-1] belongs to the last count, not past the support
+        class TopRng:
+            def uniform(self, low=0.0, high=1.0, size=None):
+                return np.full(size, np.nextafter(1.0, 0.0))
+
+        phi_s = CountDistribution({1: 0.5, 2: 0.4999999995})
+        pre, _ = sample_gate_step(phi_s, self.PHI_C, 10, TopRng())
+        assert pre.pmf == {2: 1.0}
+
 
 class TestApplyGate:
     def group3(self):

@@ -416,6 +416,16 @@ class TestCli:
               for line in capsys.readouterr().out.splitlines() if line.startswith("TV(")}
         assert tv["TV(post, phi_c)"] < tv["TV(pre, phi_c)"]
 
+    def test_gate_stats_pmf_short_of_one(self, tmp_path, capsys):
+        # seed 3131 draws a u above the cdf's end, 1 - 5e-10, within 10**6 draws
+        pmf = tmp_path / "pmf.json"
+        pmf.write_text('{"1": 0.5, "2": 0.4999999995}')
+        rc = main(["gate-stats", "--source-dist", "file", "--dist-file", str(pmf),
+                   "--iterations", "1000000", "--seed", "3131"])
+        assert rc == 0
+        out = capsys.readouterr().out
+        assert len([line for line in out.splitlines() if line.startswith("TV(")]) == 2
+
     def test_cfc_check_no_aug_is_zero(self, tmp_path, capsys):
         manifest = self.simulate(tmp_path / "sim")
         capsys.readouterr()

@@ -6,6 +6,7 @@ import pytest
 from coopaug import (AGENT_TYPES, AgentType, RngStream, density_augment,
                      make_group, make_scene, project, rangeview, resample_beams, unproject)
 from coopaug.model import BLOCK_POINTS
+from coopaug.setupaug import SetupAugParams, apply_setup_aug
 from coopaug.sim import _ray_directions
 
 from clouds import from_arrays
@@ -95,6 +96,10 @@ class TestUnproject:
     def test_empty_image(self):
         img = project(cloud_of(np.zeros((0, 3))), FOV, 8, 16)
         assert len(unproject(img)) == 0
+
+    def test_image_of_no_rows(self):
+        out = unproject(rangeview.RangeImage(np.zeros((0, 16)), np.zeros((0, 16)), FOV))
+        assert out.xyz.shape == (0, 3) and out.intensity.shape == (0,)
 
     def test_round_trip_random_cloud(self):
         rng = np.random.default_rng(1)
@@ -367,6 +372,13 @@ class TestDensityAugment:
         for target in (16, 64, 128):  # down, same and up
             monkeypatch.setattr(rangeview, "DENSITY_TARGETS", (target,))
             outs.append(density_augment(cloud, AGENT_TYPES["A"], RngStream(0, "d")))
+        # the setup jitter, as `cmag` applies it to the re-beamed cloud, writes new
+        # points and passes that cloud's read-only intensities through
+        rebeamed = outs[-1]
+        jittered = apply_setup_aug(rebeamed, SetupAugParams(0.01, 1.01, np.array([0.02, 0.0, 0.0])))
+        assert not np.shares_memory(jittered.xyz, rebeamed.xyz)
+        assert not np.shares_memory(jittered.xyz, rebeamed.intensity)
+        outs.append(jittered)
         for out in outs:
             assert len(out) > 0 and out.xyz.base is None and out.intensity.base is None
 

@@ -59,6 +59,8 @@ upsample 32 beams to 64 and to 40. Then `augment` at seeds 1 and 3 of the
 two-agent scene whose clouds each hold one point near float32's maximum (see
 write_float32_overflow): seed 1's mixup cloud holds a value float32 cannot,
 which `save_cloud` refuses, and `cfc-check --no-aug` on seed 3's output.
+Then `gate-stats` with 10**6 draws at seed 3131 from a pmf file that sums to
+just under 1 (SHORT_PMF), one of whose draws lies above its cdf's end.
 """
 
 import contextlib
@@ -113,6 +115,9 @@ FLOAT32_MAX = struct.unpack("<f", struct.pack("<I", 0x7F7FFFFF))[0]
 BAD_PMFS = (("list", "[0.5, 0.5]"), ("not-json", "{not json"), ("sum", '{"1": 0.5}'),
             ("count-0", '{"0": 1.0}'), ("20-digits", '{"99999999999999999999": 1.0}'),
             ("huge-probability", '{"1": 1' + "0" * 400 + "}"))
+# A pmf that sums to 1 - 5e-10, within `CountDistribution`'s tolerance: seed
+# 3131 draws a u above its cdf's end within 10**6 draws.
+SHORT_PMF = '{"1": 0.5, "2": 0.4999999995}'
 # Clouds of one non-finite record: (name, x, y, z, intensity).
 BAD_CLOUDS = (("nan-coordinate", float("nan"), 0.5, 0.0, 1.0),
               ("inf-intensity", 10.0, 0.5, 0.0, float("inf")))
@@ -250,6 +255,9 @@ def matrix(out: Path):
     cmds.append(("float32-overflow-aug-3-cfc",
                  ["cfc-check", "--manifest", out / "float32-overflow-aug-3" / "manifest.json",
                   "--no-aug"]))
+    cmds.append(("gate-pmf-short-of-one",
+                 ["gate-stats", "--source-dist", "file", "--dist-file",
+                  out / "good" / "short-pmf.json", "--iterations", 10**6, "--seed", 3131]))
     return cmds
 
 
@@ -417,6 +425,7 @@ def main(argv) -> int:
     for name in DENSE_PAIRS:
         write_manifest(out / "good" / name, name, 2)
     write_float32_overflow(cli, out / "good" / "float32-overflow")
+    (out / "good" / "short-pmf.json").write_text(SHORT_PMF)
     (bad / "outside").mkdir()
     (bad / "outside" / "x.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, 5.0, 0.5, 0.0, 1.0))
     for name, text in BAD_PMFS:
