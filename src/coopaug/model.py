@@ -1,7 +1,7 @@
 """Core domain types: point clouds, rigid transforms, agents, groups, distributions."""
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -20,10 +20,12 @@ MAX_BEAMS = 2**16
 class PointCloud:
     """Ordered 3D points: xyz an (N, 3) and intensity an (N,) float64 array, all
     finite; intensity is in [0, 1] by convention, unchecked. The cloud checks both
-    arrays when it is made, takes them over and makes them read-only."""
+    arrays when it is made, takes them over and makes them read-only. `grid` is
+    its BEV occupancy grid, None until `pipeline.occupancy` or `early_fuse` sets it."""
 
     xyz: np.ndarray
     intensity: np.ndarray
+    grid: np.ndarray | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (self.xyz.dtype == self.intensity.dtype == np.float64

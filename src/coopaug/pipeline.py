@@ -19,7 +19,18 @@ GRID_CELL_M = 0.4
 
 
 def occupancy(cloud: PointCloud) -> np.ndarray:
-    """(nx, ny) uint8 grid over GRID_EXTENT marking each half-open cell with a point."""
+    """Read-only (nx, ny) uint8 grid over GRID_EXTENT marking each half-open cell
+    with a point. It is kept on the cloud, whose arrays cannot change, and a
+    later call returns the same grid."""
+    if cloud.grid is None:
+        grid = _bin(cloud)
+        grid.flags.writeable = False
+        object.__setattr__(cloud, "grid", grid)
+    return cloud.grid
+
+
+def _bin(cloud: PointCloud) -> np.ndarray:
+    """The cloud's occupancy grid, binned a block of points at a time."""
     x_min, x_max, y_min, y_max = GRID_EXTENT
     nx = math.ceil((x_max - x_min) / GRID_CELL_M)
     ny = math.ceil((y_max - y_min) / GRID_CELL_M)
@@ -51,21 +62,24 @@ def cfc_score(group: CooperativeGroup, generalized: CooperativeGroup) -> float:
     its source `group`.
 
     The early-fused grid is the fusion of the per-agent grids, as each grid
-    marks the cells of the same points. Each input cloud is binned once, and an
-    output agent holding the same cloud object (by `id`) reuses its grid, which
-    is sound because a cloud's arrays are read-only: it cannot change.
+    marks the cells of the same points. Each cloud keeps its grid, so an output
+    agent holding an input agent's cloud is not binned again.
     """
-    grids = {id(a.cloud): occupancy(a.cloud) for a in group.agents}
-    fused = fuse_grids([grids[id(a.cloud)] if id(a.cloud) in grids else occupancy(a.cloud)
-                        for a in generalized.agents])
-    return cfc_l1(fused, fuse_grids(grids.values()))
+    return cfc_l1(fuse_grids([occupancy(a.cloud) for a in generalized.agents]),
+                  fuse_grids([occupancy(a.cloud) for a in group.agents]))
 
 
 def early_fuse(group: CooperativeGroup) -> PointCloud:
-    """Concatenate all agents' ego-frame clouds in agent order."""
+    """Concatenate all agents' ego-frame clouds in agent order. Its grid is the
+    fusion of theirs: a cell holds a point of the concatenation exactly when it
+    holds a point of some part."""
     xyz = np.concatenate([a.cloud.xyz for a in group.agents])
     intensity = np.concatenate([a.cloud.intensity for a in group.agents])
-    return PointCloud(xyz, intensity)
+    fused = PointCloud(xyz, intensity)
+    grid = fuse_grids([occupancy(a.cloud) for a in group.agents])
+    grid.flags.writeable = False
+    object.__setattr__(fused, "grid", grid)
+    return fused
 
 
 def cmag(group: CooperativeGroup, phi_s: CountDistribution, phi_c: CountDistribution,

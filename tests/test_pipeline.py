@@ -102,6 +102,25 @@ class TestOccupancy:
         grid = occupancy(from_arrays([[x_min, y_min, 0.0], [x_max, y_max, 0.0]]))
         assert grid[0, 0] == 1 and grid.sum() == 1
 
+    def test_grid_is_read_only(self):
+        grid = occupancy(from_arrays([[0.1, 0.1, 0.0]]))
+        with pytest.raises(ValueError, match="read-only"):
+            grid[0, 0] = 0
+
+    def test_second_call_returns_the_same_grid(self):
+        cloud = from_arrays([[0.1, 0.1, 0.0], [3.0, -2.0, 1.0]])
+        assert occupancy(cloud) is occupancy(cloud)
+
+    def test_new_cloud_of_equal_arrays_binned_afresh(self, monkeypatch):
+        # a grid belongs to its cloud object, not to the values it holds
+        first = from_arrays([[0.1, 0.1, 0.0], [3.0, -2.0, 1.0]])
+        grid = occupancy(first)
+        second = PointCloud(first.xyz.copy(), first.intensity.copy())
+        binned = count_binnings(monkeypatch)
+        assert second.grid is None
+        assert np.array_equal(occupancy(second), grid) and occupancy(second) is not grid
+        assert len(binned) == 1 and binned[0] is second
+
     def test_matches_scalar_floor_oracle(self):
         # points exactly on cell edges and on the grid bounds, one ulp either
         # side of them, random points around the grid and points far outside,
@@ -156,10 +175,18 @@ class TestCfcL1:
         assert cfc_l1(a, b) == 3.0
 
     def test_union_max_equivalence(self):
-        g = group(3)
-        per_agent = fuse_grids([occupancy(a.cloud) for a in g.agents])
-        early = occupancy(early_fuse(g))
-        assert cfc_l1(per_agent, early) == 0.0
+        # early_fuse's grid, fused from its parts' grids, against a binning of
+        # the concatenation itself; one member holds no point, one holds
+        # points outside the grid and at +-1e300
+        far = from_arrays([[500.0, 0.0, 0.0], [1e300, 0.1, 0.0], [-1e300, 0.1, 0.0],
+                           [0.1, 1e300, 0.0], [0.1, -1e300, 0.0], [-3.0, 2.0, 0.0]])
+        g = CooperativeGroup(group(3).agents + (
+            Agent("empty", RigidTransform.identity(), EMPTY, AGENT_TYPES["A"], False),
+            Agent("far", RigidTransform.identity(), far, AGENT_TYPES["A"], False)))
+        fused = early_fuse(g)
+        concatenation = PointCloud(fused.xyz.copy(), fused.intensity.copy())
+        assert np.array_equal(occupancy(fused), occupancy(concatenation))
+        assert occupancy(fused).sum() > 0
 
 
 class TestCfcScore:
@@ -175,17 +202,39 @@ class TestCfcScore:
     def test_each_cloud_binned_once(self, monkeypatch):
         # an output agent holding an input agent's cloud reuses its grid
         g = group(3)
-        binned = []
-        bin_cloud = pipeline.occupancy
-        monkeypatch.setattr(pipeline, "occupancy", lambda c: binned.append(c) or bin_cloud(c))
+        binned = count_binnings(monkeypatch)
         cfc_score(g, g)
         assert [id(c) for c in binned] == [id(a.cloud) for a in g.agents]
         binned.clear()
         force_gate(monkeypatch, GateChoice.PLUS)
+        g = group(3)  # clouds not binned yet
         out = cmag(g, TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(),
                    CmagConfig(), RngStream(0, "score"))
         cfc_score(g, out)
         assert len(binned) == g.n + 1 and binned[-1] is out.agents[-1].cloud
+
+    def test_group_binned_once_across_seeds(self, monkeypatch):
+        # cmag bins nothing; scoring and early fusion bin each input cloud once
+        # in all, and each mixup cloud once
+        g = group(4)
+        binned = count_binnings(monkeypatch)
+        mixed = []
+        for seed in range(4):
+            out = cmag(g, TABLE_DISTRIBUTIONS["v2v4real"], comprehensive_from_tables(),
+                       CmagConfig(), RngStream(seed, "once"))
+            assert cfc_score(g, out) >= 0.0
+            occupancy(early_fuse(g))
+            mixed += [a.cloud for a in out.agents if a.id.startswith("mixup")]
+        assert len(mixed) == 4
+        assert sorted(map(id, binned)) == sorted(map(id, [a.cloud for a in g.agents] + mixed))
+
+
+def count_binnings(monkeypatch):
+    """The clouds `occupancy` bins from now on, in order."""
+    binned = []
+    bin_cloud = pipeline._bin
+    monkeypatch.setattr(pipeline, "_bin", lambda c: binned.append(c) or bin_cloud(c))
+    return binned
 
 
 def force_gate(monkeypatch, decision):
@@ -298,7 +347,7 @@ class TestCmag:
 
 class TestReadOnly:
     """Clouds and poses cannot change once made, so a group stays as it was
-    checked, and `cfc_score` may reuse a source cloud's grid by `id`."""
+    checked, and a cloud's occupancy grid cannot go stale."""
 
     @staticmethod
     def assert_read_only(*arrays):

@@ -60,7 +60,10 @@ two-agent scene whose clouds each hold one point near float32's maximum (see
 write_float32_overflow): seed 1's mixup cloud holds a value float32 cannot,
 which `save_cloud` refuses, and `cfc-check --no-aug` on seed 3's output.
 Then `gate-stats` with 10**6 draws at seed 3131 from a pmf file that sums to
-just under 1 (SHORT_PMF), one of whose draws lies above its cdf's end.
+just under 1 (SHORT_PMF), one of whose draws lies above its cdf's end. Last,
+`augment --seed 0`, `cfc-check --seed 0` and `cfc-check --no-aug` on three
+agents whose second holds an empty (count-0) cloud, which the mixup pair cuts
+and every occupancy grid and early fusion meets.
 """
 
 import contextlib
@@ -258,6 +261,13 @@ def matrix(out: Path):
     cmds.append(("gate-pmf-short-of-one",
                  ["gate-stats", "--source-dist", "file", "--dist-file",
                   out / "good" / "short-pmf.json", "--iterations", 10**6, "--seed", 3131]))
+    empty = out / "good" / "empty-cloud" / "manifest.json"
+    cmds += [
+        ("empty-cloud-aug-0", ["augment", "--manifest", empty, "--seed", 0,
+                               "--out", out / "empty-cloud-aug-0"]),
+        ("empty-cloud-cfc-0", ["cfc-check", "--manifest", empty, "--seed", 0]),
+        ("empty-cloud-cfc-no-aug", ["cfc-check", "--manifest", empty, "--no-aug"]),
+    ]
     return cmds
 
 
@@ -316,6 +326,8 @@ def write_manifest(root: Path, name: str, n_agents: int) -> None:
     elif name == "far-pair":
         agents[0]["pose"]["translation"] = [1.7e308, 0.0, 0.0]
         agents[1]["pose"]["translation"] = [1.7e308, 3.0, 0.0]
+    elif name == "empty-cloud":
+        (root / "agent-1.pcv").write_bytes(b"PCV1" + struct.pack("<I", 0))
     elif name == "custom-ego":
         agents[0]["type"] = {"name": "X", "beams": 16, "range_m": 90.0,
                              "fov_deg": [-20.0, 10.0], "range_error_m": 0.01}
@@ -426,6 +438,7 @@ def main(argv) -> int:
         write_manifest(out / "good" / name, name, 2)
     write_float32_overflow(cli, out / "good" / "float32-overflow")
     (out / "good" / "short-pmf.json").write_text(SHORT_PMF)
+    write_manifest(out / "good" / "empty-cloud", "empty-cloud", 3)
     (bad / "outside").mkdir()
     (bad / "outside" / "x.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, 5.0, 0.5, 0.0, 1.0))
     for name, text in BAD_PMFS:
