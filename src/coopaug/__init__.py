@@ -2,8 +2,7 @@
 
 from .gate import (GateChoice, GateResponses, TABLE_DISTRIBUTIONS, apply_gate,
                    comprehensive_distribution, comprehensive_from_tables,
-                   estimate_source_distribution, gate_responses, sample_gate,
-                   sample_gate_step)
+                   estimate_source_distribution, gate_responses, gate_step, sample_gate)
 from .io import (CLOUD_MAGIC, MANIFEST_VERSION, load_cloud, load_manifest, load_pmf,
                  save_cloud, save_manifest, save_range_image_pgm)
 from .kernels import NUMBA_ENABLED, ray_cast, scatter_nearest

@@ -5,8 +5,7 @@ import sys
 
 import numpy as np
 
-from .gate import (TABLE_DISTRIBUTIONS, comprehensive_from_tables, gate_responses,
-                   sample_gate_step)
+from .gate import TABLE_DISTRIBUTIONS, comprehensive_from_tables, gate_responses, gate_step
 from .io import load_cloud, load_manifest, load_pmf, save_manifest, save_range_image_pgm
 from .model import AGENT_TYPES, CmagConfig, CountDistribution, RngStream
 from .pipeline import cfc_score, cmag
@@ -65,8 +64,6 @@ def _cmd_augment(args) -> int:
 def _cmd_gate_stats(args) -> int:
     phi_s = _load_source_dist(args.source_dist, args.dist_file)
     phi_c = comprehensive_from_tables()
-    emp_pre, emp_post = sample_gate_step(phi_s, phi_c, args.iterations,
-                                         RngStream(args.seed, "gate-stats"))
     counts = sorted(set(phi_s.pmf) | set(phi_c.pmf))
     print("count  phi_s     phi_c     r_plus       r_minus      L_plus   L_keep   L_minus")
     for n in counts:
@@ -75,8 +72,8 @@ def _cmd_gate_stats(args) -> int:
         print(f"{n:5d}  {phi_s.prob(n):.6f}  {phi_c.prob(n):.6f}  "
               f"{resp.r_plus:<11.5g}  {resp.r_minus:<11.5g}  "
               f"{lp:.4f}   {lk:.4f}   {lm:.4f}")
-    print(f"TV(pre, phi_c)  = {emp_pre.tv_distance(phi_c):.6f}")
-    print(f"TV(post, phi_c) = {emp_post.tv_distance(phi_c):.6f}")
+    print(f"TV(pre, phi_c)  = {phi_s.tv_distance(phi_c):.6f}")
+    print(f"TV(post, phi_c) = {gate_step(phi_s, phi_c).tv_distance(phi_c):.6f}")
     return 0
 
 
@@ -124,8 +121,7 @@ def _build_parser() -> _Parser:
     p.set_defaults(func=_cmd_augment)
 
     p = sub.add_parser("gate-stats", parents=[source],
-                       help="print gate responses and Monte-Carlo drift")
-    p.add_argument("--iterations", type=int, default=100000)
+                       help="print gate responses and the exact one-step drift")
     p.set_defaults(func=_cmd_gate_stats)
 
     p = sub.add_parser("project", help="write a range-image PGM for a cloud")
@@ -147,7 +143,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        for flag, least in (("iterations", 1), ("width", 1), ("boxes", 0)):
+        for flag, least in (("width", 1), ("boxes", 0)):
             value = getattr(args, flag, least)
             if value < least:
                 raise ValueError(f"--{flag} must be at least {least}, got {value}")

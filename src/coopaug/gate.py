@@ -95,38 +95,28 @@ def gate_responses(phi_s: CountDistribution, phi_c: CountDistribution,
     return GateResponses(r_plus=resp(n_s + 1), r_minus=resp(n_s - 1))
 
 
-def _steps(likelihoods: tuple[float, float, float], u):
-    """The categorical rule over (plus, keep, minus): the group-size step, +1,
-    0 or -1, for uniform draws u in [0, 1)."""
-    lp, lk, _ = likelihoods
-    return np.where(u < lp, 1, np.where(u < lp + lk, 0, -1))
-
-
-_CHOICES = {1: GateChoice.PLUS, 0: GateChoice.KEEP, -1: GateChoice.MINUS}
-
-
 def sample_gate(responses: GateResponses, rng: RngStream) -> GateChoice:
     """Categorical draw over (plus, keep, minus) with the normalized likelihoods."""
-    return _CHOICES[int(_steps(responses.likelihoods, rng.uniform()))]
+    lp, lk, _ = responses.likelihoods
+    u = rng.uniform()
+    if u < lp:
+        return GateChoice.PLUS
+    return GateChoice.KEEP if u < lp + lk else GateChoice.MINUS
 
 
-def sample_gate_step(phi_s: CountDistribution, phi_c: CountDistribution, iterations: int,
-                     rng: RngStream) -> tuple[CountDistribution, CountDistribution]:
-    """Monte-Carlo of one gate step over group sizes drawn from phi_s.
+def gate_step(phi_s: CountDistribution, phi_c: CountDistribution) -> CountDistribution:
+    """The group-size pmf after one gate decision on sizes drawn from phi_s.
 
-    Draws `iterations` sizes from phi_s, then moves each by one decision drawn
-    with sample_gate's rule. Returns the empirical pmfs before and after.
+    The exact push-forward of sample_gate: each count n's mass moves to n + 1,
+    n and n - 1 in the proportions of its (plus, keep, minus) likelihoods.
     """
-    support = np.array(phi_s.support)
-    cdf = np.cumsum([phi_s.pmf[k] for k in phi_s.support])
-    # the last count takes the mass left above cdf[-1], which may fall short of 1 by rounding
-    pre = support[np.searchsorted(cdf[:-1], rng.uniform(size=iterations), side="right")]
-    post = pre.copy()
-    for n in np.unique(pre):
-        sel = pre == n
-        post[sel] = n + _steps(gate_responses(phi_s, phi_c, int(n)).likelihoods,
-                               rng.uniform(size=int(sel.sum())))
-    return estimate_source_distribution(pre), estimate_source_distribution(post)
+    post: dict[int, float] = {}
+    for n, mass in phi_s.pmf.items():
+        for step, lik in zip((1, 0, -1), gate_responses(phi_s, phi_c, n).likelihoods):
+            share = mass * lik
+            if share > 0.0:  # so count 0, whose minus likelihood is 0, never appears
+                post[n + step] = post.get(n + step, 0.0) + share
+    return CountDistribution(post)
 
 
 def apply_gate(group: CooperativeGroup, mixup: Agent, pair: tuple[int, int],

@@ -174,7 +174,7 @@ def load_manifest(path) -> tuple[CooperativeGroup, dict]:
 
 def load_pmf(path) -> CountDistribution:
     """The count distribution in a JSON object of "count": probability. Counts
-    are ASCII digits below 2**63 - 1, so a gate step's count + 1 fits an int64."""
+    are ASCII digits below 2**63 - 1."""
     doc = _read_json(path)
     if not (isinstance(doc, dict) and _numbers(list(doc.values()), len(doc)) and all(
             k.isascii() and k.isdigit() and len(k) < 20 and int(k) < 2**63 - 1 for k in doc)):

@@ -106,6 +106,8 @@ class AgentType:
     def __post_init__(self):
         if self.beams < 1 or self.range_m <= 0 or self.range_error_m < 0:
             raise ValueError("invalid agent type parameters")
+        if not (math.isfinite(self.range_m) and math.isfinite(self.range_error_m)):
+            raise ValueError("range_m and range_error_m must be finite")
         if not self.fov_deg[0] < self.fov_deg[1]:
             raise ValueError("fov min must be < max")
         if self.beams > MAX_BEAMS:

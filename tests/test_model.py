@@ -339,3 +339,15 @@ class TestAgentTypes:
                     (-1e300, 1e300)):
             with pytest.raises(ValueError, match=r"within \[-90, 90\]"):
                 make(fov=fov)
+
+    # a NaN range made simulate_lidar return no points (every `best <= nan` is
+    # False), and an infinite range error overflowed its noise draw
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_range_rejected(self, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            AgentType("X", 32, value, (-25.0, 5.0), 0.0, "Sim", "Vehicle")
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_range_error_rejected(self, value):
+        with pytest.raises(ValueError, match="must be finite"):
+            AgentType("X", 32, 120.0, (-25.0, 5.0), value, "Sim", "Vehicle")
