@@ -11,24 +11,27 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range, width):
 
     origin: (3,) ray origin shared by all rays. dirs: (N, 3) unit directions, rows of
     `width` rays, ray k of a row in sensor column k (ValueError unless width >= 1 divides
-    N); the transpose of a contiguous (3, N) array is not copied. boxes: (B, 6) rows of
-    (cx, cy, cz, hx, hy, hz). Returns (N,) distances, -1 where nothing is hit within max_range.
+    N); the transpose of a contiguous (3, N) array is not copied. boxes: (B, 6) finite rows
+    of (cx, cy, cz, hx, hy, hz), half extents non-negative (ValueError otherwise). Returns
+    (N,) distances, -1 where nothing is hit within max_range.
 
-    Each box is slab-tested, with no sort, only against the runs of columns
-    holding a ray of its azimuth wedge (`_column_runs`). Culling never decides
-    a hit: a tested ray does the float operations of an unculled test.
+    A ray parallel to a slab meets the box only from inside that slab, faces included: on a
+    face 0 / 0 gives NaN, which `np.fmax` and `np.fmin` skip. Each box is slab-tested, with no
+    sort, only against the runs of columns holding a ray of its azimuth wedge (`_column_runs`).
+    Culling never decides a hit: a tested ray does the float operations of an unculled test.
     """
     origin = np.asarray(origin, dtype=np.float64)
     dirs = np.asarray(dirs, dtype=np.float64)
     boxes = np.asarray(boxes, dtype=np.float64).reshape(-1, 6)
     if width < 1 or len(dirs) % width:
         raise ValueError(f"{len(dirs)} rays do not fill rows of width {width}")
+    if not (np.isfinite(boxes).all() and (boxes[:, 3:] >= 0.0).all()):
+        raise ValueError("boxes need finite values and non-negative half extents")
     # per-axis (rows, width) planes, a view for a transposed (3, N) dirs: column runs are 2-D slices
     planes = np.ascontiguousarray(dirs.T).reshape(3, -1, width)
     # each column's least and greatest azimuth; they differ on a tilted sensor
     azimuth = np.arctan2(planes[1], planes[0])
     lo, hi = boxes[:, :3] - boxes[:, 3:], boxes[:, :3] + boxes[:, 3:]
-    inside = ((origin >= lo) & (origin <= hi))[:, :, None, None]
     runs = _column_runs(azimuth.min(0, initial=np.pi), azimuth.max(0, initial=-np.pi),
                         origin, lo, hi)
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
@@ -40,14 +43,8 @@ def ray_cast(origin, dirs, ground_z, boxes, max_range, width):
             d = planes[:, :, first:end]
             t1 = (lo[b] - origin)[:, None, None] / d
             t2 = (hi[b] - origin)[:, None, None] / d
-            near = np.minimum(t1, t2)
-            far = np.maximum(t1, t2, out=t1)
-            # axes with zero direction: inside slab -> (-inf, inf), outside -> miss
-            zero = d == 0.0
-            np.copyto(near, -np.inf, where=zero & inside[b])
-            np.copyto(far, np.where(inside[b], np.inf, -np.inf), where=zero)
-            tmin = np.maximum(near.max(axis=0), 0.0)
-            tmax = far.min(axis=0)
+            tmin = np.fmax.reduce(np.minimum(t1, t2), axis=0)
+            tmax = np.fmin.reduce(np.maximum(t1, t2, out=t1), axis=0)
             nearest = best[:, first:end]
             np.copyto(nearest, tmin, where=(tmin <= tmax) & (tmin > 0.0) & (tmin < nearest))
     np.copyto(best, -1.0, where=~(best <= float(max_range)))

@@ -7,10 +7,10 @@ import numpy as np
 
 # Kept for perfbench/workloads.py, which passes it to transform_cloud as an ignored argument.
 EGO_FRAME = "ego"
-# Points per block in the per-point passes over a cloud (`rangeview.project`,
-# `setupaug.apply_setup_aug`, `pipeline.occupancy`). A block's temporaries
-# stay in cache and their memory is reused, where those of a whole 450k-point
-# cloud come from fresh pages that fault on first touch.
+# Points per block in the per-point passes over a cloud (its finiteness check,
+# `rangeview.project`, `setupaug.apply_setup_aug`, `pipeline.occupancy`). A block's
+# temporaries stay in cache and their memory is reused, where those of a whole
+# 450k-point cloud come from fresh pages that fault on first touch.
 BLOCK_POINTS = 16384
 # Most beams of an agent type, far above any sensor's (E has 300): row tables stay under 1 MB.
 MAX_BEAMS = 2**16
@@ -31,7 +31,8 @@ class PointCloud:
         if not (self.xyz.dtype == self.intensity.dtype == np.float64
                 and self.xyz.shape[1:] == (3,) and self.intensity.shape == self.xyz.shape[:1]):
             raise ValueError("point cloud needs (N, 3) and (N,) float64 arrays")
-        if not (np.isfinite(self.xyz).all() and np.isfinite(self.intensity).all()):
+        if not all(np.isfinite(a[i:i + BLOCK_POINTS]).all()
+                   for a in (self.xyz, self.intensity) for i in range(0, len(a), BLOCK_POINTS)):
             raise ValueError("non-finite point record")
         self.xyz.flags.writeable = False
         self.intensity.flags.writeable = False
@@ -104,7 +105,8 @@ class AgentType:
     agent_class: str      # "Vehicle" | "Infrastructure"
 
     def __post_init__(self):
-        if self.beams < 1 or self.range_m <= 0 or self.range_error_m < 0:
+        if (not isinstance(self.beams, (int, np.integer)) or self.beams < 1 or self.range_m <= 0
+                or self.range_error_m < 0):
             raise ValueError("invalid agent type parameters")
         if not (math.isfinite(self.range_m) and math.isfinite(self.range_error_m)):
             raise ValueError("range_m and range_error_m must be finite")

@@ -112,7 +112,7 @@ AXIS_DIRS = np.array([[1.0, 0.0, 0.0], [-1.0, 0.0, 0.0], [0.0, 1.0, 0.0],
 
 
 class TestRayCastBackends:
-    def test_backends_agree_bitwise(self):
+    def test_random_rays_match_the_oracle(self):
         rng = np.random.default_rng(0)
         for trial in range(5):
             origin = np.array([0.0, 0.0, 2.0 + trial * 0.3])
@@ -169,6 +169,15 @@ class TestRayCastBackends:
         for origin in ([8.0, 0.0, 1.0], [12.0, 0.5, 1.0], [10.0, 1.0, 0.5],
                        [10.0, 0.0, 2.0], [8.0, 1.0, 2.0], [8.0, -1.0, 0.0]):
             assert_ray_cast_matches(origin, dirs, 0.0, BOX, 100.0)
+        # a zero-thickness box, a square at z = 1, and origins in its plane: for
+        # rays in that plane both z slab distances are 0 / 0
+        flat = np.array([[10.0, 0.0, 1.0, 2.0, 1.0, 0.0]])
+        in_plane = np.vstack([dirs, unit([[1.0, 1.0, 0.0], [1.0, -1.0, 0.0], [-1.0, 1.0, -0.0]])])
+        for origin in ([5.0, 0.0, 1.0], [10.0, 0.0, 1.0], [8.0, 1.0, 1.0], [12.0, -0.5, 1.0],
+                       [10.0, 3.0, 1.0]):
+            assert_ray_cast_matches(origin, in_plane, 0.0, flat, 100.0)
+        out = assert_ray_cast_matches([5.0, 0.0, 1.0], AXIS_DIRS[:2], 0.0, flat, 100.0)
+        assert out[0] == 3.0 and out[1] == -1.0
         # a ray skimming along the top face from its edge is a zero-length entry
         out = assert_ray_cast_matches([8.0, 0.0, 2.0], AXIS_DIRS[:1], 0.0, BOX, 100.0)
         assert out[0] == -1.0
@@ -279,7 +288,7 @@ class TestAzimuthWedge:
 
 
 class TestScatterBackends:
-    def test_backends_agree_bitwise(self):
+    def test_random_points_match_the_oracle(self):
         rng = np.random.default_rng(2)
         H, W = 32, 256
         n = 5000
@@ -558,6 +567,15 @@ class TestRayCastContract:
     def test_width_must_divide_the_rays(self):
         with pytest.raises(ValueError, match="width 3"):
             ray_cast([0.0, 0.0, 1.0], AXIS_DIRS[:4], 0.0, BOX, 100.0, 3)
+
+    @pytest.mark.parametrize("box", [[10.0, 0.0, 1.0, -2.0, 1.0, 1.0],
+                                     [10.0, 0.0, 1.0, 2.0, np.nan, 1.0],
+                                     [np.nan, 0.0, 1.0, 2.0, 1.0, 1.0],
+                                     [np.inf, 0.0, 1.0, np.inf, 1.0, 1.0]])
+    def test_box_must_be_finite_and_not_inverted(self, box):
+        # an inverted box with a ray parallel to its slab would read as inside it
+        with pytest.raises(ValueError, match="non-negative half extents"):
+            ray_cast([0.0, 0.0, 1.0], AXIS_DIRS, 0.0, [BOX[0], box], 100.0, len(AXIS_DIRS))
 
     def test_width_below_one(self):
         for width in (0, -1):

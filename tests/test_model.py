@@ -180,6 +180,17 @@ class TestConstructorChecks:
         with pytest.raises(ValueError, match="float64 arrays"):
             PointCloud(xyz, intensity)
 
+    @pytest.mark.parametrize("index", [BLOCK_POINTS, 2 * BLOCK_POINTS + 9])
+    @pytest.mark.parametrize("array", ["xyz", "intensity"])
+    def test_cloud_checks_every_block(self, array, index):
+        # two whole blocks and a partial one: a NaN opening the second block, or
+        # the last value of the partial block
+        n = 2 * BLOCK_POINTS + 10
+        arrays = {"xyz": np.zeros((n, 3)), "intensity": np.zeros(n)}
+        arrays[array][index] = np.nan
+        with pytest.raises(ValueError, match="non-finite point record"):
+            PointCloud(arrays["xyz"], arrays["intensity"])
+
     @pytest.mark.parametrize("rotation, translation", [
         (2.0 * np.eye(3), np.zeros(3)),
         (np.diag([1.0, 1.0, -1.0]), np.zeros(3)),  # orthonormal, but a reflection
@@ -339,6 +350,13 @@ class TestAgentTypes:
                     (-1e300, 1e300)):
             with pytest.raises(ValueError, match=r"within \[-90, 90\]"):
                 make(fov=fov)
+
+    def test_beams_must_be_integral(self):
+        # a float was accepted, and simulate_lidar's row table then raised a TypeError
+        for beams in (16.5, 16.0, np.float64(16.0)):
+            with pytest.raises(ValueError, match="invalid agent type"):
+                AgentType("X", beams, 90.0, (-20.0, 10.0), 0.01, "Sim", "Vehicle")
+        assert AgentType("X", np.int64(16), 90.0, (-20.0, 10.0), 0.01, "Sim", "Vehicle").beams == 16
 
     # a NaN range made simulate_lidar return no points (every `best <= nan` is
     # False), and an infinite range error overflowed its noise draw
