@@ -5,7 +5,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Agent, CooperativeGroup, PointCloud, RngStream
+from .model import BLOCK_POINTS, Agent, CooperativeGroup, PointCloud, RngStream
 
 # The split line turns by up to this much either way: the cut varies, yet
 # both source agents keep contributing points.
@@ -74,8 +74,11 @@ def cut_and_combine(p1: PointCloud, p2: PointCloud,
                     line: SplitLine) -> tuple[PointCloud, int, int]:
     """p1's points with side >= 0, then p2's with side < 0, in input order,
     with the number of points kept from each."""
-    kept1 = np.flatnonzero(line.side(p1.xyz) >= 0.0)
-    kept2 = np.flatnonzero(line.side(p2.xyz) < 0.0)
+    # each cloud's side one block at a time: no whole-cloud temporary
+    kept1, kept2 = (np.concatenate([np.empty(0, dtype=np.intp)] + [
+        np.flatnonzero(keep(line.side(cloud.xyz[i:i + BLOCK_POINTS]), 0.0)) + i
+        for i in range(0, len(cloud), BLOCK_POINTS)])
+        for cloud, keep in ((p1, np.greater_equal), (p2, np.less)))
     n1, n = len(kept1), len(kept1) + len(kept2)
     xyz, intensity = np.empty((n, 3)), np.empty(n)
     # gathered straight into the output; mode "clip" writes to `out` directly,

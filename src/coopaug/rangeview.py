@@ -15,6 +15,8 @@ AZIMUTH_BINS = 2048
 DENSITY_TARGETS = (16, 32, 40, 64, 128)
 # Elevations this far outside the FOV stay in its edge rows: arctan2's last bit varies by CPU.
 FOV_MARGIN_RAD = 1e-9
+# `project` takes the exact path for elevations this close to a row edge.
+ROW_MARGIN_RAD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -46,43 +48,63 @@ def project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int,
     more than FOV_MARGIN_RAD outside the vertical FOV are dropped; pixel
     collisions keep the nearest return (first-return behavior). With
     `kept_rows` (increasing rows of H), the image holds only those rows: the
-    points of every other row are dropped before their azimuth is taken.
+    points of every other row are dropped before their range and azimuth are
+    taken. Rows come from arctan2(z, sqrt(x*x + y*y)), within about 2e-15 rad of
+    `_exact_rows`'s phi while 1e-280 <= x*x + y*y <= 1e300, so the same rows; a
+    point in an edge row, out of that range or within ROW_MARGIN_RAD of a row
+    edge takes `_exact_rows`.
     """
     f_min = math.radians(fov_deg[0])
     f_max = math.radians(fov_deg[1])
     f = f_max - f_min
-    if kept_rows is not None:
-        # each row's index among the kept rows plus one, 0 for a dropped row
-        row_map = np.zeros(H, dtype=np.int64)
-        row_map[kept_rows] = np.arange(1, len(kept_rows) + 1)
+    margin = ROW_MARGIN_RAD * H / f  # in rows
+    H_out = H if kept_rows is None else len(kept_rows)
+    # each row's index among the kept rows plus one; 0 for a dropped row and row H
+    row_map = np.zeros(H + 1, dtype=np.int64)
+    row_map[np.arange(H) if kept_rows is None else kept_rows] = np.arange(1, H_out + 1)
     n = len(cloud)
     rows, cols = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     ranges, intens = np.empty(n), np.empty(n)
     m = 0  # points kept so far
     for start in range(0, n, BLOCK_POINTS):
         block = slice(start, start + BLOCK_POINTS)
-        x, y, z = cloud.xyz[block].T
-        phi = np.arctan2(z, np.hypot(x, y))
-        rng = np.sqrt(x * x + y * y + z * z)
-        kept = np.flatnonzero((phi >= f_min - FOV_MARGIN_RAD) & (phi <= f_max + FOV_MARGIN_RAD)
-                              & (rng > 0))
-        row = np.clip(np.floor((f_max - phi.take(kept)) / f * H).astype(np.int64), 0, H - 1)
-        if kept_rows is not None:
-            row = row_map.take(row)
-            in_kept = np.flatnonzero(row)
-            kept = kept.take(in_kept)
-            row = row.take(in_kept) - 1
+        x, y, z = np.ascontiguousarray(cloud.xyz[block].T)
+        s2 = x * x + y * y
+        v = (f_max - np.arctan2(z, np.sqrt(s2))) / f * H
+        row = np.floor(v)
+        frac = v - row
+        exact = np.flatnonzero(~((frac >= margin) & (frac <= 1.0 - margin) & (row >= 1.0)
+                                 & (row <= H - 2) & (s2 >= 1e-280) & (s2 <= 1e300)))
+        row = row.astype(np.int64)
+        if len(exact):  # most blocks have none
+            row[exact] = _exact_rows(x.take(exact), y.take(exact), z.take(exact), f_min, f_max, H)
+        row = row_map.take(row)
+        kept = np.flatnonzero(row > 0)
+        z_kept = z.take(kept)
+        rng = np.sqrt(s2.take(kept) + z_kept * z_kept)  # x*x + y*y + z*z, left to right
+        kept_pos = np.flatnonzero(rng > 0)
+        kept = kept.take(kept_pos)
         out = slice(m, m + len(kept))
         m += len(kept)
-        rows[out] = row
-        rx = 0.5 * (1.0 - np.arctan2(y.take(kept), x.take(kept)) / math.pi) * W
-        np.remainder(np.floor(rx).astype(np.int64), W, out=cols[out])
+        np.subtract(row.take(kept), 1, out=rows[out])
         # mode "clip" writes to `out` directly, where "raise" would buffer a copy
-        rng.take(kept, out=ranges[out], mode="clip")
+        rng.take(kept_pos, out=ranges[out], mode="clip")
         cloud.intensity[block].take(kept, out=intens[out], mode="clip")
-    H_out = H if kept_rows is None else len(kept_rows)
+        # arctan2 lies in [-pi, pi], so rx lies in [0, W], and W is column 0
+        rx = np.floor(0.5 * (1.0 - np.arctan2(y.take(kept), x.take(kept)) / math.pi) * W)
+        rx[rx == W] = 0.0
+        cols[out] = rx
     rimg, iimg = scatter_nearest(rows[:m], cols[:m], ranges[:m], intens[:m], H_out, W)
     return RangeImage(rimg, iimg, fov_deg)
+
+
+def _exact_rows(x: np.ndarray, y: np.ndarray, z: np.ndarray, f_min: float, f_max: float,
+                H: int) -> np.ndarray:
+    """Each point's row from its elevation arctan2(z, hypot(x, y)); H for a
+    point more than FOV_MARGIN_RAD outside the FOV."""
+    phi = np.arctan2(z, np.hypot(x, y))
+    row = np.clip(np.floor((f_max - phi) / (f_max - f_min) * H).astype(np.int64), 0, H - 1)
+    return np.where((phi >= f_min - FOV_MARGIN_RAD) & (phi <= f_max + FOV_MARGIN_RAD), row, H)
 
 
 def unproject(img: RangeImage) -> PointCloud:

@@ -6,6 +6,7 @@ import pytest
 from coopaug import (AGENT_TYPES, Agent, CooperativeGroup,
                      RigidTransform, RngStream, bev_center, cut_and_combine,
                      make_mixup_agent, mixup, nearest_pair, split_line)
+from coopaug.model import BLOCK_POINTS
 
 from clouds import from_arrays
 
@@ -159,6 +160,13 @@ class TestCutAndCombine:
                               np.sort(b.xyz.round(12), axis=0))
 
     def test_matches_per_point_oracle(self):
+        self.assert_matches_per_point_oracle((300, 250))
+
+    def test_matches_per_point_oracle_across_blocks(self):
+        # p1 in three blocks, the last one partial, and p2 in one partial block
+        self.assert_matches_per_point_oracle((2 * BLOCK_POINTS + 300, BLOCK_POINTS - 30))
+
+    def assert_matches_per_point_oracle(self, sizes):
         # a rotated line and a quarter-turned one, with points exactly on each
         # (side == 0 stays with p1), against the side evaluated point by point
         rng = np.random.default_rng(8)
@@ -168,7 +176,7 @@ class TestCutAndCombine:
             on = on[line.side(on) == 0.0]
             assert len(on) > 0
             clouds = []
-            for n in (300, 250):
+            for n in sizes:
                 xy = np.concatenate([rng.uniform(-6, 6, (n, 2)), on])
                 xyz = np.column_stack([xy, rng.uniform(-2, 2, len(xy))])
                 clouds.append(from_arrays(xyz, rng.uniform(0, 1, len(xy))))

@@ -5,7 +5,7 @@ import pytest
 
 from coopaug import (AGENT_TYPES, AgentType, RngStream, density_augment,
                      make_group, make_scene, project, rangeview, resample_beams, unproject)
-from coopaug.model import BLOCK_POINTS
+from coopaug.model import BLOCK_POINTS, MAX_BEAMS
 from coopaug.setupaug import SetupAugParams, apply_setup_aug
 from coopaug.sim import _ray_directions
 
@@ -80,6 +80,14 @@ class TestProject:
         img = project(cloud_of(xyz), FOV, 16, 64)
         rows, cols = np.nonzero(img.valid_mask())
         assert cols.min() >= 0 and cols.max() < 64
+
+    @pytest.mark.parametrize("W", [1, 4, 2048])
+    def test_negative_x_axis_lands_in_column_zero(self, W):
+        # arctan2 is +pi at y = +0.0 and -pi at y = -0.0, which put the azimuth
+        # at column 0 and at column W, the same seam; phi = 0 is row 2
+        for y in (0.0, -0.0):
+            img = project(cloud_of([[-10.0, y, 0.0]]), FOV, 16, W)
+            assert [a.tolist() for a in np.nonzero(img.valid_mask())] == [[2], [0]]
 
 
 class TestUnproject:
@@ -411,15 +419,16 @@ def edge_beam_rows():
     return rows
 
 
-def boundary_points(fov_deg, H, rng):
+def boundary_points(fov_deg, H, rng, edges=None):
     """For each of the H + 1 edges of an H-row image (row k - 1 above, row k
-    below, k = 0 and k = H the FOV's upper and lower bounds), the two points a
-    float step apart in z that lie on either side of it, found by bisection."""
+    below, k = 0 and k = H the FOV's upper and lower bounds), or for the edges
+    k in `edges`, the two points a float step apart in z that lie on either
+    side of it, found by bisection."""
     f_min, f_max = math.radians(fov_deg[0]), math.radians(fov_deg[1])
     f = f_max - f_min
-    k = np.arange(H + 1)
-    theta = rng.uniform(-math.pi, math.pi, H + 1)
-    r = rng.uniform(5.0, 80.0, H + 1)
+    k = np.arange(H + 1) if edges is None else np.asarray(edges)
+    theta = rng.uniform(-math.pi, math.pi, len(k))
+    r = rng.uniform(5.0, 80.0, len(k))
     x, y = r * np.cos(theta), r * np.sin(theta)
     hyp = np.hypot(x, y)
     hi = hyp * np.tan(f_max - f * (k - 0.5) / H)  # the middle of row k - 1
@@ -459,9 +468,14 @@ def edge_cloud(seed=0):
 
 
 @pytest.fixture(scope="module")
-def golden_clouds():
+def golden_agents():
     scene = make_scene(32, [AGENT_TYPES[t] for t in "CEA"], RngStream(3, "golden"))
-    return [a.cloud for a in make_group(scene, RngStream(3, "golden-lidar")).agents]
+    return make_group(scene, RngStream(3, "golden-lidar")).agents
+
+
+@pytest.fixture(scope="module")
+def golden_clouds(golden_agents):
+    return [a.cloud for a in golden_agents]
 
 
 # Custom types beside the built-in ones: 1 beam, which every target
@@ -518,3 +532,123 @@ class TestDensityAugmentOracle:
         for t in (*AGENT_TYPES.values(), *CUSTOM_TYPES):
             assert not project(cloud, t.fov_deg, t.beams, rangeview.AZIMUTH_BINS).valid_mask().any()
         self.assert_matches_composition(cloud, monkeypatch)
+
+
+def project_oracle(cloud, fov_deg, H, W, kept_rows=None):
+    """`project`'s range and intensity images, point by point: each point's row
+    from image_key, its column and range from the expressions below, and in a
+    dict the nearest return of each pixel, the earliest of equal ranges."""
+    x, y, z = cloud.xyz.T
+    with np.errstate(over="ignore"):
+        ranges = np.sqrt(x * x + y * y + z * z)
+    cols = np.remainder(np.floor(0.5 * (1.0 - np.arctan2(y, x) / math.pi) * W).astype(np.int64),
+                        W)
+    out_rows = {row: i for i, row in enumerate(range(H) if kept_rows is None else kept_rows)}
+    pixels = {}
+    for key, col, r, intensity in zip(image_key(cloud.xyz, fov_deg, H).tolist(), cols.tolist(),
+                                      ranges.tolist(), cloud.intensity.tolist()):
+        if key in out_rows and r > 0.0:
+            pixel = (out_rows[key], col)
+            if pixel not in pixels or r < pixels[pixel][0]:
+                pixels[pixel] = (r, intensity)
+    rimg, iimg = np.zeros((len(out_rows), W)), np.zeros((len(out_rows), W))
+    for (row, col), (r, intensity) in pixels.items():
+        rimg[row, col], iimg[row, col] = r, intensity
+    return rimg, iimg
+
+
+# The FOV of a custom type with MAX_BEAMS rows, each 2.7e-10 rad high.
+TINY_FOV_DEG = (30.0, 30.001)
+
+
+def spherical(r, phi, theta):
+    return np.stack([r * np.cos(phi) * np.cos(theta), r * np.cos(phi) * np.sin(theta),
+                     r * np.sin(phi)], axis=1)
+
+
+class TestProjectOracle:
+    """project against project_oracle, byte for byte, with all rows and with
+    kept rows that hold the top edge row or the bottom one: on row edges, at
+    the FOV margins, where x*x + y*y overflows or underflows, and for a custom
+    type with MAX_BEAMS rows in a 0.001 degree FOV."""
+
+    def assert_matches(self, xyz, fov_deg, H, W=64):
+        rng = np.random.default_rng(len(xyz))
+        cloud = from_arrays(xyz, rng.uniform(0.0, 1.0, len(xyz)))
+        for kept_rows in (None, list(range(0, H, 2)), list(range(H - 1, -1, -3))[::-1]):
+            with np.errstate(over="ignore"):  # the ranges of far points overflow
+                img = project(cloud, fov_deg, H, W,
+                              None if kept_rows is None else np.array(kept_rows))
+            ranges, intensities = project_oracle(cloud, fov_deg, H, W, kept_rows)
+            assert img.ranges.tobytes() == ranges.tobytes()
+            assert img.intensities.tobytes() == intensities.tobytes()
+
+    def fill(self, fov_deg, rng, n=3000, r=(1.0, 150.0)):
+        """n points spread over the FOV and a little past both bounds."""
+        f_min, f_max = math.radians(fov_deg[0]), math.radians(fov_deg[1])
+        pad = 0.05 * (f_max - f_min)
+        return spherical(rng.uniform(*r, n), rng.uniform(f_min - pad, f_max + pad, n),
+                         rng.uniform(-math.pi, math.pi, n))
+
+    def test_row_edges(self):
+        rng = np.random.default_rng(0)
+        for t in (*AGENT_TYPES.values(), *CUSTOM_TYPES):
+            xyz = np.concatenate([boundary_points(t.fov_deg, t.beams, rng),
+                                  self.fill(t.fov_deg, rng)])
+            self.assert_matches(xyz, t.fov_deg, t.beams)
+
+    def test_fov_margins(self):
+        rng = np.random.default_rng(1)
+        margin = rangeview.FOV_MARGIN_RAD
+        steps = np.array([-2.0, -1.001, -0.999, -0.5, 0.0, 0.5, 0.999, 1.001, 2.0]) * margin
+        for fov_deg, H, W in [*((t.fov_deg, t.beams, 64)
+                                for t in (*AGENT_TYPES.values(), *CUSTOM_TYPES)),
+                              (TINY_FOV_DEG, MAX_BEAMS, 4)]:
+            f_min, f_max = math.radians(fov_deg[0]), math.radians(fov_deg[1])
+            phi = np.repeat(np.concatenate([f_max + steps, f_min + steps]), 20)
+            xyz = spherical(rng.uniform(1.0, 150.0, len(phi)), phi,
+                            rng.uniform(-math.pi, math.pi, len(phi)))
+            assert {-1, 0, H - 1, H} <= set(image_key(xyz, fov_deg, H).tolist())
+            self.assert_matches(xyz, fov_deg, H, W)
+
+    def test_overflow_and_underflow(self):
+        # |x| near 1e160 squares past the largest double, near 1e-160 into the
+        # subnormals; 1e150 and 1e-140 square to about 1e300 and 1e-280, the ends
+        # of the range where `project` decides rows without `hypot`
+        rng = np.random.default_rng(2)
+        t = AGENT_TYPES["A"]
+        clouds = [self.fill(t.fov_deg, rng, 400, (0.5 * scale, 2.0 * scale))
+                  for scale in (1e160, 1e154, 1e150, 1e-140, 1e-155, 1e-160, 1e-162)]
+        xyz = np.concatenate(clouds)
+        with np.errstate(over="ignore"):
+            s2 = xyz[:, 0] * xyz[:, 0] + xyz[:, 1] * xyz[:, 1]
+        assert (s2 == np.inf).any() and ((s2 > 0) & (s2 < np.finfo(float).tiny)).any()
+        self.assert_matches(xyz, t.fov_deg, t.beams)
+
+    def test_max_beams_in_a_tiny_fov(self):
+        # a row is 2.7e-10 rad high, less than ROW_MARGIN_RAD: every point takes
+        # the exact path, where a margin of a fixed number of rows would not send
+        # them; half a row is inside FOV_MARGIN_RAD, so the FOV's own edges have
+        # no points on either side, and test_fov_margins covers them
+        H = MAX_BEAMS
+        rng = np.random.default_rng(3)
+        edges = np.unique(np.concatenate([np.arange(1, 40), rng.integers(1, H, 120),
+                                          np.arange(H - 39, H)]))
+        xyz = np.concatenate([boundary_points(TINY_FOV_DEG, H, rng, edges),
+                              self.fill(TINY_FOV_DEG, rng)])
+        self.assert_matches(xyz, TINY_FOV_DEG, H, W=4)
+
+
+def test_exact_path_share(golden_agents, monkeypatch):
+    # re-beaming the golden scene's clouds to every density target sends under
+    # 5% of their points down project's exact path, and some
+    exact_rows, reached = rangeview._exact_rows, []
+    monkeypatch.setattr(rangeview, "_exact_rows",
+                        lambda x, *args: reached.append(len(x)) or exact_rows(x, *args))
+    total = 0
+    for agent in golden_agents:
+        for target in rangeview.DENSITY_TARGETS:
+            monkeypatch.setattr(rangeview, "DENSITY_TARGETS", (target,))
+            density_augment(agent.cloud, agent.agent_type, RngStream(0, "pin"))
+            total += len(agent.cloud)
+    assert 0 < sum(reached) < 0.05 * total
