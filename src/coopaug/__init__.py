@@ -1,8 +1,7 @@
 """Deterministic cooperative-mixup augmentation for multi-agent LiDAR clouds."""
 
 from .gate import (GateChoice, GateResponses, TABLE_DISTRIBUTIONS, apply_gate,
-                   comprehensive_distribution, comprehensive_from_tables,
-                   estimate_source_distribution, gate_responses, gate_step, sample_gate)
+                   comprehensive_from_tables, gate_responses, gate_step, sample_gate)
 from .io import (CLOUD_MAGIC, MANIFEST_VERSION, load_cloud, load_manifest, load_pmf,
                  save_cloud, save_manifest, save_range_image_pgm)
 from .kernels import NUMBA_ENABLED, ray_cast, scatter_nearest

@@ -3,8 +3,6 @@
 import enum
 from dataclasses import dataclass, replace
 
-import numpy as np
-
 from .model import Agent, CooperativeGroup, CountDistribution, RngStream
 
 # Guards the responses against division by zero; not a response scale.
@@ -41,29 +39,13 @@ class GateResponses:
         return (self.r_plus / total, R_KEEP / total, self.r_minus / total)
 
 
-def estimate_source_distribution(counts) -> CountDistribution:
-    """Empirical pmf of observed group sizes."""
-    if not isinstance(counts, np.ndarray):
-        counts = np.array(list(counts))
-    if counts.size == 0:
-        raise ValueError("no counts to estimate from")
-    values, freq = np.unique(counts, return_counts=True)
-    return CountDistribution({int(k): int(c) / counts.size for k, c in zip(values, freq)})
-
-
-def comprehensive_distribution(dists) -> CountDistribution:
-    """Cross-dataset mean pmf, renormalized."""
-    dists = list(dists)
-    if not dists:
-        raise ValueError("no distributions to combine")
-    keys = sorted(set().union(*(d.pmf for d in dists)))
-    pmf = {k: sum(d.prob(k) for d in dists) / len(dists) for k in keys}
+def comprehensive_from_tables() -> CountDistribution:
+    """phi_c: the mean of the TABLE_DISTRIBUTIONS pmfs, renormalized."""
+    tables = TABLE_DISTRIBUTIONS.values()
+    keys = sorted(set().union(*(d.pmf for d in tables)))
+    pmf = {k: sum(d.prob(k) for d in tables) / len(tables) for k in keys}
     norm = sum(pmf.values())
     return CountDistribution({k: v / norm for k, v in pmf.items()})
-
-
-def comprehensive_from_tables() -> CountDistribution:
-    return comprehensive_distribution(TABLE_DISTRIBUTIONS.values())
 
 
 def gate_responses(phi_s: CountDistribution, phi_c: CountDistribution,
@@ -79,14 +61,12 @@ def gate_responses(phi_s: CountDistribution, phi_c: CountDistribution,
     response, so a single step cannot overshoot into an empty count.
     EPSILON only guards division by zero, for source probabilities below it
     (an unseen current count n_s included); it is not a response scale.
-    Probabilities at count 0 are 0 by definition.
+    A pmf holds no count below 1, so the response for count 0 is 0.
     """
     if n_s < 1:
         raise ValueError("group size must be >= 1")
 
     def resp(count: int) -> float:
-        if count < 1:
-            return 0.0
         p_s = phi_s.prob(count)
         if p_s == 0.0:
             return min(R_KEEP, phi_c.prob(count) / max(phi_s.prob(n_s), EPSILON))

@@ -27,7 +27,7 @@ def save_cloud(cloud: PointCloud, path) -> None:
     with open(path, "wb") as fh:
         fh.write(CLOUD_MAGIC)
         fh.write(struct.pack("<I", len(cloud)))
-        fh.write(records.tobytes())
+        fh.write(records)
 
 
 def load_cloud(path) -> PointCloud:
@@ -42,7 +42,7 @@ def load_cloud(path) -> PointCloud:
     expected = 8 + 16 * count
     if len(data) != expected:
         raise OSError(f"{path}: expected {expected} bytes, got {len(data)}")
-    records = np.frombuffer(data[8:], dtype="<f4").reshape(count, 4)
+    records = np.frombuffer(data, dtype="<f4", offset=8).reshape(count, 4)
     try:
         return PointCloud(records[:, :3].astype(np.float64), records[:, 3].astype(np.float64))
     except ValueError as exc:  # a non-finite record

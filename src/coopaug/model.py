@@ -173,10 +173,6 @@ class CountDistribution:
     def prob(self, count: int) -> float:
         return self.pmf.get(count, 0.0)
 
-    @property
-    def support(self) -> tuple[int, ...]:
-        return tuple(sorted(self.pmf))
-
     def tv_distance(self, other: "CountDistribution") -> float:
         keys = set(self.pmf) | set(other.pmf)
         return 0.5 * sum(abs(self.prob(k) - other.prob(k)) for k in keys)

@@ -3,8 +3,7 @@ import pytest
 
 from coopaug import (AGENT_TYPES, Agent, CooperativeGroup, CountDistribution,
                      GateChoice, RigidTransform, RngStream,
-                     TABLE_DISTRIBUTIONS, apply_gate, comprehensive_distribution,
-                     comprehensive_from_tables, estimate_source_distribution, gate,
+                     TABLE_DISTRIBUTIONS, apply_gate, comprehensive_from_tables, gate,
                      gate_responses, gate_step, sample_gate, validate_group)
 
 from clouds import from_arrays
@@ -25,43 +24,18 @@ def responses_at(monkeypatch, epsilons, phi_s, phi_c, n_s):
     return responses
 
 
-class TestEstimateSourceDistribution:
-    def test_opv2v_proportions(self):
-        counts = [1] * 787 + [2] * 4846 + [3] * 2657 + [4] * 1620 + [5] * 90
-        d = estimate_source_distribution(counts)
-        assert d.pmf == pytest.approx(
-            {1: 0.0787, 2: 0.4846, 3: 0.2657, 4: 0.1620, 5: 0.0090})
-
-    def test_constant(self):
-        assert estimate_source_distribution([2, 2, 2, 2]).pmf == {2: 1.0}
-
-    def test_two_values(self):
-        assert estimate_source_distribution([1, 2]).pmf == {1: 0.5, 2: 0.5}
-
-    def test_empty(self):
-        with pytest.raises(ValueError, match="no counts"):
-            estimate_source_distribution([])
-
-
 class TestComprehensiveDistribution:
     def test_table_mean(self):
+        # the exact floats of the four-table mean, so a refactor keeps every bit
         d = comprehensive_from_tables()
+        assert {k: p.hex() for k, p in d.pmf.items()} == {
+            1: "0x1.95b573eab367ap-4", 2: "0x1.57a0f9096bb99p-1",
+            3: "0x1.31c432ca57a78p-3", 4: "0x1.2f34d6a161e50p-4",
+            5: "0x1.a858793dd97f6p-8"}
+        assert list(d.pmf) == [1, 2, 3, 4, 5]
         assert d.pmf == pytest.approx(
             {1: 0.09905, 2: 0.67115, 3: 0.1493, 4: 0.074025, 5: 0.006475}, abs=1e-9)
         assert sum(d.pmf.values()) == pytest.approx(1.0, abs=1e-12)
-
-    def test_single_identity(self):
-        d = TABLE_DISTRIBUTIONS["opv2v"]
-        assert comprehensive_distribution([d]).pmf == pytest.approx(d.pmf)
-
-    def test_symmetric_mean(self):
-        d = comprehensive_distribution([CountDistribution({1: 1.0}),
-                                        CountDistribution({2: 1.0})])
-        assert d.pmf == pytest.approx({1: 0.5, 2: 0.5})
-
-    def test_empty(self):
-        with pytest.raises(ValueError, match="no distributions"):
-            comprehensive_distribution([])
 
 
 class TestGateResponses:
@@ -100,8 +74,15 @@ class TestGateResponses:
             assert resp.likelihoods == (0.0, 1.0, 0.0)
 
     def test_count_zero_is_zero(self):
-        resp = gate_responses(TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(), 1)
-        assert resp.r_minus == 0.0
+        # every table, and a pmf without count 1, so phi_s(n_s) is 0 as well
+        for phi_s in (*TABLE_DISTRIBUTIONS.values(), CountDistribution({2: 0.5, 3: 0.5})):
+            resp = gate_responses(phi_s, comprehensive_from_tables(), 1)
+            assert resp.r_minus == 0.0, phi_s
+
+    @pytest.mark.parametrize("n_s", [0, -1])
+    def test_group_size_below_one(self, n_s):
+        with pytest.raises(ValueError, match="group size must be >= 1"):
+            gate_responses(TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables(), n_s)
 
     def test_epsilon_scale_only_matters_below_support(self, monkeypatch):
         phi_s, phi_c = TABLE_DISTRIBUTIONS["opv2v"], comprehensive_from_tables()
@@ -165,7 +146,7 @@ class TestGateStep:
         rng = RngStream(3, "step")
         step = {GateChoice.PLUS: 1, GateChoice.KEEP: 0, GateChoice.MINUS: -1}
         drawn: dict[int, float] = {}
-        for n in phi_s.support:
+        for n in sorted(phi_s.pmf):
             resp = gate_responses(phi_s, self.PHI_C, n)
             for _ in range(20_000):
                 k = n + step[sample_gate(resp, rng)]
@@ -223,6 +204,9 @@ class TestApplyGate:
             apply_gate(self.group3(), self.mixup(), (1, 1), GateChoice.PLUS)
         with pytest.raises(ValueError, match=r"bad pair \(0, 9\)"):
             apply_gate(self.group3(), self.mixup(), (0, 9), GateChoice.PLUS)
+        ego_mixup = agent("mixup-0", is_ego=True, x=4.5)
+        with pytest.raises(ValueError, match="must not be pre-marked as ego"):
+            apply_gate(self.group3(), ego_mixup, (1, 2), GateChoice.PLUS)
 
     def test_count_matches_decision(self):
         g = self.group3()

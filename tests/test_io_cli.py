@@ -468,19 +468,20 @@ class TestCli:
         assert rc == 0
         assert out.read_bytes().startswith(b"P5\n512 32\n65535\n")
 
-    @pytest.mark.parametrize("data", [b"NOPE\x00\x00\x00\x00",
-                                      b"PCV1\x02\x00\x00\x00" + b"\x00" * 16,
-                                      b"PCV1\x01\x00\x00\x00" + b"\x00" * 25],
-                             ids=["bad-magic", "truncated", "trailing-bytes"])
-    def test_corrupt_cloud_exit_two(self, data, tmp_path, capsys):
+    @pytest.mark.parametrize("data, message", [
+        (b"NOPE\x00\x00\x00\x00", "bad magic b'NOPE'"),
+        (b"PCV1\x02\x00\x00\x00" + b"\x00" * 16, "expected 40 bytes, got 24"),
+        (b"PCV1\x01\x00\x00\x00" + b"\x00" * 25, "expected 24 bytes, got 33"),
+        (b"PCV1\x01\x00", "missing point count")],
+        ids=["bad-magic", "truncated", "trailing-bytes", "short-count"])
+    def test_corrupt_cloud_exit_two(self, data, message, tmp_path, capsys):
         pcv = tmp_path / "c.pcv"
         pcv.write_bytes(data)
         rc = main(["project", "--cloud", str(pcv), "--type", "A",
                    "--out", str(tmp_path / "c.pgm")])
         assert rc == 2
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith("i/o error: ")
-        assert str(pcv) in captured.err
+        assert captured.out == "" and captured.err == f"i/o error: {pcv}: {message}\n"
 
     @pytest.mark.parametrize("command", ["augment", "cfc-check"])
     def test_overflowing_pair_distance_exits_one(self, command, tmp_path, capsys):
@@ -522,6 +523,12 @@ class TestCli:
         rc = main(["simulate", "--agents", "2", "--types", "A",
                    "--out", str(tmp_path / "z")])
         assert rc == 1
+        capsys.readouterr()
+        rc = main(["simulate", "--agents", "0", "--types", "",
+                   "--out", str(tmp_path / "z")])
+        assert rc == 1
+        assert capsys.readouterr().err == "error: need one agent type per agent\n"
+        assert not (tmp_path / "z").exists()
 
     def test_missing_file_exit_two(self, tmp_path, capsys):
         rc = main(["project", "--cloud", str(tmp_path / "nope.pcv"),

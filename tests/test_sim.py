@@ -2,10 +2,11 @@ import hashlib
 import math
 
 import numpy as np
+import pytest
 
 from coopaug import (AGENT_TYPES, AgentType, RigidTransform, RngStream, Scene,
                      density_augment, make_group, make_scene, project, simulate_lidar,
-                     transform_cloud, validate_group)
+                     sim, transform_cloud, validate_group)
 from coopaug.rangeview import AZIMUTH_BINS
 
 QUIET = AgentType("Q", 8, 120.0, (-25.0, 5.0), 0.0, "Sim", "Vehicle")
@@ -70,6 +71,14 @@ class TestMakeScene:
         assert np.all((hy >= 0.8) & (hy <= 1.1))
         assert np.all((hz >= 0.6) & (hz <= 0.9))
         assert np.array_equal(scene.boxes[:, 2], hz)  # resting on the ground
+
+    @pytest.mark.parametrize("n_boxes, n_agents, message", [
+        (0, 2, "could not separate agents"), (1, 1, "could not place boxes clear of agents")])
+    def test_region_too_small(self, monkeypatch, n_boxes, n_agents, message):
+        # in a 1 m square no two agents are 5 m apart, and no box clears an agent
+        monkeypatch.setattr(sim, "REGION_HALF_M", 0.5)
+        with pytest.raises(ValueError, match=message):
+            make_scene(n_boxes, [QUIET] * n_agents, RngStream(0, "s"))
 
 
 class TestSimulateLidar:

@@ -11,6 +11,12 @@ first prints one line per command: its label, exit code and own sha256, so
 two listings diff to the commands that changed. Every command shows each
 warning it raises, by category and message, as if it ran alone.
 
+`tools/cli_identity.list` is the listing of the current code, and
+`tests/test_cli_identity.py` checks it line by line. A change that alters
+output on purpose re-records it and names the changed labels:
+
+    python tools/cli_identity.py src OUT --list > tools/cli_identity.list
+
 The digest must not depend on the CPU. To check that on one x86-64 host, run
 the tool four times, each with a new OUT: as it is, then with the kernels a
 CPU without AVX-512 gets, set for that one process:
