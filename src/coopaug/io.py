@@ -7,8 +7,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .model import (AGENT_TYPES, Agent, AgentType, CooperativeGroup,
-                    CountDistribution, PointCloud, RigidTransform)
+from .model import (AGENT_TYPES, WORLD_BOUND_M, Agent, AgentType, CooperativeGroup,
+                    CountDistribution, PointCloud, RigidTransform, within)
 from .rangeview import RangeImage
 
 CLOUD_MAGIC = b"PCV1"
@@ -16,14 +16,11 @@ MANIFEST_VERSION = "1"
 
 
 def save_cloud(cloud: PointCloud, path) -> None:
-    """Write magic, little-endian uint32 count, then float32 (x, y, z, i) records; a
-    value float32 would hold as inf raises ValueError before the file is opened."""
+    """Write magic, little-endian uint32 count, then float32 (x, y, z, i) records;
+    every value a cloud holds (within 10 * model.WORLD_BOUND_M) is a finite float32."""
     records = np.empty((len(cloud), 4), dtype="<f4")
-    with np.errstate(over="ignore"):
-        records[:, :3] = cloud.xyz
-        records[:, 3] = cloud.intensity
-    if not np.isfinite(records).all():
-        raise ValueError(f"{path}: point record beyond float32 range")
+    records[:, :3] = cloud.xyz
+    records[:, 3] = cloud.intensity
     with open(path, "wb") as fh:
         fh.write(CLOUD_MAGIC)
         fh.write(struct.pack("<I", len(cloud)))
@@ -32,7 +29,8 @@ def save_cloud(cloud: PointCloud, path) -> None:
 
 def load_cloud(path) -> PointCloud:
     """Read a cloud written by save_cloud, in the ego frame. Bytes not in that format (a bad
-    magic, a length other than the count's) raise OSError, a non-finite record ValueError."""
+    magic, a length other than the count's) raise OSError, a value not within the world
+    bound, model.WORLD_BOUND_M, ValueError."""
     data = Path(path).read_bytes()
     if data[:4] != CLOUD_MAGIC:
         raise OSError(f"{path}: bad magic {data[:4]!r}")
@@ -43,10 +41,9 @@ def load_cloud(path) -> PointCloud:
     if len(data) != expected:
         raise OSError(f"{path}: expected {expected} bytes, got {len(data)}")
     records = np.frombuffer(data, dtype="<f4", offset=8).reshape(count, 4)
-    try:
-        return PointCloud(records[:, :3].astype(np.float64), records[:, 3].astype(np.float64))
-    except ValueError as exc:  # a non-finite record
-        raise ValueError(f"{path}: {exc}") from exc
+    if not within(records, WORLD_BOUND_M):
+        raise ValueError(f"{path}: point record not within the world bound, ±{WORLD_BOUND_M:g}")
+    return PointCloud(records[:, :3].astype(np.float64), records[:, 3].astype(np.float64))
 
 
 def save_range_image_pgm(img: RangeImage, path) -> None:
@@ -149,6 +146,8 @@ def _agent_entry(entry, where: str):
             float(numbers[2]), realism, agent_class)
     except ValueError as exc:
         raise ValueError(f"{where}: {exc}") from exc
+    if not all(abs(v) <= WORLD_BOUND_M for v in pose["translation"]):
+        raise ValueError(f"{where}: translation beyond ±{WORLD_BOUND_M:g} m")
     pose = RigidTransform.from_ypr(*pose["yaw_pitch_roll_rad"], translation=pose["translation"])
     return ident, pose, agent_type, cloud, entry["is_ego"]
 

@@ -36,31 +36,23 @@ def bev_center(agent: Agent) -> np.ndarray:
 
 
 def nearest_pair(group: CooperativeGroup) -> tuple[int, int] | None:
-    """Index pair with minimum BEV distance of those at least
-    MIN_SPLIT_DISTANCE_M apart; lexicographic tie-break. Distances that
-    overflow to inf tie, so if all do the pair is the first that qualifies.
-    None when no pair qualifies: one agent, or all at one spot."""
+    """Index pair with minimum BEV distance of those at least MIN_SPLIT_DISTANCE_M
+    apart, lexicographic tie-break; None when none qualifies: one agent, or all at one spot."""
     centers = [bev_center(a) for a in group.agents]
     best, best_d = None, math.inf
-    with np.errstate(over="ignore"):
-        for i in range(group.n):
-            for j in range(i + 1, group.n):
-                d = float(np.hypot(*(centers[i] - centers[j])))
-                if d >= MIN_SPLIT_DISTANCE_M and (best is None or d < best_d - 1e-15):
-                    best_d = d
-                    best = (i, j)
+    for i in range(group.n):
+        for j in range(i + 1, group.n):
+            d = float(np.hypot(*(centers[i] - centers[j])))
+            if d >= MIN_SPLIT_DISTANCE_M and d < best_d - 1e-15:
+                best_d = d
+                best = (i, j)
     return best
 
 
 def split_line(c1: np.ndarray, c2: np.ndarray, rotation_rad: float) -> SplitLine:
     """Perpendicular bisector of (c1, c2) rotated by rotation_rad in the plane."""
-    c1 = np.asarray(c1, dtype=np.float64)
-    c2 = np.asarray(c2, dtype=np.float64)
-    with np.errstate(over="ignore"):
-        delta = c2 - c1
+    delta = c2 - c1
     norm = float(np.hypot(*delta))
-    if not math.isfinite(norm):
-        raise ValueError("split centers too far apart: their distance overflows")
     if norm < MIN_SPLIT_DISTANCE_M:
         raise ValueError("split centers coincide")
     # base direction: +90 degree rotation of the center-to-center direction

@@ -7,20 +7,25 @@ import numpy as np
 
 # Kept for perfbench/workloads.py, which passes it to transform_cloud as an ignored argument.
 EGO_FRAME = "ego"
-# Points per block in the per-point passes over a cloud (its finiteness check,
+# Points per block in the per-point passes over a cloud (its bound check,
 # `rangeview.project`, `setupaug.apply_setup_aug`, `pipeline.occupancy`). A block's
 # temporaries stay in cache and their memory is reused, where those of a whole
 # 450k-point cloud come from fresh pages that fault on first touch.
 BLOCK_POINTS = 16384
 # Most beams of an agent type, far above any sensor's (E has 300): row tables stay under 1 MB.
 MAX_BEAMS = 2**16
+# Inputs lie within this many metres of the origin on each axis: manifest translations,
+# `.pcv` records and agent ranges. Made clouds and poses may reach 10x that, and no stage
+# gets that far: the cut and re-beaming keep a point's range r <= sqrt(3) * WORLD_BOUND_M,
+# and the setup jitter c + 1.02 rot(p - c) + t (|c| <= r, |t| < 0.09 m) stays within 5.3x.
+WORLD_BOUND_M = 1e6
 
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Ordered 3D points: xyz an (N, 3) and intensity an (N,) float64 array, all
-    finite; intensity is in [0, 1] by convention, unchecked. The cloud checks both
-    arrays when it is made, takes them over and makes them read-only. `grid` is
+    """Ordered 3D points: xyz an (N, 3) and intensity an (N,) float64 array, every value
+    within 10 * WORLD_BOUND_M; intensity is in [0, 1] by convention, unchecked. The cloud
+    checks both arrays when it is made, takes them over and makes them read-only. `grid` is
     its BEV occupancy grid, None until `pipeline.occupancy` or `early_fuse` sets it."""
 
     xyz: np.ndarray
@@ -31,9 +36,8 @@ class PointCloud:
         if not (self.xyz.dtype == self.intensity.dtype == np.float64
                 and self.xyz.shape[1:] == (3,) and self.intensity.shape == self.xyz.shape[:1]):
             raise ValueError("point cloud needs (N, 3) and (N,) float64 arrays")
-        if not all(np.isfinite(a[i:i + BLOCK_POINTS]).all()
-                   for a in (self.xyz, self.intensity) for i in range(0, len(a), BLOCK_POINTS)):
-            raise ValueError("non-finite point record")
+        if not all(within(a, 10 * WORLD_BOUND_M) for a in (self.xyz, self.intensity)):
+            raise ValueError(f"point record not within ±{10 * WORLD_BOUND_M:g}")
         self.xyz.flags.writeable = False
         self.intensity.flags.writeable = False
 
@@ -43,7 +47,7 @@ class PointCloud:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """A proper (3, 3) rotation and finite (3,) translation: float64, checked, then read-only."""
+    """A proper (3, 3) rotation and bounded (3,) translation: float64, checked, then read-only."""
 
     rotation: np.ndarray
     translation: np.ndarray
@@ -53,8 +57,8 @@ class RigidTransform:
         with np.errstate(all="ignore"):  # a product that overflows reads as improper
             if not (r.dtype == t.dtype == np.float64 and r.shape == (3, 3) and t.shape == (3,)
                     and np.abs(r @ r.T - np.eye(3)).max() < 1e-9
-                    and abs(np.linalg.det(r) - 1.0) < 1e-9 and np.isfinite(t).all()):
-                raise ValueError("invalid pose: needs a proper rotation and a finite translation")
+                    and abs(np.linalg.det(r) - 1.0) < 1e-9 and within(t, 10 * WORLD_BOUND_M)):
+                raise ValueError("invalid pose: needs a proper rotation and a bounded translation")
         self.rotation.flags.writeable = False
         self.translation.flags.writeable = False
 
@@ -108,8 +112,8 @@ class AgentType:
         if (not isinstance(self.beams, (int, np.integer)) or self.beams < 1 or self.range_m <= 0
                 or self.range_error_m < 0):
             raise ValueError("invalid agent type parameters")
-        if not (math.isfinite(self.range_m) and math.isfinite(self.range_error_m)):
-            raise ValueError("range_m and range_error_m must be finite")
+        if not (self.range_m <= WORLD_BOUND_M and self.range_error_m <= WORLD_BOUND_M):
+            raise ValueError(f"range_m and range_error_m must be at most {WORLD_BOUND_M:g} m")
         if not self.fov_deg[0] < self.fov_deg[1]:
             raise ValueError("fov min must be < max")
         if self.beams > MAX_BEAMS:
@@ -209,6 +213,12 @@ class RngStream:
 
     def choice(self, seq):
         return seq[int(self._gen.integers(0, len(seq)))]
+
+
+def within(a: np.ndarray, bound: float) -> bool:
+    """Whether each value of `a` is in [-bound, bound], NaN not: a block's min and max."""
+    return all(-bound <= a[i:i + BLOCK_POINTS].min() and a[i:i + BLOCK_POINTS].max() <= bound
+               for i in range(0, len(a), BLOCK_POINTS))
 
 
 def rotate(r, x, y, z) -> tuple:

@@ -38,7 +38,6 @@ def _bin(cloud: PointCloud) -> np.ndarray:
     for start in range(0, len(cloud), BLOCK_POINTS):
         x, y = cloud.xyz[start:start + BLOCK_POINTS, :2].T
         ix, iy = (x - x_min) / GRID_CELL_M, (y - y_min) / GRID_CELL_M
-        # bound-check as floats: a far point's cell index need not fit an int64.
         # floor(v) >= 0 and floor(v) < n hold exactly when v >= 0 and v < n do,
         # and on the kept, non-negative values truncation is floor.
         kept = np.flatnonzero((ix >= 0) & (ix < nx) & (iy >= 0) & (iy < ny))

@@ -50,9 +50,8 @@ def project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int,
     `kept_rows` (increasing rows of H), the image holds only those rows: the
     points of every other row are dropped before their range and azimuth are
     taken. Rows come from arctan2(z, sqrt(x*x + y*y)), within about 2e-15 rad of
-    `_exact_rows`'s phi while 1e-280 <= x*x + y*y <= 1e300, so the same rows; a
-    point in an edge row, out of that range or within ROW_MARGIN_RAD of a row
-    edge takes `_exact_rows`.
+    `_exact_rows`'s phi while x*x + y*y >= 1e-280, so the same rows; a point in an
+    edge row, below that or within ROW_MARGIN_RAD of a row edge takes `_exact_rows`.
     """
     f_min = math.radians(fov_deg[0])
     f_max = math.radians(fov_deg[1])
@@ -74,7 +73,7 @@ def project(cloud: PointCloud, fov_deg: tuple[float, float], H: int, W: int,
         row = np.floor(v)
         frac = v - row
         exact = np.flatnonzero(~((frac >= margin) & (frac <= 1.0 - margin) & (row >= 1.0)
-                                 & (row <= H - 2) & (s2 >= 1e-280) & (s2 <= 1e300)))
+                                 & (row <= H - 2) & (s2 >= 1e-280)))
         row = row.astype(np.int64)
         if len(exact):  # most blocks have none
             row[exact] = _exact_rows(x.take(exact), y.take(exact), z.take(exact), f_min, f_max, H)

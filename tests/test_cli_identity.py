@@ -16,7 +16,7 @@ def by_label(listing: str) -> dict[str, str]:
 
 
 def test_listing_matches_committed(tmp_path):
-    out = tmp_path / "out"  # about 570 MB of outputs, removed however the run ends
+    out = tmp_path / "out"  # at most about 40 MB at a time, removed however the run ends
     try:
         run = subprocess.run([sys.executable, str(TOOL), str(ROOT / "src"), str(out), "--list"],
                              capture_output=True, text=True)

@@ -16,7 +16,7 @@ from coopaug import (AGENT_TYPES, Agent, AgentType, CooperativeGroup,
                      RangeImage, RigidTransform, load_cloud, load_manifest, save_cloud,
                      save_manifest, save_range_image_pgm)
 from coopaug.cli import main
-from coopaug.model import MAX_BEAMS
+from coopaug.model import MAX_BEAMS, WORLD_BOUND_M
 
 from clouds import from_arrays
 
@@ -101,11 +101,18 @@ class TestCloudFormat:
             load_cloud(path)
 
     def test_value_beyond_float32_refused(self, tmp_path):
-        path = tmp_path / "big.pcv"
+        # no cloud holds a value float32 cannot: the cloud itself refuses it. A
+        # cloud as far out as it may reach is written exactly, and its load is
+        # refused, as every record beyond the world bound is.
+        with pytest.raises(ValueError, match="point record not within"):
+            from_arrays([[1.02 * FLOAT32_MAX, 0.0, 0.0]])
+        path = tmp_path / "far.pcv"
+        save_cloud(from_arrays([[10 * WORLD_BOUND_M, 0.0, -WORLD_BOUND_M]]), path)
+        assert np.frombuffer(path.read_bytes(), "<f4", offset=8).tolist() == [
+            10 * WORLD_BOUND_M, 0.0, -WORLD_BOUND_M, 1.0]
         with pytest.raises(ValueError) as refused:
-            save_cloud(from_arrays([[1.02 * FLOAT32_MAX, 0.0, 0.0]]), path)
-        assert str(refused.value) == f"{path}: point record beyond float32 range"
-        assert not path.exists()
+            load_cloud(path)
+        assert str(refused.value) == f"{path}: point record not within the world bound, ±1e+06"
 
     def test_trailing_bytes(self, tmp_path):
         path = tmp_path / "t.pcv"
@@ -356,30 +363,48 @@ class TestCli:
         assert captured.err == f"error: {manifest}: agent 0: beams must be at most {MAX_BEAMS}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["augment", "cfc-check"])
+    def test_range_beyond_world_bound_exits_one(self, command, tmp_path, capsys):
+        manifest = save_manifest(one_point_group(), tmp_path / "in")
+        doc = json.loads(manifest.read_text())
+        doc["agents"][1]["type"] = dict(CUSTOM_TYPE, range_m=math.nextafter(WORLD_BOUND_M, 2e6))
+        manifest.write_text(json.dumps(doc))
+        out = tmp_path / "out"
+        rc = main([command, "--manifest", str(manifest),
+                   *(["--out", str(out)] if command == "augment" else [])])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == (f"error: {manifest}: agent 1: range_m and range_error_m must be "
+                                "at most 1e+06 m\n")
+        assert captured.out == "" and not out.exists()
+
     @pytest.mark.parametrize("seed, rc", [(1, 1), (3, 0)])
     def test_augment_refuses_output_beyond_float32(self, seed, rc, tmp_path, capsys):
-        # each cloud gets one more point at x = 0.999 x float32's maximum, at its
-        # sensor's y and z; at seed 1 the setup jitter scales the mixup cloud's
-        # copy past that maximum, which float32 would store as inf
+        # each cloud gets one more point at its sensor's y and z. At x = 0.999 x
+        # float32's maximum, beyond the world bound, augment refuses the input,
+        # naming the first cloud. At x = WORLD_BOUND_M it writes its output: at
+        # seed 1 the setup jitter scales the mixup cloud's copy past the bound,
+        # so loading that output is refused (rc 1), and at seed 3 it loads back.
         sim = tmp_path / "sim"
         assert main(["simulate", "--agents", "2", "--types", "A,B", "--boxes", "3",
                      "--seed", "1", "--out", str(sim)]) == 0
         group, _ = load_manifest(sim / "manifest.json")
-        for agent in group.agents:
-            far = [0.999 * FLOAT32_MAX, *agent.pose.translation[1:]]
-            save_cloud(from_arrays(np.vstack([agent.cloud.xyz, far]),
-                                   np.append(agent.cloud.intensity, 1.0)), sim / f"{agent.id}.pcv")
+        bound = "point record not within the world bound, ±1e+06"
         out = tmp_path / "out"
-        capsys.readouterr()
-        assert main(["augment", "--manifest", str(sim / "manifest.json"),
-                     "--seed", str(seed), "--out", str(out)]) == rc
-        err = capsys.readouterr().err
-        if rc:
-            assert err == f"error: {out / 'mixup-0.pcv'}: point record beyond float32 range\n"
-            assert not (out / "manifest.json").exists() and not (out / "mixup-0.pcv").exists()
-        else:  # the output loads back and scores
-            assert err == ""
-            assert main(["cfc-check", "--manifest", str(out / "manifest.json"), "--no-aug"]) == 0
+        for x in (0.999 * FLOAT32_MAX, WORLD_BOUND_M):
+            for agent in group.agents:  # no cloud holds the first x: append its bytes
+                path = sim / f"{agent.id}.pcv"
+                save_cloud(agent.cloud, path)
+                data = path.read_bytes()
+                path.write_bytes(data[:4] + struct.pack("<I", len(agent.cloud) + 1) + data[8:]
+                                 + struct.pack("<4f", x, *agent.pose.translation[1:], 1.0))
+            capsys.readouterr()
+            code = main(["augment", "--manifest", str(sim / "manifest.json"),
+                         "--seed", str(seed), "--out", str(out)])
+            assert (code, capsys.readouterr().err) == (
+                (1, f"error: {sim / 'agent-0.pcv'}: {bound}\n") if x > WORLD_BOUND_M else (0, ""))
+        assert main(["cfc-check", "--manifest", str(out / "manifest.json"), "--no-aug"]) == rc
+        assert capsys.readouterr().err == (f"error: {out / 'mixup-0.pcv'}: {bound}\n" if rc else "")
 
     @pytest.mark.parametrize("record", [[float("nan"), 0.5, 0.0, 1.0],
                                         [10.0, 0.5, 0.0, float("inf")]],
@@ -391,8 +416,30 @@ class TestCli:
         rc = main(["project", "--cloud", str(pcv), "--type", "A", "--out", str(out)])
         assert rc == 1
         captured = capsys.readouterr()
-        assert captured.out == "" and captured.err.startswith(f"error: {pcv}: non-finite")
-        assert not out.exists()
+        assert captured.err == f"error: {pcv}: point record not within the world bound, ±1e+06\n"
+        assert captured.out == "" and not out.exists()
+
+    @pytest.mark.parametrize("command", ["augment", "cfc-check"])
+    @pytest.mark.parametrize("record", [[0.0, 1e200, -1e199, 1.0], [0.0, 3e38, -3e37, 1.0]],
+                             ids=["1e200", "3e38"])
+    def test_cloud_beyond_world_bound_exits_one(self, record, command, tmp_path, capsys):
+        # a point at (0, 1e200, -1e199), whose range squared overflows, would
+        # make density_augment's output non-finite and cmag fail half way: no
+        # cloud holds it. A .pcv stores it as (0, inf, -inf), and a record as
+        # far out as float32 goes is refused too.
+        with pytest.raises(ValueError, match="point record not within"):
+            from_arrays([[0.0, 1e200, -1e199], [10.0, 0.0, -1.0]])
+        manifest = save_manifest(one_point_group(), tmp_path / "in")
+        pcv = tmp_path / "in" / "agent-1.pcv"
+        with np.errstate(over="ignore"):
+            pcv.write_bytes(b"PCV1" + struct.pack("<I", 1) + np.array(record, "<f4").tobytes())
+        out = tmp_path / "out"
+        rc = main([command, "--manifest", str(manifest),
+                   *(["--out", str(out)] if command == "augment" else [])])
+        assert rc == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {pcv}: point record not within the world bound, ±1e+06\n"
+        assert captured.out == "" and not out.exists()
 
     def test_gate_stats_output(self, capsys):
         rc = main(["gate-stats", "--source-dist", "opv2v"])
@@ -485,7 +532,8 @@ class TestCli:
 
     @pytest.mark.parametrize("command", ["augment", "cfc-check"])
     def test_overflowing_pair_distance_exits_one(self, command, tmp_path, capsys):
-        # finite translations whose distance overflows to inf
+        # finite translations whose distance overflowed to inf lie far beyond
+        # the world bound, so the manifest is refused, naming the agent
         manifest = save_manifest(one_point_group(), tmp_path / "in")
         doc = json.loads(manifest.read_text())
         for agent, x in zip(doc["agents"], (1.7e308, -1.7e308)):
@@ -497,7 +545,7 @@ class TestCli:
         assert rc == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err == "error: split centers too far apart: their distance overflows\n"
+        assert captured.err == f"error: {manifest}: agent 0: translation beyond ±1e+06 m\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["augment", "cfc-check", "gate-stats"])
@@ -571,29 +619,38 @@ def json_paths(value, path=()):
             yield from json_paths(child, path + (key,))
 
 
-FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+# Values at the world bound, one float64 or float32 ulp past it, and at the farthest a
+# cloud reaches.
+BOUND_EDGES = [s * v for s in (-1.0, 1.0) for v in (
+    WORLD_BOUND_M, math.nextafter(WORLD_BOUND_M, math.inf), WORLD_BOUND_M + 0.0625,
+    10 * WORLD_BOUND_M)]
 
 
 @settings(max_examples=200, derandomize=True, database=None, deadline=None)
-@given(st.lists(st.tuples(*[st.one_of(st.floats(-4e38, 4e38), FINITE)] * 4), max_size=4))
-@example([(FLOAT32_MAX, -FLOAT32_MAX, 0.0, 1.0)])
-@example([(math.nextafter(FLOAT32_MAX, math.inf), 0.0, 0.0, 1.0)])  # rounds to the maximum
+@given(st.lists(st.tuples(*[st.floats(-1e7, 1e7) | st.sampled_from(BOUND_EDGES)] * 4),
+                max_size=4))
+@example([(WORLD_BOUND_M, -WORLD_BOUND_M, 0.0, 1.0)])
+@example([(math.nextafter(WORLD_BOUND_M, math.inf), 0.0, 0.0, 1.0)])  # rounds to the bound
 def test_every_cloud_save_cloud_accepts_loads_back(records):
-    """save_cloud refuses a cloud exactly when float32 cannot hold one of its
-    values, and writes no file then; every cloud it writes loads back as its
-    float32 values."""
+    """save_cloud writes every cloud, and float32 holds each of its values. The
+    load gives back those float32 values when each lies within the world bound,
+    and otherwise refuses the file, naming it."""
     values = np.array(records, dtype=np.float64).reshape(-1, 4)
-    with np.errstate(over="ignore"):
-        as_float32 = values.astype(np.float32)
+    as_float32 = values.astype(np.float32)
+    within = (np.abs(as_float32) <= WORLD_BOUND_M).all()
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.pcv"
+        save_cloud(from_arrays(values[:, :3], values[:, 3]), path)
+        assert np.frombuffer(path.read_bytes(), "<f4", offset=8).tobytes() == as_float32.tobytes()
         try:
-            save_cloud(from_arrays(values[:, :3], values[:, 3]), path)
+            back = load_cloud(path)
         except ValueError as exc:
-            assert str(exc) == f"{path}: point record beyond float32 range"
-            assert not path.exists() and not np.isfinite(as_float32).all()
+            assert str(exc) == f"{path}: point record not within the world bound, ±1e+06"
+            assert not within
             return
-        back = load_cloud(path)
+    assert within
     assert back.xyz.tobytes() == as_float32[:, :3].astype(np.float64).tobytes()
     assert back.intensity.tobytes() == as_float32[:, 3].astype(np.float64).tobytes()
 

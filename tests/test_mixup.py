@@ -6,7 +6,7 @@ import pytest
 from coopaug import (AGENT_TYPES, Agent, CooperativeGroup,
                      RigidTransform, RngStream, bev_center, cut_and_combine,
                      make_mixup_agent, mixup, nearest_pair, split_line)
-from coopaug.model import BLOCK_POINTS
+from coopaug.model import BLOCK_POINTS, WORLD_BOUND_M
 
 from clouds import from_arrays
 
@@ -70,13 +70,13 @@ class TestNearestPair:
         assert nearest_pair(g) == (1, 2)
 
     def test_overflowing_distances_tie(self):
-        # every distance overflows to inf, so the first pair wins the tie;
-        # then one distance is finite, and it wins
-        g = CooperativeGroup((agent_at(1.7e308, 0, is_ego=True), agent_at(-1.7e308, 0),
-                              agent_at(0, 1.7e308)))
-        assert nearest_pair(g) == (0, 1)
-        g = CooperativeGroup((agent_at(1.7e308, 0, is_ego=True), agent_at(-1.7e308, 0),
-                              agent_at(-1.7e308, 5.0)))
+        # a pose far enough out for distances to overflow is refused; at the
+        # farthest a pose reaches, distances are finite and the nearest pair wins
+        with pytest.raises(ValueError, match="invalid pose"):
+            agent_at(1.7e308, 0)
+        far = 10 * WORLD_BOUND_M
+        g = CooperativeGroup((agent_at(far, far, is_ego=True), agent_at(-far, -far),
+                              agent_at(-far, far - 5.0)))
         assert nearest_pair(g) == (1, 2)
 
 
@@ -95,8 +95,11 @@ class TestSplitLine:
             split_line(np.array([1.0, 1.0]), np.array([1.0, 1.0]), 0.0)
 
     def test_overflowing_distance(self):
-        with pytest.raises(ValueError, match="distance overflows"):
-            split_line(np.array([1.7e308, 0.0]), np.array([-1.7e308, 0.0]), 0.0)
+        # centres as far apart as poses reach have a finite distance and line
+        far = 10 * WORLD_BOUND_M
+        line = split_line(np.array([far, far]), np.array([-far, -far]), 0.0)
+        assert np.array_equal(line.anchor, [0.0, 0.0])
+        assert np.allclose(line.direction, [math.sqrt(0.5), -math.sqrt(0.5)], atol=1e-15)
 
     def test_anchor_near_the_largest_double(self):
         # the midpoint of two centres near 1.7e308 is finite, with no overflow

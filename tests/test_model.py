@@ -10,9 +10,12 @@ from coopaug import (AGENT_TYPES, Agent, AgentType, CooperativeGroup, CountDistr
                      PointCloud, RigidTransform, RngStream, Scene, sim, simulate_lidar,
                      transform_cloud, validate_group)
 from coopaug.kernels import ray_cast
-from coopaug.model import BLOCK_POINTS, MAX_BEAMS
+from coopaug.model import BLOCK_POINTS, MAX_BEAMS, WORLD_BOUND_M
 
 from clouds import from_arrays
+
+# The farthest a made cloud or pose reaches on an axis.
+LIMIT = 10 * WORLD_BOUND_M
 
 
 def make_agent(aid="a0", translation=(0, 0, 0), cloud=None, is_ego=False):
@@ -183,37 +186,46 @@ class TestConstructorChecks:
     @pytest.mark.parametrize("index", [BLOCK_POINTS, 2 * BLOCK_POINTS + 9])
     @pytest.mark.parametrize("array", ["xyz", "intensity"])
     def test_cloud_checks_every_block(self, array, index):
-        # two whole blocks and a partial one: a NaN opening the second block, or
-        # the last value of the partial block
+        # two whole blocks and a partial one: a NaN or a value one ulp past the
+        # limit opening the second block, or the last value of the partial block
         n = 2 * BLOCK_POINTS + 10
         arrays = {"xyz": np.zeros((n, 3)), "intensity": np.zeros(n)}
-        arrays[array][index] = np.nan
-        with pytest.raises(ValueError, match="non-finite point record"):
-            PointCloud(arrays["xyz"], arrays["intensity"])
+        for value in (np.nan, np.nextafter(LIMIT, np.inf), -np.nextafter(LIMIT, np.inf)):
+            arrays[array][index] = value
+            with pytest.raises(ValueError, match="point record not within"):
+                PointCloud(arrays["xyz"].copy(), arrays["intensity"].copy())
+        arrays[array][index] = -LIMIT  # the limit itself is a value a cloud holds
+        PointCloud(arrays["xyz"], arrays["intensity"])
 
     @pytest.mark.parametrize("rotation, translation", [
         (2.0 * np.eye(3), np.zeros(3)),
         (np.diag([1.0, 1.0, -1.0]), np.zeros(3)),  # orthonormal, but a reflection
         (np.eye(2), np.zeros(3)),
         (np.eye(3), np.array([np.nan, 0.0, 0.0])),
+        (np.eye(3), np.array([0.0, 0.0, np.nextafter(LIMIT, np.inf)])),
     ])
     def test_pose_refuses(self, rotation, translation):
         with pytest.raises(ValueError, match="invalid pose"):
             RigidTransform(rotation, translation)
 
 
+def bounded(values) -> bool:
+    """Whether every value lies within LIMIT of 0; NaN does not."""
+    return all(-LIMIT <= v <= LIMIT for v in values)
+
+
 def cloud_rule(xyz, intensity) -> bool:
     """PointCloud's rule in plain Python: an (N, 3) and an (N,) float64 array,
-    every value finite."""
+    every value within LIMIT."""
     return (xyz.dtype == intensity.dtype == np.float64 and xyz.ndim == 2
             and xyz.shape[1] == 3 and intensity.shape == (xyz.shape[0],)
-            and all(map(math.isfinite, xyz.ravel().tolist() + intensity.tolist())))
+            and bounded(xyz.ravel().tolist() + intensity.tolist()))
 
 
 def pose_rule(rotation, translation) -> bool:
     """RigidTransform's rule in plain Python: a 3 x 3 float64 rotation whose rows
-    are orthonormal and whose determinant is 1, each within 1e-9, and a finite
-    (3,) float64 translation."""
+    are orthonormal and whose determinant is 1, each within 1e-9, and a (3,)
+    float64 translation within LIMIT."""
     if not (rotation.dtype == translation.dtype == np.float64
             and rotation.shape == (3, 3) and translation.shape == (3,)):
         return False
@@ -223,15 +235,18 @@ def pose_rule(rotation, translation) -> bool:
            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0]))
     return (all(abs(sum(r[i][k] * r[j][k] for k in range(3)) - (i == j)) < 1e-9
                 for i in range(3) for j in range(3))
-            and abs(det - 1.0) < 1e-9 and all(map(math.isfinite, translation.tolist())))
+            and abs(det - 1.0) < 1e-9 and bounded(translation.tolist()))
 
 
 def draw_array(data, shapes):
     """An array of one of `shapes`, mostly float64, else float32 or int64; float
-    values include NaN, infinities and magnitudes near the dtype's limit."""
+    values include NaN, infinities, magnitudes near the dtype's limit and values
+    at LIMIT and just past it."""
     dtype = data.draw(st.sampled_from([np.float64, np.float64, np.float32, np.int64]))
+    past = [LIMIT + 1.0, np.nextafter(LIMIT, np.inf)][:1 if dtype is np.float32 else 2]
     elements = (st.integers(-5, 5) if dtype is np.int64
-                else st.floats(width=32 if dtype is np.float32 else 64))
+                else st.floats(width=32 if dtype is np.float32 else 64)
+                | st.sampled_from([s * v for s in (-1.0, 1.0) for v in (LIMIT, *past)]))
     return data.draw(hnp.arrays(dtype, data.draw(st.sampled_from(shapes)), elements=elements))
 
 
@@ -277,7 +292,7 @@ class TestValidateGroup:
                 CooperativeGroup(agents)
 
     def test_nan_point(self):
-        with pytest.raises(ValueError, match="non-finite"):
+        with pytest.raises(ValueError, match="not within"):
             bad = from_arrays([[np.nan, 0, 0]])  # the cloud refuses it
             CooperativeGroup((make_agent("e", is_ego=True, cloud=bad),))
 
@@ -359,13 +374,15 @@ class TestAgentTypes:
         assert AgentType("X", np.int64(16), 90.0, (-20.0, 10.0), 0.01, "Sim", "Vehicle").beams == 16
 
     # a NaN range made simulate_lidar return no points (every `best <= nan` is
-    # False), and an infinite range error overflowed its noise draw
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    # False), and an infinite range error overflowed its noise draw; both ranges
+    # are bounded by the world bound
+    @pytest.mark.parametrize("value", [np.nan, np.inf, np.nextafter(WORLD_BOUND_M, np.inf)])
     def test_non_finite_range_rejected(self, value):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="range_error_m must be at most"):
             AgentType("X", 32, value, (-25.0, 5.0), 0.0, "Sim", "Vehicle")
+        assert AgentType("X", 32, WORLD_BOUND_M, (-25.0, 5.0), 0.0, "Sim", "Vehicle")
 
-    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, np.nextafter(WORLD_BOUND_M, np.inf)])
     def test_non_finite_range_error_rejected(self, value):
-        with pytest.raises(ValueError, match="must be finite"):
+        with pytest.raises(ValueError, match="range_error_m must be at most"):
             AgentType("X", 32, 120.0, (-25.0, 5.0), value, "Sim", "Vehicle")

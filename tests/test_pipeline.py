@@ -13,9 +13,14 @@ from coopaug import (AGENT_TYPES, Agent, CmagConfig, CooperativeGroup,
                      pipeline, project, sample_setup_params, save_manifest, split_line,
                      transform_cloud, unproject, validate_group)
 
+from coopaug.model import WORLD_BOUND_M, AgentType
+from coopaug.rangeview import DENSITY_TARGETS
+
 from clouds import from_arrays
 
 EMPTY = from_arrays(np.zeros((0, 3)))
+# The farthest a made cloud or pose reaches on an axis.
+LIMIT = 10 * WORLD_BOUND_M
 
 
 def agent(aid, x=0.0, n_points=50, is_ego=False, seed=0):
@@ -92,8 +97,8 @@ class TestOccupancy:
         assert grid.sum() == 0
 
     def test_far_point_ignored_without_warning(self):
-        # cell indices beyond the int64 range; pyproject turns warnings into errors
-        grid = occupancy(from_arrays([[1e300, 0.1, 0.0], [0.1, -1e30, 0.0],
+        # points as far out as a cloud holds; pyproject turns warnings into errors
+        grid = occupancy(from_arrays([[LIMIT, 0.1, 0.0], [0.1, -LIMIT, 0.0],
                                       [0.1, 0.1, 0.0]]))
         assert grid.sum() == 1
 
@@ -131,9 +136,9 @@ class TestOccupancy:
         edges_x = x_min + cell * np.arange(-2, nx + 3)
         edges_y = y_min + cell * np.arange(-2, ny + 3)
         xs = np.concatenate([edges_x, np.nextafter(edges_x, -np.inf),
-                             np.nextafter(edges_x, np.inf), [x_min, x_max, -1e300, 1e300]])
+                             np.nextafter(edges_x, np.inf), [x_min, x_max, -LIMIT, LIMIT]])
         ys = np.concatenate([edges_y, np.nextafter(edges_y, -np.inf),
-                             np.nextafter(edges_y, np.inf), [y_min, y_max, -1e30, 1e30]])
+                             np.nextafter(edges_y, np.inf), [y_min, y_max, -LIMIT, LIMIT]])
         rng = np.random.default_rng(4)
         pts = [np.column_stack([xs, rng.choice(ys, len(xs))]),
                np.column_stack([rng.choice(xs, len(ys)), ys]),
@@ -177,9 +182,9 @@ class TestCfcL1:
     def test_union_max_equivalence(self):
         # early_fuse's grid, fused from its parts' grids, against a binning of
         # the concatenation itself; one member holds no point, one holds
-        # points outside the grid and at +-1e300
-        far = from_arrays([[500.0, 0.0, 0.0], [1e300, 0.1, 0.0], [-1e300, 0.1, 0.0],
-                           [0.1, 1e300, 0.0], [0.1, -1e300, 0.0], [-3.0, 2.0, 0.0]])
+        # points outside the grid and as far out as a cloud holds
+        far = from_arrays([[500.0, 0.0, 0.0], [LIMIT, 0.1, 0.0], [-LIMIT, 0.1, 0.0],
+                           [0.1, LIMIT, 0.0], [0.1, -LIMIT, 0.0], [-3.0, 2.0, 0.0]])
         g = CooperativeGroup(group(3).agents + (
             Agent("empty", RigidTransform.identity(), EMPTY, AGENT_TYPES["A"], False),
             Agent("far", RigidTransform.identity(), far, AGENT_TYPES["A"], False)))
@@ -247,6 +252,55 @@ def force_gate(monkeypatch, decision):
         return decision
 
     monkeypatch.setattr(pipeline, "sample_gate", forced)
+
+
+def edge_groups():
+    """2- and 3-agent groups posed at the world bound, whose agents each hold the
+    corners of the bound's cube and points just off its axes at the bound. Types A
+    and E keep only the points in their FOV; a 16-beam type that sees from -90 to
+    90 degrees keeps the corners too and upsamples to every larger target."""
+    w = WORLD_BOUND_M
+    wide = AgentType("W", 16, 280.0, (-90.0, 90.0), 0.03, "Sim", "Vehicle")
+    signs = [(sx, sy, sz) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+    xyz = [[sx * w, sy * w, sz * w] for sx, sy, sz in signs]
+    xyz += [p for s in (-w, w) for p in ([s, 1.0, 0.5], [0.25, s, -1.0], [0.5, -1.0, s])]
+    cloud = from_arrays(xyz, np.linspace(0.0, 1.0, len(xyz)))
+    poses = [RigidTransform.from_ypr(0.3 * k, translation=(sx * w, sy * w, sz * w))
+             for k, (sx, sy, sz) in enumerate(signs)]
+    return [CooperativeGroup(tuple(
+        Agent(f"a{k}", poses[pose], cloud, agent_type, k == 0)
+        for k, (pose, agent_type) in enumerate(members)))
+        for members in ([(0, AGENT_TYPES["A"]), (7, AGENT_TYPES["E"])],
+                        [(3, wide), (6, AGENT_TYPES["A"]), (5, AGENT_TYPES["E"])],
+                        [(1, wide), (2, wide)])]
+
+
+class TestWorldBound:
+    SEEDS = 20  # enough to draw every density target
+
+    def test_no_stage_takes_an_in_bound_input_past_the_limit(self, monkeypatch):
+        # model.WORLD_BOUND_M's growth argument: cmag and cfc_score, over every
+        # source, density target and gate decision, keep what they make of inputs
+        # at the bound within the limit that clouds and poses check. The outputs
+        # do pass the bound itself, so a limit equal to it fails here.
+        targets, decisions = [], []
+        choose, draw = RngStream.choice, pipeline.sample_gate
+        # cmag's one `choice` is the density target
+        monkeypatch.setattr(RngStream, "choice",
+                            lambda rng, seq: targets.append(choose(rng, seq)) or targets[-1])
+        monkeypatch.setattr(pipeline, "sample_gate", lambda responses, rng: decisions.append(
+            draw(responses, rng)) or decisions[-1])
+        largest = 0.0
+        for g in edge_groups():
+            for source in sorted(TABLE_DISTRIBUTIONS):
+                for seed in range(self.SEEDS):
+                    out = cmag(g, TABLE_DISTRIBUTIONS[source], comprehensive_from_tables(),
+                               CmagConfig(), RngStream(seed, "edge"))
+                    cfc_score(g, out)
+                    largest = max([largest] + [np.abs(a.cloud.xyz).max(initial=0.0)
+                                               for a in out.agents])
+        assert set(targets) == set(DENSITY_TARGETS) and set(decisions) == set(GateChoice)
+        assert WORLD_BOUND_M < largest <= LIMIT
 
 
 class TestCmag:

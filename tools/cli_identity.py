@@ -9,7 +9,9 @@ stderr and exit code of every command, with OUT replaced by a placeholder.
 Two checkouts whose CLI behaves the same print the same digest. `--list`
 first prints one line per command: its label, exit code and own sha256, so
 two listings diff to the commands that changed. Every command shows each
-warning it raises, by category and message, as if it ran alone.
+warning it raises, by category and message, as if it ran alone. A command's
+outputs are hashed when it ends and deleted once no later command's argv names
+a path under them, so OUT peaks near 40 MB; it keeps the generated inputs.
 
 `tools/cli_identity.list` is the listing of the current code, and
 `tests/test_cli_identity.py` checks it line by line. A change that alters
@@ -39,7 +41,7 @@ ties do not occur in these clouds; the oracle tests cover them); `gate-stats`
 for the four sources; and the error paths, among them
 `augment` and `cfc-check` on manifests whose group is invalid (two egos, a
 repeated id), on malformed manifests (a NaN translation with 2 and with 3
-agents, finite translations whose distance overflows, a NaN ground_z, an
+agents, translations of +-1.7e308, beyond the world bound, a NaN ground_z, an
 infinite box centre, a custom type with `beams` 1e400, 16.5, 0, 10**12, 2**63
 or 1e300, or with a reversed `fov_deg` or one of -1e300 to 1e300, an unknown
 type name on an agent whose cloud is missing, text that is not JSON, not
@@ -49,12 +51,14 @@ are a list, not JSON, sum to 0.5, hold count 0, a 20-digit count or a
 401-digit probability, and `gate-stats` on the last four; `gate-stats
 --dist-file` with a table source; `project` on clouds with bad magic, cut
 short, with bytes after their records, or holding a NaN coordinate or an
-infinite intensity; `project --width 10**12`. Last, valid inputs the scenes
+infinite intensity; `project --width 10**12`. Last, inputs the scenes
 do not reach: `simulate`, `augment` and `cfc-check` on one agent, which
 `cmag` passes through; `augment` and
 `cfc-check` on a manifest whose ego has a custom type, then `cfc-check` on the
 `augment` output, which saves that type in full; the same on two agents
-3 m apart near x = 1.7e308, whose midpoint must not overflow; `simulate`
+3 m apart near x = 1.7e308, beyond the world bound (`model.WORLD_BOUND_M`), which
+loading refuses, and on two agents at (1e6, -1e6) and (-1e6, 1e6), exactly at it,
+whose clouds hold the corners of its cube and points on its faces; `simulate`
 of all five types with 32 boxes at two more seeds, so the ray cast's column
 culling meets many more box wedges and the +-pi seam; and `augment` and
 `cfc-check` on two agents with dense clouds (see DENSE_PAIRS): at seeds 10, 5,
@@ -63,8 +67,8 @@ target == H; at seeds 5, 6 and 0 of custom 1- and 40-beam types, which
 upsample to targets no multiple of H; and at seeds 2 and 0 of type B, which
 upsample 32 beams to 64 and to 40. Then `augment` at seeds 1 and 3 of the
 two-agent scene whose clouds each hold one point near float32's maximum (see
-write_float32_overflow): seed 1's mixup cloud holds a value float32 cannot,
-which `save_cloud` refuses, and `cfc-check --no-aug` on seed 3's output.
+write_float32_overflow), beyond the world bound, which loading refuses, and
+`cfc-check --no-aug` on seed 3's output, which does not exist.
 Then `gate-stats` on a pmf file that sums to just under 1 (SHORT_PMF), within
 the tolerance of a valid pmf. Last, `augment --seed 0`, `cfc-check --seed 0` and `cfc-check --no-aug` on three
 agents whose second holds an empty (count-0) cloud, which the mixup pair cuts
@@ -76,6 +80,7 @@ import hashlib
 import io
 import json
 import math
+import shutil
 import struct
 import sys
 import warnings
@@ -98,8 +103,13 @@ BAD_MANIFESTS = (("two-egos", 2), ("dup-ids", 2), ("nan-pose-2", 2), ("nan-pose-
                  ("deep-json", 2), ("unknown-type-missing-cloud", 2), ("beams-0", 2),
                  ("fov-reversed", 2), ("beams-huge", 2), ("overflowing-poses", 2),
                  ("beams-2p63", 2), ("beams-1e300", 2), ("fov-beyond-90", 2))
-# Valid manifests built by the same edits: (name, agents).
-GOOD_MANIFESTS = (("custom-ego", 2), ("far-pair", 2))
+# Manifests built by the same edits, each run through `augment`, `cfc-check` and
+# `cfc-check` on the `augment` output: (name, agents). far-pair lies beyond the world
+# bound (`model.WORLD_BOUND_M`), and edge-pair exactly at it.
+CHAINED_MANIFESTS = (("custom-ego", 2), ("far-pair", 2), ("edge-pair", 2))
+# `model.WORLD_BOUND_M`, the farthest an input coordinate lies from the origin on an
+# axis; written out, so the tool also runs on checkouts without the name.
+WORLD_BOUND_M = 1e6
 # Two-agent manifests of dense clouds (`dense_cloud`): each agent's type, a
 # custom type of that many beams or a built-in type by name, and the seeds of
 # `augment` and `cfc-check` on it, by the donor's beams H and the density
@@ -229,7 +239,7 @@ def matrix(out: Path):
         ("aug-single", ["augment", "--manifest", single, "--out", out / "aug-single"]),
         ("cfc-single", ["cfc-check", "--manifest", single]),
     ]
-    for name, _ in GOOD_MANIFESTS:
+    for name, _ in CHAINED_MANIFESTS:
         good_manifest = out / "good" / name / "manifest.json"
         cmds += [
             (f"{name}-aug", ["augment", "--manifest", good_manifest, "--out", out / f"{name}-aug"]),
@@ -250,7 +260,7 @@ def matrix(out: Path):
                 (f"{name}-cfc-{seed}", ["cfc-check", "--manifest", dense_manifest,
                                         "--seed", seed]),
             ]
-    for seed in (1, 3):  # seed 1's output is refused, seed 3's is written
+    for seed in (1, 3):  # both refuse the input, which lies beyond the world bound
         cmds.append((f"float32-overflow-aug-{seed}",
                      ["augment", "--manifest", out / "good" / "float32-overflow" / "manifest.json",
                       "--seed", seed, "--out", out / f"float32-overflow-aug-{seed}"]))
@@ -273,8 +283,7 @@ def matrix(out: Path):
 def write_float32_overflow(cli, root: Path) -> None:
     """`simulate` of types A,B with 3 boxes at seed 1 into root, then one more
     point in each cloud at x = 0.999 x float32's maximum, at the y and z of
-    its agent's sensor. The setup jitter can scale the mixup agent's copy of
-    that point past float32's range."""
+    its agent's sensor: far beyond the world bound, so loading refuses it."""
     with contextlib.redirect_stdout(io.StringIO()):
         cli.main(["simulate", "--agents", "2", "--types", "A,B", "--boxes", "3", "--seed", "1",
                   "--out", str(root)])
@@ -325,6 +334,16 @@ def write_manifest(root: Path, name: str, n_agents: int) -> None:
     elif name == "far-pair":
         agents[0]["pose"]["translation"] = [1.7e308, 0.0, 0.0]
         agents[1]["pose"]["translation"] = [1.7e308, 3.0, 0.0]
+    elif name == "edge-pair":
+        w = WORLD_BOUND_M
+        agents[0]["pose"]["translation"] = [w, -w, 0.0]
+        agents[1]["pose"]["translation"] = [-w, w, 0.0]
+        points = [(sx * w, sy * w, sz * w) for sx in (-1, 1) for sy in (-1, 1) for sz in (-1, 1)]
+        points += [(x, y, z) for x, y in ((w, 0.0), (-w, 0.0), (0.0, w), (0.0, -w), (w, w),
+                                          (-w, -w), (w, -w), (-w, w)) for z in (-w / 8, -w / 4)]
+        for k in range(2):
+            (root / f"agent-{k}.pcv").write_bytes(b"PCV1" + struct.pack(
+                f"<I{4 * len(points)}f", len(points), *(v for p in points for v in (*p, 1.0))))
     elif name == "empty-cloud":
         (root / "agent-1.pcv").write_bytes(b"PCV1" + struct.pack("<I", 0))
     elif name == "custom-ego":
@@ -411,6 +430,21 @@ def run(cli, label, argv, out: Path) -> tuple[int | str, bytes]:
     return code, h.digest()
 
 
+def last_uses(cmds, out: Path) -> dict[int, list[str]]:
+    """Each label, under the index of the last command that writes or reads its
+    directory: its own command, or the last whose argv names a path under it."""
+    labels = {label for label, _ in cmds}
+    last = {}
+    for k, (label, argv) in enumerate(cmds):
+        for name in [label] + [a.relative_to(out).parts[0] for a in argv if isinstance(a, Path)]:
+            if name in labels:
+                last[name] = k
+    uses: dict[int, list[str]] = {}
+    for name, k in last.items():
+        uses.setdefault(k, []).append(name)
+    return uses
+
+
 def main(argv) -> int:
     listing = "--list" in argv
     args = [a for a in argv if a != "--list"]
@@ -431,7 +465,7 @@ def main(argv) -> int:
     for name, n_agents in BAD_MANIFESTS:
         write_manifest(bad / name, name, n_agents)
     (out / "good").mkdir()
-    for name, n_agents in GOOD_MANIFESTS:
+    for name, n_agents in CHAINED_MANIFESTS:
         write_manifest(out / "good" / name, name, n_agents)
     for name in DENSE_PAIRS:
         write_manifest(out / "good" / name, name, 2)
@@ -444,12 +478,16 @@ def main(argv) -> int:
         (bad / f"{name}-pmf.json").write_text(text)
     for name, *record in BAD_CLOUDS:
         (bad / f"{name}.pcv").write_bytes(b"PCV1" + struct.pack("<I4f", 1, *record))
+    cmds = matrix(out)
+    last = last_uses(cmds, out)
     total = hashlib.sha256()
-    for label, cmd in matrix(out):
+    for k, (label, cmd) in enumerate(cmds):
         code, digest = run(cli, label, cmd, out)
         total.update(digest)
         if listing:
             print(label, code, digest.hex())
+        for name in last.get(k, ()):  # no later command reads these outputs
+            shutil.rmtree(out / name)
     print(f"sha256 {total.hexdigest()}")
     return 0
 
